@@ -19,16 +19,16 @@ the boundary).
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 import struct
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import atomic_write, write_csv, write_json
 from .functionals import (EnergyMomentum, FunctionalReport, Provenance,
                           SuperluminalVelocity, predict_energy_momentum)
 from .potential import PotentialSpec, evaluate_potential
@@ -263,9 +263,14 @@ class ScanRow:
 def _worker_count() -> int:
     raw = os.environ.get("SOLITON_THREADS", "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
+        count = 0
+    if count < 1:
+        warnings.warn(f"SOLITON_THREADS={raw!r} is not a positive integer; "
+                      "using 1 worker", RuntimeWarning)
         return 1
+    return count
 
 
 def boost_scan(wave: SolitaryWave, spec: PotentialSpec, velocities,
@@ -309,17 +314,10 @@ def scan_to_csv(rows: list[ScanRow], path) -> None:
     n = rows[0].v.size if rows else 0
     header = (["v", "E_meas"] + [f"P{j+1}_meas" for j in range(n)]
               + ["E_pred"] + [f"P{j+1}_pred" for j in range(n)] + ["relE", "relP"])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            speed = float(np.linalg.norm(row.v))
-            rec = ([f"{speed:.17g}", f"{row.e_measured:.17g}"]
-                   + [f"{x:.17g}" for x in row.p_measured]
-                   + [f"{row.e_predicted:.17g}"]
-                   + [f"{x:.17g}" for x in row.p_predicted]
-                   + [f"{row.rel_err_e:.17g}", f"{row.rel_err_p:.17g}"])
-            writer.writerow(rec)
+    records = ([float(np.linalg.norm(row.v)), row.e_measured, *row.p_measured,
+                row.e_predicted, *row.p_predicted, row.rel_err_e, row.rel_err_p]
+               for row in rows)
+    write_csv(path, header, records)
 
 
 def scan_to_json(rows: list[ScanRow], path) -> None:
@@ -335,9 +333,7 @@ def scan_to_json(rows: list[ScanRow], path) -> None:
         }
         for row in rows
     ]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def save_sample(sample: FieldSample, path) -> None:
@@ -346,7 +342,8 @@ def save_sample(sample: FieldSample, path) -> None:
     payload = interleaved re/im of psi (C order), then of psi_dot.
     """
     g = sample.grid
-    with open(path, "wb") as fh:
+
+    def write(fh):
         fh.write(struct.pack("<q", g.n))
         fh.write(struct.pack(f"<{g.n}q", *g.points))
         fh.write(struct.pack(f"<{g.n}d", *g.extent))
@@ -356,6 +353,8 @@ def save_sample(sample: FieldSample, path) -> None:
             inter[0::2] = field.real.ravel(order="C")
             inter[1::2] = field.imag.ravel(order="C")
             fh.write(inter.astype("<f8").tobytes())
+
+    atomic_write(path, write, binary=True)
 
 
 def load_sample(path) -> FieldSample:

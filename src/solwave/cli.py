@@ -13,10 +13,10 @@ import copy
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
+from .artifacts import write_json
 from .boost import (GridSpec, GridTooSmall, boost_scan, grid_for,
                     sample_boosted, scan_to_csv, scan_to_json)
 from .evolve import CflViolation, NonFinite, diagnostics_to_csv, evolve
@@ -172,26 +172,9 @@ def normalize_config(cfg: dict) -> dict:
     }
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=os.path.basename(path))
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_json(path: str, obj) -> None:
-    _atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
-
-
 def _finish(cfg: dict, out_dir: str, artifacts: list[str]) -> None:
     manifest = {"config": cfg, "artifacts": sorted(artifacts)}
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def _solve_from_config(cfg: dict):
@@ -245,7 +228,7 @@ def cmd_check(cfg: dict) -> int:
     payload = report_to_dict(report)
     print(json.dumps(payload, indent=2))
     stem = f"report_n{cfg['n']}k{cfg['k']}.json"
-    _write_json(os.path.join(out, stem), payload)
+    write_json(os.path.join(out, stem), payload)
     _finish(cfg, out, [stem])
     tol = cfg["tolerances"]["quadrature_tol"]
     if report.pokhozhaev_residual > tol:

@@ -15,12 +15,12 @@ non-soliton data.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import write_csv
 from .boost import FieldSample, measure_energy, measure_momentum, _energy_density
 from .potential import PotentialSpec, evaluate_force
 
@@ -68,14 +68,12 @@ class DiagnosticPoint:
 class EvolutionState:
     """Field state at one time level plus the memory the two-step scheme needs.
 
-    sample holds a consistent (psi, psi_dot) pair at sample.time; prev_psi is
-    the previous level (None before the first step); _psi_next caches the
-    already-computed next level so the centered psi_dot reconstruction costs
-    nothing extra.
+    sample holds a consistent (psi, psi_dot) pair at sample.time; _psi_next
+    caches the already-computed next level (None before the first step) so
+    the centered psi_dot reconstruction costs nothing extra.
     """
 
     sample: FieldSample
-    prev_psi: np.ndarray | None = None
     diagnostics: list[DiagnosticPoint] = field(default_factory=list)
     _psi_next: np.ndarray | None = None
 
@@ -130,7 +128,6 @@ def step(state: EvolutionState, spec: PotentialSpec, dt: float) -> EvolutionStat
     )
     return EvolutionState(
         sample=new_sample,
-        prev_psi=psi,
         diagnostics=state.diagnostics,
         _psi_next=psi_ahead,
     )
@@ -193,10 +190,5 @@ def diagnostics_to_csv(diagnostics: list[DiagnosticPoint], path) -> None:
     n = diagnostics[0].momentum.size if diagnostics else 0
     header = (["time", "E"] + [f"P{j+1}" for j in range(n)]
               + [f"X{j+1}" for j in range(n)])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for d in diagnostics:
-            writer.writerow([f"{d.time:.17g}", f"{d.energy:.17g}"]
-                            + [f"{x:.17g}" for x in d.momentum]
-                            + [f"{x:.17g}" for x in d.center_of_energy])
+    write_csv(path, header, ([d.time, d.energy, *d.momentum, *d.center_of_energy]
+                             for d in diagnostics))

@@ -28,7 +28,6 @@ terms of the generalized exponential integrals E_j.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -293,9 +292,3 @@ def report_from_dict(d: dict) -> FunctionalReport:
         isotropy_defect=float(d["isotropy_defect"]), omega=float(d["omega"]),
         n=int(d["n"]), k=int(d["k"]),
     )
-
-
-def save_report(report: FunctionalReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
-        fh.write("\n")

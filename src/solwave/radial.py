@@ -4,15 +4,17 @@ Solves the stationary amplitude equation
 
     R'' + (n-1)/r R' - k^2/r^2 R = U'(R) - omega^2 R,
 
-outward from r ~ 0 with series initial data, classifying each trajectory as
-Decayed, Undershot (turns back up before reaching zero), or Overshot (extra
-sign change, or runaway past the divergence guard).  The decaying profile is
-a separatrix of the ODE: perturbations grow like e^{+delta r} with
-delta = sqrt(mass_sq - omega^2), so a shot with initial datum known to
-relative accuracy eps tracks the true profile only down to |R| ~ sqrt(eps).
-Bisection therefore refines the initial datum to near machine precision, the
-trajectory is cut at its deepest trusted point, and the profile is continued
-with the analytic linear-regime tail
+outward from r ~ 0 with series initial data.  Every shot (bracket scan,
+bisection, converged profile, shoot) runs through one stepping integrator
+that classifies the trajectory after each step as Decayed, Undershot (turns
+back up before reaching zero), or Overshot (sign change, or runaway past the
+divergence guard).  The decaying profile is a separatrix of the ODE:
+perturbations grow like e^{+delta r} with delta = sqrt(mass_sq - omega^2), so
+a shot with initial datum known to relative accuracy eps tracks the true
+profile only down to |R| ~ sqrt(eps).  Bisection therefore refines the
+initial datum to near machine precision, the trajectory is cut at its deepest
+trusted point, and the profile is continued with the analytic linear-regime
+tail
 
     R(r) ~ prefactor * r^{-(n-1)/2} * e^{-delta r} * (1 + a1/(delta r) + a2/(delta r)^2),
 
@@ -23,7 +25,6 @@ exact).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import warnings
@@ -31,10 +32,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import RK45, OdeSolution
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
+from .artifacts import write_csv, write_json
 from .potential import PotentialSpec, check_conditions, expected_amplitude
 
 __all__ = [
@@ -59,6 +61,9 @@ __all__ = [
 
 MATCH_THRESHOLD = 1e-8          # tail splice level, relative to max |R|
 DIVERGENCE_FACTOR = 3.0         # overshoot guard: |R| > factor * amplitude_cap
+SHOT_RANGE = 60.0               # outer end of every shot, in units of 1/delta
+SHOOT_DECAY_REL = 1e-3          # shoot's Decayed ball, relative to the shot's amplitude scale
+SHOOT_SPACING = 0.01            # shoot's trajectory grid spacing, in units of 1/delta
 
 
 class ShootOutcome(Enum):
@@ -188,14 +193,11 @@ def _series_start(spec: PotentialSpec, omega: float, n: int, k: int, s: float, r
     return s * r0**k + c * r0 ** (k + 2), k * s * r0 ** (k - 1) + (k + 2) * c * r0 ** (k + 1)
 
 
-def _integrate(spec, omega, n, k, s, r_max, decay_abs, rtol=1e-10, dense=True):
-    """One outward shot.  Returns the solve_ivp solution with terminal events
-    [zero crossing, upward turning point, divergence guard, decay ball]."""
+def _rhs(spec: PotentialSpec, omega: float, n: int, k: int):
+    """The amplitude equation as a first-order system y = (R, R') in r."""
     m2, w2 = spec.mass_sq, omega**2
-    delta = math.sqrt(m2 - w2)
     k2 = float(k * k)
     nm1 = float(n - 1)
-    guard = DIVERGENCE_FACTOR * spec.amplitude_cap
     terms = spec.terms
 
     def rhs(r, y):
@@ -205,91 +207,69 @@ def _integrate(spec, omega, n, k, s, r_max, decay_abs, rtol=1e-10, dense=True):
             nl += coupling * abs(R) ** (exponent - 2) * R
         return (dR, (k2 / (r * r)) * R - (nm1 / r) * dR + (m2 - w2) * R - nl)
 
-    def ev_cross(r, y):
-        return y[0]
+    return rhs
 
-    def ev_upturn(r, y):
-        return y[1]
 
-    def ev_guard(r, y):
-        return abs(y[0]) - guard
+def _shoot(spec, omega, n, k, s, r_max, decay_abs, rtol=1e-10, dense=False):
+    """One outward shot with initial datum s, classified step by step.
 
-    def ev_ball(r, y):
-        return y[0] ** 2 + (y[1] / delta) ** 2 - decay_abs**2
-
-    ev_cross.terminal = True
-    ev_cross.direction = 0
-    ev_upturn.terminal = True
-    ev_upturn.direction = 1.0
-    ev_guard.terminal = True
-    ev_guard.direction = 1.0
-    ev_ball.terminal = True
-    ev_ball.direction = -1.0
-
+    Returns (outcome, trajectory).  Conditions are checked per step (steps
+    resolve 1/delta many times over), not located as events.  With dense=True
+    the trajectory is the OdeSolution of the steps before the terminating one,
+    so it never reaches past the event that ended the shot (a shot ending on
+    its first step keeps that step); otherwise it is None.
+    """
+    delta = math.sqrt(spec.mass_sq - omega**2)
+    guard = DIVERGENCE_FACTOR * spec.amplitude_cap
+    ball_sq = decay_abs * decay_abs
     r0 = 1e-6 / delta
     y0 = _series_start(spec, omega, n, k, s, r0)
-    scale = max(abs(s), 1e-300)
-    sol = solve_ivp(
-        rhs,
-        (r0, r_max),
-        y0,
-        method="RK45",
-        rtol=rtol,
-        atol=1e-14 * scale,
-        dense_output=dense,
-        events=[ev_cross, ev_upturn, ev_guard, ev_ball],
-    )
-    if sol.status == -1:
-        raise StepFailure(f"integrator failed at s={s}: {sol.message}")
-    return sol, delta
+    solver = RK45(_rhs(spec, omega, n, k), r0, np.array(y0), r_max,
+                  rtol=rtol, atol=1e-14 * abs(s))
+    ts, pieces = [r0], []
+    sign_prev = math.copysign(1.0, y0[0]) if y0[0] != 0 else 1.0
+    dR_prev = y0[1]
+    # excited shots launch inside the decay ball (R ~ s r^k); only a re-entry
+    # after leaving it counts as decay
+    armed = y0[0] ** 2 + (y0[1] / delta) ** 2 > ball_sq
+    outcome = None
+    while outcome is None and solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise StepFailure(f"integrator failed at s={s}: {message}")
+        if dense:
+            ts.append(solver.t)
+            pieces.append(solver.dense_output())
+        R, dR = solver.y
+        q_sq = R * R + (dR / delta) ** 2
+        if armed and q_sq <= ball_sq:
+            outcome = ShootOutcome.DECAYED
+        elif R == 0.0 or math.copysign(1.0, R) != sign_prev or abs(R) > guard:
+            outcome = ShootOutcome.OVERSHOT
+        elif dR_prev < 0.0 <= dR and R > 0.0:
+            outcome = ShootOutcome.UNDERSHOT
+        armed = armed or q_sq > ball_sq
+        dR_prev = dR
+    if outcome is None:  # reached r_max without a terminating step
+        R, dR = solver.y
+        # monotone runaway below the guard
+        outcome = ShootOutcome.OVERSHOT if R > 0 and dR > 0 else ShootOutcome.UNDERSHOT
+    elif len(pieces) > 1:
+        del ts[-1], pieces[-1]
+    return outcome, (OdeSolution(ts, pieces) if dense else None)
 
 
-def _classify(sol, delta, decay_abs) -> ShootOutcome:
-    cross, upturn, guard, ball = sol.t_events
-    if ball.size:
-        return ShootOutcome.DECAYED
-    if cross.size:
-        return ShootOutcome.OVERSHOT
-    if guard.size:
-        return ShootOutcome.OVERSHOT
-    if upturn.size:
-        return ShootOutcome.UNDERSHOT
-    # reached r_max without any event
-    R_end, dR_end = sol.y[:, -1]
-    if R_end**2 + (dR_end / delta) ** 2 <= decay_abs**2:
-        return ShootOutcome.DECAYED
-    if R_end > 0 and dR_end > 0:
-        return ShootOutcome.OVERSHOT  # monotone runaway below the guard
-    return ShootOutcome.UNDERSHOT
-
-
-def _sample_trajectory(sol, spec, omega, n, k, s, h):
-    """Uniform-grid snapshot of a (possibly partial) shot trajectory."""
-    r_end = sol.t[-1]
-    m = max(int(math.floor(r_end / h)), 2)
+def _sample(sol: OdeSolution, k: int, s: float, m: int, h: float):
+    """Grid j*h (j = 0..m) with R, R' of a dense shot; the origin takes the
+    exact series data and points past the trajectory clamp to its end."""
     grid = np.arange(m + 1) * h
     vals = np.empty(m + 1)
     ders = np.empty(m + 1)
-    vals[0], ders[0] = _origin_data(spec, omega, n, k, s)
-    interior = np.clip(grid[1:], sol.t[0], r_end)
-    y = sol.sol(interior)
+    vals[0], ders[0] = (s, 0.0) if k == 0 else (0.0, s if k == 1 else 0.0)
+    y = sol(np.clip(grid[1:], sol.t_min, sol.t_max))
     vals[1:] = y[0]
     ders[1:] = y[1]
-    return RadialProfile(
-        r_grid=grid,
-        values=vals,
-        derivative=ders,
-        tail=None,
-        node_count=_count_sign_changes(vals),
-        shoot_param=s,
-        numeric_radius=float(r_end),
-    )
-
-
-def _origin_data(spec, omega, n, k, s):
-    if k == 0:
-        return s, 0.0
-    return 0.0, (s if k == 1 else 0.0)
+    return grid, vals, ders
 
 
 def _count_sign_changes(values) -> int:
@@ -307,15 +287,20 @@ def _amplitude_scale(spec, omega, k, s):
     return a_star if a_star is not None else max(abs(s), 1.0)
 
 
-def shoot(spec: PotentialSpec, omega: float, n: int, k: int, s: float,
-          r_max: float | None = None, *, decay_rel: float = 1e-3,
-          h_sample: float | None = None):
+def _converged_decay_abs(spec, omega):
+    """Decayed ball of the bracket scan, bisection and converged shot."""
+    return 1e-9 * (expected_amplitude(spec, omega) or 1.0)
+
+
+def shoot(spec: PotentialSpec, omega: float, n: int, k: int, s: float):
     """Integrate one outward shot with initial datum s.
 
-    Returns (outcome, trajectory).  The trajectory is a partial RadialProfile
-    (no tail fit) sampled on a uniform grid up to the terminating event.
-    decay_rel sets the Decayed classification ball, relative to the amplitude
-    scale of the shot.
+    Returns (outcome, trajectory).  The shot is classified after each
+    accepted integrator step by the same rules the bisection uses, with the
+    Decayed ball at SHOOT_DECAY_REL of the shot's amplitude scale and the
+    range out to SHOT_RANGE / delta.  The trajectory is a partial
+    RadialProfile (no tail fit) sampled every SHOOT_SPACING / delta up to
+    the last step before the terminating one.
     """
     if s <= 0:
         raise ValueError(f"shoot parameter must be > 0, got {s}")
@@ -324,68 +309,20 @@ def shoot(spec: PotentialSpec, omega: float, n: int, k: int, s: float,
     if k >= 1 and n != 2:
         raise ValueError("angular index k >= 1 requires n = 2")
     delta = math.sqrt(spec.mass_sq - omega**2)
-    if r_max is None:
-        r_max = 60.0 / delta
-    decay_abs = decay_rel * _amplitude_scale(spec, omega, k, s)
-    sol, delta = _integrate(spec, omega, n, k, s, r_max, decay_abs)
-    outcome = _classify(sol, delta, decay_abs)
-    if h_sample is None:
-        h_sample = 0.01 / delta
-    return outcome, _sample_trajectory(sol, spec, omega, n, k, s, h_sample)
-
-
-def _classify_shot(spec, omega, n, k, s, r_max, decay_abs, rtol=1e-10):
-    """Classify one shot with a bare stepping loop.
-
-    Bisection only consumes the outcome, so the terminating condition is
-    checked at step granularity (steps resolve 1/delta many times over)
-    instead of paying for root-polished event location.
-    """
-    m2, w2 = spec.mass_sq, omega**2
-    delta = math.sqrt(m2 - w2)
-    k2 = float(k * k)
-    nm1 = float(n - 1)
-    guard = DIVERGENCE_FACTOR * spec.amplitude_cap
-    terms = spec.terms
-    ball_sq = decay_abs * decay_abs
-
-    def rhs(r, y):
-        R, dR = y
-        nl = 0.0
-        for coupling, exponent in terms:
-            nl += coupling * abs(R) ** (exponent - 2) * R
-        return (dR, (k2 / (r * r)) * R - (nm1 / r) * dR + (m2 - w2) * R - nl)
-
-    r0 = 1e-6 / delta
-    y0 = _series_start(spec, omega, n, k, s, r0)
-    solver = RK45(rhs, r0, np.array(y0), r_max, rtol=rtol, atol=1e-14 * abs(s))
-    sign_prev = math.copysign(1.0, y0[0]) if y0[0] != 0 else 1.0
-    dR_prev = y0[1]
-    # excited shots launch inside the decay ball (R ~ s r^k); only a re-entry
-    # after leaving it counts as decay
-    armed = y0[0] ** 2 + (y0[1] / delta) ** 2 > ball_sq
-    while solver.status == "running":
-        solver.step()
-        R, dR = solver.y
-        q_sq = R * R + (dR / delta) ** 2
-        if armed and q_sq <= ball_sq:
-            return ShootOutcome.DECAYED
-        armed = armed or q_sq > ball_sq
-        if R == 0.0 or math.copysign(1.0, R) != sign_prev:
-            return ShootOutcome.OVERSHOT
-        if abs(R) > guard:
-            return ShootOutcome.OVERSHOT
-        if dR_prev < 0.0 <= dR and R > 0.0:
-            return ShootOutcome.UNDERSHOT
-        dR_prev = dR
-    if solver.status == "failed":
-        raise StepFailure(f"integrator failed at s={s}")
-    R, dR = solver.y
-    if armed and R * R + (dR / delta) ** 2 <= ball_sq:
-        return ShootOutcome.DECAYED
-    if R > 0 and dR > 0:
-        return ShootOutcome.OVERSHOT  # monotone runaway below the guard
-    return ShootOutcome.UNDERSHOT
+    decay_abs = SHOOT_DECAY_REL * _amplitude_scale(spec, omega, k, s)
+    outcome, sol = _shoot(spec, omega, n, k, s, SHOT_RANGE / delta, decay_abs, dense=True)
+    h = SHOOT_SPACING / delta
+    r_end = float(sol.t_max)
+    grid, vals, ders = _sample(sol, k, s, max(int(math.floor(r_end / h)), 2), h)
+    return outcome, RadialProfile(
+        r_grid=grid,
+        values=vals,
+        derivative=ders,
+        tail=None,
+        node_count=_count_sign_changes(vals),
+        shoot_param=s,
+        numeric_radius=r_end,
+    )
 
 
 def _scan_bracket(spec, omega, n, k, r_max, decay_abs):
@@ -399,8 +336,8 @@ def _scan_bracket(spec, omega, n, k, r_max, decay_abs):
 
     def classify(i):
         if i not in outcomes:
-            outcomes[i] = _classify_shot(spec, omega, n, k, float(ss[i]),
-                                         r_max, decay_abs, rtol=1e-6)
+            outcomes[i], _ = _shoot(spec, omega, n, k, float(ss[i]),
+                                    r_max, decay_abs, rtol=1e-6)
         return outcomes[i]
 
     lo, hi = 0, len(ss) - 1
@@ -439,7 +376,7 @@ def _bisect(spec, omega, n, k, s_lo, s_hi, r_max, decay_abs, tol_s):
         mid = 0.5 * (s_lo + s_hi)
         if mid <= s_lo or mid >= s_hi:
             break  # bracket exhausted at float resolution
-        out = _classify_shot(spec, omega, n, k, mid, r_max, decay_abs)
+        out, _ = _shoot(spec, omega, n, k, mid, r_max, decay_abs)
         if out is ShootOutcome.DECAYED:
             return mid
         if out is ShootOutcome.UNDERSHOT:
@@ -449,22 +386,19 @@ def _bisect(spec, omega, n, k, s_lo, s_hi, r_max, decay_abs, tol_s):
     return 0.5 * (s_lo + s_hi)
 
 
-def _assemble_profile(spec, omega, n, k, s, sol, h_r) -> RadialProfile:
-    """Cut the converged trajectory at its deepest trusted point, fit the tail
-    prefactor by least squares over the last clean decade, and extend the grid
-    with the tail model down to the splice threshold."""
+def _assemble_profile(spec, omega, n, k, s, r_max, h_r) -> RadialProfile:
+    """Shoot at the converged datum s keeping the step interpolants, cut the
+    trajectory at its deepest trusted point, fit the tail prefactor by least
+    squares over the last clean decade, and extend the grid with the tail
+    model down to the splice threshold."""
     delta = math.sqrt(spec.mass_sq - omega**2)
-    r_end = sol.t[-1]
+    _, sol = _shoot(spec, omega, n, k, s, r_max, _converged_decay_abs(spec, omega),
+                    dense=True)
+    r_end = sol.t_max
     m = int(math.floor(r_end / h_r))
     if m < 16:
         raise StepFailure(f"trajectory too short to assemble (r_end={r_end:.3g})")
-    grid = np.arange(m + 1) * h_r
-    vals = np.empty(m + 1)
-    ders = np.empty(m + 1)
-    vals[0], ders[0] = _origin_data(spec, omega, n, k, s)
-    y = sol.sol(np.clip(grid[1:], sol.t[0], r_end))
-    vals[1:] = y[0]
-    ders[1:] = y[1]
+    grid, vals, ders = _sample(sol, k, s, m, h_r)
 
     max_R = float(np.max(np.abs(vals)))
     j_peak = int(np.argmax(np.abs(vals)))
@@ -570,15 +504,14 @@ def _solve_wave(spec, omega, n, k, h_r, r_max, tol_s) -> SolitaryWave:
         )
     delta = math.sqrt(spec.mass_sq - omega**2)
     if r_max is None:
-        r_max = 60.0 / delta
+        r_max = SHOT_RANGE / delta
     if h_r is None:
         h_r = 1.0 / (500.0 * delta)
-    decay_abs = 1e-9 * _amplitude_scale(spec, omega, k, expected_amplitude(spec, omega) or 1.0)
+    decay_abs = _converged_decay_abs(spec, omega)
 
     s_lo, s_hi = _scan_bracket(spec, omega, n, k, r_max, decay_abs)
     s_conv = _bisect(spec, omega, n, k, s_lo, s_hi, r_max, decay_abs, tol_s)
-    sol, _ = _integrate(spec, omega, n, k, s_conv, r_max, decay_abs)
-    profile = _assemble_profile(spec, omega, n, k, s_conv, sol, h_r)
+    profile = _assemble_profile(spec, omega, n, k, s_conv, r_max, h_r)
     if profile.node_count != 0:
         raise NodeCountMismatch(
             f"converged profile has {profile.node_count} interior nodes"
@@ -628,12 +561,8 @@ def resample_wave(wave: SolitaryWave, h_r: float) -> SolitaryWave:
     refinement studies cost one ODE solve per spacing.
     """
     spec, omega, n, k = wave.spec, wave.omega, wave.n, wave.k
-    delta = math.sqrt(spec.mass_sq - omega**2)
-    decay_abs = 1e-9 * _amplitude_scale(spec, omega, k,
-                                        expected_amplitude(spec, omega) or 1.0)
-    sol, _ = _integrate(spec, omega, n, k, wave.profile.shoot_param,
-                        60.0 / delta, decay_abs)
-    profile = _assemble_profile(spec, omega, n, k, wave.profile.shoot_param, sol, h_r)
+    profile = _assemble_profile(spec, omega, n, k, wave.profile.shoot_param,
+                                SHOT_RANGE / wave.delta, h_r)
     return SolitaryWave(n=n, k=k, omega=omega, profile=profile, spec=spec)
 
 
@@ -719,9 +648,8 @@ class WaveInterpolant:
             dd0 = 2.0 * p.values[1] / r1**2 if r1 > 0 else 0.0
         else:
             dd0 = 0.0
-        rl, Rl, dl = p.r_grid[-1], p.values[-1], p.derivative[-1]
-        dd_end = ((wave.k**2 / rl**2) * Rl - (wave.n - 1) / rl * dl
-                  + (m2 - w2) * Rl - float(_nonlinear_force(wave.spec, Rl)))
+        rhs = _rhs(wave.spec, wave.omega, self.n, self.k)
+        _, dd_end = rhs(p.r_grid[-1], (p.values[-1], p.derivative[-1]))
         self._dspline = CubicSpline(
             p.r_grid, p.derivative, bc_type=((1, float(dd0)), (1, float(dd_end)))
         )
@@ -750,11 +678,7 @@ def save_wave(wave: SolitaryWave, csv_path, sidecar_path) -> None:
     p = wave.profile
     if p.tail is None:
         raise ValueError("refusing to serialize an uncertified profile")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "R", "dR"])
-        for r, v, d in zip(p.r_grid, p.values, p.derivative):
-            writer.writerow([f"{r:.17g}", f"{v:.17g}", f"{d:.17g}"])
+    write_csv(csv_path, ["r", "R", "dR"], zip(p.r_grid, p.values, p.derivative))
     sidecar = {
         "n": wave.n,
         "k": wave.k,
@@ -766,9 +690,7 @@ def save_wave(wave: SolitaryWave, csv_path, sidecar_path) -> None:
         "node_count": p.node_count,
         "numeric_radius": p.numeric_radius,
     }
-    with open(sidecar_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    write_json(sidecar_path, sidecar)
 
 
 def load_wave(csv_path, sidecar_path, spec: PotentialSpec) -> SolitaryWave:

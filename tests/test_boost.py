@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from solwave.boost import (FieldSample, GridSpec, GridTooSmall, boost_scan,
-                           grid_for, load_sample, measure_energy,
+from solwave.boost import (FieldSample, GridSpec, GridTooSmall, _worker_count,
+                           boost_scan, grid_for, load_sample, measure_energy,
                            measure_energy_momentum, measure_momentum,
                            sample_boosted, save_sample, scan_to_csv)
 from solwave.functionals import Provenance, compute_functionals
@@ -173,6 +175,16 @@ class TestBoostScan:
             measure_energy(s0, cubic), rel=1e-9)
         assert measure_momentum(s1)[0] == pytest.approx(
             measure_momentum(s0)[0], rel=1e-9)
+
+    def test_worker_count_from_environment(self, monkeypatch):
+        monkeypatch.setenv("SOLITON_THREADS", "3")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _worker_count() == 3
+        for raw in ("zero", "0", "-2"):
+            monkeypatch.setenv("SOLITON_THREADS", raw)
+            with pytest.warns(RuntimeWarning, match=f"SOLITON_THREADS='{raw}'"):
+                assert _worker_count() == 1
 
     def test_csv_output(self, wave_1d, cubic, grid_1d, tmp_path):
         rows = boost_scan(wave_1d, cubic, [[0.0], [0.5]], grid_1d)

@@ -45,7 +45,6 @@ class TestStep:
         state = EvolutionState.from_sample(_zero_sample(small_grid))
         state = step(state, cubic, 0.02)
         assert state.sample.time == pytest.approx(0.02)
-        assert state.prev_psi is not None
 
     def test_three_dimensions_rejected(self, cubic):
         g3 = GridSpec(n=3, extent=(5.0, 5.0, 5.0), points=(16, 16, 16))

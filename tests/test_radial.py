@@ -12,18 +12,25 @@ from conftest import AMP, KAPPA
 
 
 class TestShootClassification:
-    def test_exact_datum_decays(self, cubic):
-        out, traj = shoot(cubic, 0.8, 1, 0, 0.848528)
-        assert out is ShootOutcome.DECAYED
-        assert traj.node_count == 0
+    def test_exact_datum_decays(self, cubic, wave_k1):
+        for n, k, s in ((1, 0, 0.848528), (2, 1, wave_k1.profile.shoot_param)):
+            out, traj = shoot(cubic, 0.8, n, k, s)
+            assert out is ShootOutcome.DECAYED
+            assert traj.node_count == 0
 
-    def test_double_amplitude_overshoots(self, cubic):
+    def test_double_amplitude_overshoots(self, cubic, wave_k1):
         out, _ = shoot(cubic, 0.8, 1, 0, 2 * AMP)
         assert out is ShootOutcome.OVERSHOT
+        out, traj = shoot(cubic, 0.8, 2, 1, 2 * wave_k1.profile.shoot_param)
+        assert out is ShootOutcome.OVERSHOT
+        assert traj.node_count == 0
 
-    def test_half_amplitude_undershoots(self, cubic):
+    def test_half_amplitude_undershoots(self, cubic, wave_k1):
         out, _ = shoot(cubic, 0.8, 1, 0, 0.5 * AMP)
         assert out is ShootOutcome.UNDERSHOT
+        out, traj = shoot(cubic, 0.8, 2, 1, 0.5 * wave_k1.profile.shoot_param)
+        assert out is ShootOutcome.UNDERSHOT
+        assert traj.node_count == 0
 
     def test_phase_plane_oracle_sweep(self, cubic):
         # 1D conservative motion: W(s) = omega^2 s^2/2 - U(s) decides the side.
