@@ -121,7 +121,7 @@ def grid_for(wave: SolitaryWave, v, t_max: float, h: float) -> GridSpec:
     margin = 10.0 / wave.delta
     extents, points = [], []
     for j in range(wave.n):
-        if speed > 0 and abs(v[j]) == speed and wave.n >= 1:
+        if speed > 0 and abs(v[j]) == speed:
             L = mr / gamma + margin + speed * abs(t_max)
         else:
             L = mr + margin
@@ -206,11 +206,15 @@ def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> Fie
     return FieldSample(grid=grid, time=float(t), psi=psi, psi_dot=psi_dot, source=src)
 
 
+def _centered_difference(psi: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Periodic 2nd-order centered derivative of psi along one axis."""
+    return (np.roll(psi, -1, axis=axis) - np.roll(psi, 1, axis=axis)) / (2.0 * h)
+
+
 def _gradient_sq(psi: np.ndarray, spacing) -> np.ndarray:
     out = np.zeros(psi.shape, dtype=float)
     for axis, h in enumerate(spacing):
-        d = (np.roll(psi, -1, axis=axis) - np.roll(psi, 1, axis=axis)) / (2.0 * h)
-        out += np.abs(d) ** 2
+        out += np.abs(_centered_difference(psi, axis, h)) ** 2
     return out
 
 
@@ -230,7 +234,7 @@ def measure_momentum(sample: FieldSample) -> np.ndarray:
     vol = sample.grid.cell_volume
     out = np.empty(sample.grid.n)
     for axis, h in enumerate(sample.grid.spacing):
-        d = (np.roll(sample.psi, -1, axis=axis) - np.roll(sample.psi, 1, axis=axis)) / (2.0 * h)
+        d = _centered_difference(sample.psi, axis, h)
         out[axis] = -np.sum((sample.psi_dot * np.conj(d)).real) * vol
     return out
 
@@ -358,13 +362,27 @@ def save_sample(sample: FieldSample, path) -> None:
 
 
 def load_sample(path) -> FieldSample:
+    """Read a save_sample file.  Raises ValueError when the file size is not
+    the one its header implies (a truncated write, say)."""
     with open(path, "rb") as fh:
-        (n,) = struct.unpack("<q", fh.read(8))
-        points = struct.unpack(f"<{n}q", fh.read(8 * n))
-        extent = struct.unpack(f"<{n}d", fh.read(8 * n))
-        (time,) = struct.unpack("<d", fh.read(8))
+        actual = os.fstat(fh.fileno()).st_size
+        head = fh.read(8 * (2 + 2 * 3))  # the longest header, n = 3
+        try:
+            (n,) = struct.unpack_from("<q", head)
+            points = struct.unpack_from(f"<{n}q", head, 8)
+            extent = struct.unpack_from(f"<{n}d", head, 8 + 8 * n)
+            (time,) = struct.unpack_from("<d", head, 8 + 16 * n)
+        except struct.error as exc:
+            raise ValueError(f"{os.fspath(path)}: sample file has {actual} bytes "
+                             "and no complete header") from exc
+        header = 8 * (2 + 2 * n)
+        fh.seek(header)
         grid = GridSpec(n=int(n), extent=tuple(extent), points=tuple(int(p) for p in points))
         size = int(np.prod(points))
+        expected = header + 2 * 16 * size
+        if actual != expected:
+            raise ValueError(f"{os.fspath(path)}: sample file has {actual} bytes, "
+                             f"its header implies {expected}")
         fields = []
         for _ in range(2):
             raw = np.frombuffer(fh.read(16 * size), dtype="<f8")

@@ -1,9 +1,11 @@
 """Command-line pipeline: solve waves, check identities, scan boosts, evolve.
 
 All commands read a single JSON config (--config) with optional dotted-key
-overrides (--set key=value).  Outputs land under output_dir together with a
-manifest.json listing the artifacts and the normalized config.  Exit codes:
-0 success, 1 config or validation error, 2 numerical failure.
+overrides (--set key=value).  A run solves the wave once and hands it to the
+command; demo shares that one solve across its four stages.  Outputs land
+under output_dir together with a manifest.json listing the artifacts and the
+normalized config.  Exit codes: 0 success, 1 config or validation error
+(a potential that cannot be built included), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ def _parse_set(arg: str):
     return key, value
 
 
-def load_config(path: str | None, overrides) -> dict:
+def _read_config(path: str | None, overrides) -> dict:
+    """The raw config: the file (if any) with the --set overrides applied."""
     cfg: dict = {}
     if path is not None:
         with open(path) as fh:
@@ -76,7 +79,11 @@ def load_config(path: str | None, overrides) -> dict:
     for item in overrides or []:
         key, value = _parse_set(item)
         _set_path(cfg, key, value)
-    return normalize_config(cfg)
+    return cfg
+
+
+def load_config(path: str | None, overrides) -> dict:
+    return normalize_config(_read_config(path, overrides))
 
 
 def build_potential(cfg: dict, omega: float) -> PotentialSpec:
@@ -177,25 +184,11 @@ def _finish(cfg: dict, out_dir: str, artifacts: list[str]) -> None:
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
-def _solve_from_config(cfg: dict):
-    spec = build_potential(cfg, cfg["omega"])
+def _solve_from_config(cfg: dict, spec: PotentialSpec):
     tol_s = cfg["tolerances"]["tol_s"]
     if cfg["k"] >= 1:
-        wave = find_excited_state(spec, cfg["omega"], cfg["k"], tol_s=tol_s)
-    else:
-        wave = find_ground_state(spec, cfg["omega"], cfg["n"], tol_s=tol_s)
-    return spec, wave
-
-
-def _grid_from_config(cfg: dict, wave, v_max: float, t_max: float) -> GridSpec:
-    grid = cfg["grid"]
-    if "extent" in grid:
-        return GridSpec(n=cfg["n"], extent=tuple(grid["extent"]),
-                        points=tuple(grid["points"]))
-    v_vec = np.zeros(cfg["n"])
-    if cfg["n"] >= 1:
-        v_vec[0] = v_max
-    return grid_for(wave, v_vec, t_max, grid["h"])
+        return find_excited_state(spec, cfg["omega"], cfg["k"], tol_s=tol_s)
+    return find_ground_state(spec, cfg["omega"], cfg["n"], tol_s=tol_s)
 
 
 def _boost_axis_velocity(speed: float, n: int) -> np.ndarray:
@@ -204,10 +197,16 @@ def _boost_axis_velocity(speed: float, n: int) -> np.ndarray:
     return v
 
 
-def cmd_solve(cfg: dict) -> int:
+def _grid_from_config(cfg: dict, wave, v_max: float, t_max: float) -> GridSpec:
+    grid = cfg["grid"]
+    if "extent" in grid:
+        return GridSpec(n=cfg["n"], extent=tuple(grid["extent"]),
+                        points=tuple(grid["points"]))
+    return grid_for(wave, _boost_axis_velocity(v_max, cfg["n"]), t_max, grid["h"])
+
+
+def cmd_solve(cfg: dict, spec: PotentialSpec, wave) -> int:
     out = cfg["output_dir"]
-    os.makedirs(out, exist_ok=True)
-    spec, wave = _solve_from_config(cfg)
     stem = f"wave_n{cfg['n']}k{cfg['k']}"
     csv_path = os.path.join(out, stem + ".csv")
     json_path = os.path.join(out, stem + ".json")
@@ -220,10 +219,8 @@ def cmd_solve(cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_check(cfg: dict) -> int:
+def cmd_check(cfg: dict, spec: PotentialSpec, wave) -> int:
     out = cfg["output_dir"]
-    os.makedirs(out, exist_ok=True)
-    spec, wave = _solve_from_config(cfg)
     report = compute_functionals(wave)
     payload = report_to_dict(report)
     print(json.dumps(payload, indent=2))
@@ -242,10 +239,8 @@ def cmd_check(cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_boost_scan(cfg: dict) -> int:
+def cmd_boost_scan(cfg: dict, spec: PotentialSpec, wave) -> int:
     out = cfg["output_dir"]
-    os.makedirs(out, exist_ok=True)
-    spec, wave = _solve_from_config(cfg)
     report = compute_functionals(wave)
     speeds = cfg["velocities"]
     grid = _grid_from_config(cfg, wave, 0.0, 0.0)  # sized for the uncontracted case
@@ -266,10 +261,8 @@ def cmd_boost_scan(cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_evolve(cfg: dict) -> int:
+def cmd_evolve(cfg: dict, spec: PotentialSpec, wave) -> int:
     out = cfg["output_dir"]
-    os.makedirs(out, exist_ok=True)
-    spec, wave = _solve_from_config(cfg)
     speed = cfg["velocities"][0] if cfg["velocities"] else 0.0
     ev = cfg["evolve"]
     grid = _grid_from_config(cfg, wave, abs(speed), ev["t_final"])
@@ -299,38 +292,32 @@ def cmd_evolve(cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_demo(cfg: dict) -> int:
-    """Full pipeline on the canonical cubic potential in one dimension."""
-    demo_cfg = {
-        "potential": {"mass_sq": 1.0, "terms": [{"coupling": 1.0, "exponent": 4}]},
-        "omega": 0.8,
-        "n": 1,
-        "k": 0,
-        "grid": {"h": 0.02},
-        "velocities": [0.0, 0.3, 0.6, 0.9],
-        "evolve": {"t_final": 5.0, "dt": 0.01, "diag_stride": 50},
-        "output_dir": cfg.get("output_dir", "solwave_out"),
-    }
-    demo_cfg = normalize_config(demo_cfg)
-    print("== solve ==")
-    status = cmd_solve(demo_cfg)
-    if status:
-        return status
-    print("== check ==")
-    status = cmd_check(demo_cfg)
-    if status:
-        return status
-    print("== boost-scan ==")
-    status = cmd_boost_scan(demo_cfg)
-    if status:
-        return status
-    print("== evolve ==")
-    status = cmd_evolve(demo_cfg)
-    if status:
-        return status
-    out = demo_cfg["output_dir"]
+# demo's fixed configuration; only output_dir comes from --config or --set
+DEMO_CONFIG = {
+    "potential": {"mass_sq": 1.0, "terms": [{"coupling": 1.0, "exponent": 4}]},
+    "omega": 0.8,
+    "n": 1,
+    "k": 0,
+    "grid": {"h": 0.02},
+    "velocities": [0.0, 0.3, 0.6, 0.9],
+    "evolve": {"t_final": 5.0, "dt": 0.01, "diag_stride": 50},
+}
+
+
+def cmd_demo(cfg: dict, spec: PotentialSpec, wave) -> int:
+    """Full pipeline on the canonical cubic potential in one dimension; the
+    four stages share the one solved wave."""
+    # looked up at call time, so rebinding a module-level command reaches demo
+    stages = (("solve", cmd_solve), ("check", cmd_check),
+              ("boost-scan", cmd_boost_scan), ("evolve", cmd_evolve))
+    for label, command in stages:
+        print(f"== {label} ==")
+        status = command(cfg, spec, wave)
+        if status:
+            return status
+    out = cfg["output_dir"]
     artifacts = sorted(f for f in os.listdir(out) if f != "manifest.json")
-    _finish(demo_cfg, out, artifacts)
+    _finish(cfg, out, artifacts)
     print(f"demo artifacts in {out}/")
     return EXIT_OK
 
@@ -360,23 +347,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        cfg = _read_config(args.config, args.set)
         if args.command == "demo":
-            # demo supplies its own full configuration; only take overrides
-            cfg = {}
-            if args.config is not None:
-                with open(args.config) as fh:
-                    cfg = json.load(fh)
-            for item in args.set:
-                key, value = _parse_set(item)
-                _set_path(cfg, key, value)
-        else:
-            cfg = load_config(args.config, args.set)
+            cfg = DEMO_CONFIG | {"output_dir": cfg.get("output_dir", "solwave_out")}
+        cfg = normalize_config(cfg)
+        spec = build_potential(cfg, cfg["omega"])
+        os.makedirs(cfg["output_dir"], exist_ok=True)
     except (ConfigError, OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        return COMMANDS[args.command](cfg)
+        wave = _solve_from_config(cfg, spec)
+        return COMMANDS[args.command](cfg, spec, wave)
     except (NoBracket, NodeCountMismatch, StepFailure, GridTooSmall,
             CflViolation, NonFinite, SuperluminalVelocity) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

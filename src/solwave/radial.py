@@ -494,7 +494,7 @@ def _assemble_profile(spec, omega, n, k, s, r_max, h_r) -> RadialProfile:
     )
 
 
-def _solve_wave(spec, omega, n, k, h_r, r_max, tol_s) -> SolitaryWave:
+def _solve_wave(spec, omega, n, k, h_r, tol_s) -> SolitaryWave:
     report = check_conditions(spec, omega, n)
     if not (report.s1_holds and report.s2_holds):
         raise NoBracket(
@@ -503,8 +503,7 @@ def _solve_wave(spec, omega, n, k, h_r, r_max, tol_s) -> SolitaryWave:
             f"S2={'ok' if report.s2_holds else 'violated'}"
         )
     delta = math.sqrt(spec.mass_sq - omega**2)
-    if r_max is None:
-        r_max = SHOT_RANGE / delta
+    r_max = SHOT_RANGE / delta
     if h_r is None:
         h_r = 1.0 / (500.0 * delta)
     decay_abs = _converged_decay_abs(spec, omega)
@@ -528,8 +527,7 @@ def _solve_wave(spec, omega, n, k, h_r, r_max, tol_s) -> SolitaryWave:
 
 
 def find_ground_state(spec: PotentialSpec, omega: float, n: int, *,
-                      h_r: float | None = None, r_max: float | None = None,
-                      tol_s: float = 1e-13) -> SolitaryWave:
+                      h_r: float | None = None, tol_s: float = 1e-13) -> SolitaryWave:
     """Node-free radial profile R(|x|) solving the amplitude equation.
 
     Bisects the initial datum between a certified Undershot and Overshot until
@@ -539,19 +537,18 @@ def find_ground_state(spec: PotentialSpec, omega: float, n: int, *,
     """
     if n not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
-    return _solve_wave(spec, omega, n, 0, h_r, r_max, tol_s)
+    return _solve_wave(spec, omega, n, 0, h_r, tol_s)
 
 
 def find_excited_state(spec: PotentialSpec, omega: float, k: int, *,
-                       h_r: float | None = None, r_max: float | None = None,
-                       tol_s: float = 1e-13) -> SolitaryWave:
+                       h_r: float | None = None, tol_s: float = 1e-13) -> SolitaryWave:
     """Planar (n = 2) excited state R(r) e^{i k phi} with R(0) = 0, R ~ s r^k.
 
     Same bisection as the ground state, on the r^k series coefficient.
     """
     if k < 1:
         raise ValueError(f"excited states need angular index k >= 1, got {k}")
-    return _solve_wave(spec, omega, 2, k, h_r, r_max, tol_s)
+    return _solve_wave(spec, omega, 2, k, h_r, tol_s)
 
 
 def resample_wave(wave: SolitaryWave, h_r: float) -> SolitaryWave:

@@ -196,16 +196,25 @@ class TestBoostScan:
 
 
 class TestBinaryFormat:
-    def test_roundtrip(self, wave_2d, cubic):
+    def test_roundtrip(self, wave_2d, cubic, tmp_path):
         g = grid_for(wave_2d, [0.3, 0.0], 0.0, 0.2)
         sample = sample_boosted(wave_2d, [0.3, 0.0], g, t=0.5)
-        path = "/tmp/solwave_sample_test.bin"
+        path = tmp_path / "sample.bin"
         save_sample(sample, path)
         back = load_sample(path)
         assert back.grid == sample.grid
         assert back.time == sample.time
         np.testing.assert_array_equal(back.psi, sample.psi)
         np.testing.assert_array_equal(back.psi_dot, sample.psi_dot)
+
+    def test_truncated_file_rejected(self, wave_1d, tmp_path):
+        g = GridSpec(n=1, extent=(50.0,), points=(2000,))
+        path = tmp_path / "s.bin"
+        save_sample(sample_boosted(wave_1d, [0.0], g, t=0.0), path)
+        full = path.read_bytes()
+        path.write_bytes(full[:-8])
+        with pytest.raises(ValueError, match=rf"s\.bin.*{len(full) - 8}.*{len(full)}"):
+            load_sample(path)
 
     def test_layout_is_little_endian_float64(self, wave_1d, tmp_path):
         g = GridSpec(n=1, extent=(50.0,), points=(2000,))

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import solwave.cli
 from solwave.cli import main, normalize_config
 
 CUBIC_POT = {"mass_sq": 1.0, "terms": [{"coupling": 1.0, "exponent": 4}]}
@@ -60,6 +61,15 @@ class TestExitCodes:
         cfg = _write_config(tmp_path, potential=pot)
         assert main(["solve", "--config", str(cfg)]) == 2
         assert "NoBracket" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("term", [
+        {"coupling": -1.0, "exponent": 4},  # no cap and no expected amplitude
+        {"coupling": 1.0, "exponent": 2},   # exponent below 3
+    ])
+    def test_unbuildable_potential_is_config_error(self, tmp_path, capsys, term):
+        cfg = _write_config(tmp_path, potential={"mass_sq": 1.0, "terms": [term]})
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_check_ok(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
@@ -142,3 +152,16 @@ def test_demo_runs_end_to_end(tmp_path):
     assert {"wave_n1k0.csv", "wave_n1k0.json", "report_n1k0.json",
             "boost_scan.csv", "boost_scan.json", "evolution.csv",
             "manifest.json"} <= produced
+
+
+def test_demo_solves_once(tmp_path, monkeypatch):
+    calls = []
+    solve = solwave.cli.find_ground_state
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(solwave.cli, "find_ground_state", counting)
+    assert main(["demo", "--set", f"output_dir={tmp_path / 'demo'}"]) == 0
+    assert len(calls) == 1
