@@ -18,12 +18,11 @@ from .functionals import (EnergyMomentum, FunctionalReport, Provenance,
                           SuperluminalVelocity, TailNotCertified, build_report,
                           compute_functionals, isotropy_defect,
                           pokhozhaev_residual, predict_energy_momentum)
-from .boost import (FieldSample, GridSpec, GridTooSmall, ScanRow, boost_scan,
-                    grid_for, load_sample, measure_energy,
-                    measure_energy_momentum, measure_momentum, sample_boosted,
+from .boost import (FieldSample, GridSpec, GridTooSmall, ScanRow, ZeroField,
+                    boost_scan, center_of_energy, grid_for, load_sample,
+                    measure_energy, measure_momentum, sample_boosted,
                     save_sample, scan_to_csv, scan_to_json)
 from .evolve import (CflViolation, DiagnosticPoint, EvolutionState, NonFinite,
-                     ZeroField, center_of_energy, diagnostics_to_csv, evolve,
-                     step)
+                     diagnostics_to_csv, evolve, step)
 
 __version__ = "0.1.0"

@@ -10,8 +10,9 @@ sampled from the exact chain-rule expression
 
     psi_dot = (-gamma (v . grad a)(y) - i gamma omega a(y)) * phase,
 
-never by numerical time differencing.  Energy and momentum are then measured
-by plain grid sums of the Hamiltonian density and -Re(psi_dot conj(grad psi))
+never by numerical time differencing.  Energy, momentum and the center of
+energy are then measured by plain grid sums of the Hamiltonian density (for
+the center, weighted by position) and -Re(psi_dot conj(grad psi))
 with 2nd-order centered differences under periodic wrap (immaterial given the
 exponential decay, which the grid-sizing rule keeps below 1e-8 of the peak at
 the boundary).
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import atomic_write, write_csv, write_json
-from .functionals import (EnergyMomentum, FunctionalReport, Provenance,
-                          SuperluminalVelocity, predict_energy_momentum)
+from .functionals import (FunctionalReport, Provenance, SuperluminalVelocity,
+                          predict_energy_momentum)
 from .potential import PotentialSpec, evaluate_potential
 from .radial import SolitaryWave, WaveInterpolant
 
@@ -38,11 +39,12 @@ __all__ = [
     "GridSpec",
     "FieldSample",
     "GridTooSmall",
+    "ZeroField",
     "ScanRow",
     "sample_boosted",
     "measure_energy",
     "measure_momentum",
-    "measure_energy_momentum",
+    "center_of_energy",
     "boost_scan",
     "grid_for",
     "scan_to_csv",
@@ -56,6 +58,10 @@ BOUNDARY_DECAY = 1e-8  # required |psi| suppression at the grid boundary
 
 class GridTooSmall(RuntimeError):
     """Field support does not fit on the grid with the required boundary decay."""
+
+
+class ZeroField(RuntimeError):
+    """Center of energy is undefined for an (almost) zero field."""
 
 
 @dataclass(frozen=True)
@@ -239,18 +245,18 @@ def measure_momentum(sample: FieldSample) -> np.ndarray:
     return out
 
 
-def measure_energy_momentum(sample: FieldSample, spec: PotentialSpec,
-                            v=None) -> EnergyMomentum:
-    """Grid-measured (E, P) packaged with GridMeasured provenance; v records
-    the nominal velocity of the sampled wave (zero vector when omitted)."""
-    n = sample.grid.n
-    v = np.zeros(n) if v is None else _as_velocity(v, n)
-    return EnergyMomentum(
-        energy=measure_energy(sample, spec),
-        momentum=measure_momentum(sample),
-        velocity=v,
-        provenance=Provenance.GRID_MEASURED,
-    )
+def center_of_energy(sample: FieldSample, spec: PotentialSpec) -> np.ndarray:
+    """Energy-density-weighted mean position, by grid sums."""
+    density = _energy_density(sample, spec)
+    total = float(np.sum(density)) * sample.grid.cell_volume
+    if total < 1e-20:
+        raise ZeroField(f"total energy {total:.3e} below 1e-20")
+    out = np.empty(sample.grid.n)
+    for axis, x in enumerate(sample.grid.axes()):
+        shape = [1] * sample.grid.n
+        shape[axis] = -1
+        out[axis] = float(np.sum(density * x.reshape(shape))) * sample.grid.cell_volume / total
+    return out
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,12 @@
 
 All commands read a single JSON config (--config) with optional dotted-key
 overrides (--set key=value).  A run solves the wave once and hands it to the
-command; demo shares that one solve across its four stages.  Outputs land
-under output_dir together with a manifest.json listing the artifacts and the
-normalized config.  Exit codes: 0 success, 1 config or validation error
-(a potential that cannot be built included), 2 numerical failure.
+command; demo shares that one solve across its four stages.  Each command
+returns its exit status and the names of the files it wrote under output_dir,
+and main alone writes output_dir/manifest.json: the normalized config and
+exactly those names, whatever the status.  Exit codes: 0 success, 1 config or
+validation error (a potential that cannot be built included), 2 numerical
+failure (a failure raised before the command returns writes no manifest).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .potential import PotentialSpec, expected_amplitude
 from .radial import (NoBracket, NodeCountMismatch, StepFailure,
                      find_excited_state, find_ground_state, save_wave)
 
-__all__ = ["main", "load_config", "normalize_config", "build_potential"]
+__all__ = ["main", "normalize_config", "build_potential"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -80,10 +82,6 @@ def _read_config(path: str | None, overrides) -> dict:
         key, value = _parse_set(item)
         _set_path(cfg, key, value)
     return cfg
-
-
-def load_config(path: str | None, overrides) -> dict:
-    return normalize_config(_read_config(path, overrides))
 
 
 def build_potential(cfg: dict, omega: float) -> PotentialSpec:
@@ -179,11 +177,6 @@ def normalize_config(cfg: dict) -> dict:
     }
 
 
-def _finish(cfg: dict, out_dir: str, artifacts: list[str]) -> None:
-    manifest = {"config": cfg, "artifacts": sorted(artifacts)}
-    write_json(os.path.join(out_dir, "manifest.json"), manifest)
-
-
 def _solve_from_config(cfg: dict, spec: PotentialSpec):
     tol_s = cfg["tolerances"]["tol_s"]
     if cfg["k"] >= 1:
@@ -205,7 +198,7 @@ def _grid_from_config(cfg: dict, wave, v_max: float, t_max: float) -> GridSpec:
     return grid_for(wave, _boost_axis_velocity(v_max, cfg["n"]), t_max, grid["h"])
 
 
-def cmd_solve(cfg: dict, spec: PotentialSpec, wave) -> int:
+def cmd_solve(cfg: dict, spec: PotentialSpec, wave) -> tuple[int, list[str]]:
     out = cfg["output_dir"]
     stem = f"wave_n{cfg['n']}k{cfg['k']}"
     csv_path = os.path.join(out, stem + ".csv")
@@ -215,31 +208,29 @@ def cmd_solve(cfg: dict, spec: PotentialSpec, wave) -> int:
     print(f"shoot_param = {wave.profile.shoot_param:.17g}")
     print(f"delta       = {tail.delta:.17g}")
     print(f"node_count  = {wave.profile.node_count}")
-    _finish(cfg, out, [stem + ".csv", stem + ".json"])
-    return EXIT_OK
+    return EXIT_OK, [stem + ".csv", stem + ".json"]
 
 
-def cmd_check(cfg: dict, spec: PotentialSpec, wave) -> int:
+def cmd_check(cfg: dict, spec: PotentialSpec, wave) -> tuple[int, list[str]]:
     out = cfg["output_dir"]
     report = compute_functionals(wave)
     payload = report_to_dict(report)
     print(json.dumps(payload, indent=2))
     stem = f"report_n{cfg['n']}k{cfg['k']}.json"
     write_json(os.path.join(out, stem), payload)
-    _finish(cfg, out, [stem])
     tol = cfg["tolerances"]["quadrature_tol"]
     if report.pokhozhaev_residual > tol:
         print(f"FAIL: pokhozhaev_residual {report.pokhozhaev_residual:.3e} > {tol:g}",
               file=sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_NUMERICAL, [stem]
     if abs(report.isotropy_defect) > tol * max(abs(report.e0), 1e-30):
         print(f"FAIL: isotropy_defect {report.isotropy_defect:.3e} exceeds "
               f"{tol:g} * |E_0|", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+        return EXIT_NUMERICAL, [stem]
+    return EXIT_OK, [stem]
 
 
-def cmd_boost_scan(cfg: dict, spec: PotentialSpec, wave) -> int:
+def cmd_boost_scan(cfg: dict, spec: PotentialSpec, wave) -> tuple[int, list[str]]:
     out = cfg["output_dir"]
     report = compute_functionals(wave)
     speeds = cfg["velocities"]
@@ -252,29 +243,25 @@ def cmd_boost_scan(cfg: dict, spec: PotentialSpec, wave) -> int:
     for row in rows:
         print(f"v={np.linalg.norm(row.v):.3f}  E_meas={row.e_measured:.10g}  "
               f"relE={row.rel_err_e:.3e}  relP={row.rel_err_p:.3e}")
-    _finish(cfg, out, ["boost_scan.csv", "boost_scan.json"])
+    artifacts = ["boost_scan.csv", "boost_scan.json"]
     limit = cfg["tolerances"]["scan_rel_err"]
     worst = max((max(r.rel_err_e, r.rel_err_p) for r in rows), default=0.0)
     if worst > limit:
         print(f"FAIL: worst scan relative error {worst:.3e} > {limit:g}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+        return EXIT_NUMERICAL, artifacts
+    return EXIT_OK, artifacts
 
 
-def cmd_evolve(cfg: dict, spec: PotentialSpec, wave) -> int:
+def cmd_evolve(cfg: dict, spec: PotentialSpec, wave) -> tuple[int, list[str]]:
     out = cfg["output_dir"]
     speed = cfg["velocities"][0] if cfg["velocities"] else 0.0
     ev = cfg["evolve"]
     grid = _grid_from_config(cfg, wave, abs(speed), ev["t_final"])
     initial = sample_boosted(wave, _boost_axis_velocity(speed, cfg["n"]), grid, t=0.0)
-    snapshot_stride = ev.get("snapshot_stride")
     state = evolve(initial, spec, ev["t_final"], ev["dt"], ev["diag_stride"],
-                   snapshot_stride=snapshot_stride,
-                   snapshot_dir=out if snapshot_stride else None)
+                   snapshot_stride=ev.get("snapshot_stride"), snapshot_dir=out)
     diagnostics_to_csv(state.diagnostics, os.path.join(out, "evolution.csv"))
-    artifacts = ["evolution.csv"] + sorted(
-        f for f in os.listdir(out) if f.startswith("snapshot_"))
-    _finish(cfg, out, artifacts)
+    artifacts = ["evolution.csv", *state.snapshots]
 
     times = np.array([d.time for d in state.diagnostics])
     centers = np.array([d.center_of_energy[0] for d in state.diagnostics])
@@ -288,8 +275,8 @@ def cmd_evolve(cfg: dict, spec: PotentialSpec, wave) -> int:
         if abs(fitted - speed) > speed_tol * abs(speed):
             print(f"FAIL: fitted speed off by more than {speed_tol:g} relative",
                   file=sys.stderr)
-            return EXIT_NUMERICAL
-    return EXIT_OK
+            return EXIT_NUMERICAL, artifacts
+    return EXIT_OK, artifacts
 
 
 # demo's fixed configuration; only output_dir comes from --config or --set
@@ -304,22 +291,22 @@ DEMO_CONFIG = {
 }
 
 
-def cmd_demo(cfg: dict, spec: PotentialSpec, wave) -> int:
+def cmd_demo(cfg: dict, spec: PotentialSpec, wave) -> tuple[int, list[str]]:
     """Full pipeline on the canonical cubic potential in one dimension; the
-    four stages share the one solved wave."""
+    four stages share the one solved wave, and demo returns the files they
+    wrote."""
     # looked up at call time, so rebinding a module-level command reaches demo
     stages = (("solve", cmd_solve), ("check", cmd_check),
               ("boost-scan", cmd_boost_scan), ("evolve", cmd_evolve))
+    artifacts = []
     for label, command in stages:
         print(f"== {label} ==")
-        status = command(cfg, spec, wave)
+        status, written = command(cfg, spec, wave)
+        artifacts += written
         if status:
-            return status
-    out = cfg["output_dir"]
-    artifacts = sorted(f for f in os.listdir(out) if f != "manifest.json")
-    _finish(cfg, out, artifacts)
-    print(f"demo artifacts in {out}/")
-    return EXIT_OK
+            return status, artifacts
+    print(f"demo artifacts in {cfg['output_dir']}/")
+    return EXIT_OK, artifacts
 
 
 COMMANDS = {
@@ -359,11 +346,14 @@ def main(argv=None) -> int:
 
     try:
         wave = _solve_from_config(cfg, spec)
-        return COMMANDS[args.command](cfg, spec, wave)
+        status, artifacts = COMMANDS[args.command](cfg, spec, wave)
     except (NoBracket, NodeCountMismatch, StepFailure, GridTooSmall,
             CflViolation, NonFinite, SuperluminalVelocity) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    write_json(os.path.join(cfg["output_dir"], "manifest.json"),
+               {"config": cfg, "artifacts": sorted(artifacts)})
+    return status
 
 
 if __name__ == "__main__":

@@ -21,19 +21,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import write_csv
-from .boost import FieldSample, measure_energy, measure_momentum, _energy_density
+from .boost import (FieldSample, ZeroField, center_of_energy, measure_energy,
+                    measure_momentum, save_sample)
 from .potential import PotentialSpec, evaluate_force
 
 __all__ = [
     "CFL_NUMBER",
     "CflViolation",
     "NonFinite",
-    "ZeroField",
     "DiagnosticPoint",
     "EvolutionState",
     "step",
     "evolve",
-    "center_of_energy",
     "diagnostics_to_csv",
 ]
 
@@ -52,10 +51,6 @@ class NonFinite(RuntimeError):
         self.time = time
 
 
-class ZeroField(RuntimeError):
-    """Center of energy is undefined for an (almost) zero field."""
-
-
 @dataclass(frozen=True)
 class DiagnosticPoint:
     time: float
@@ -70,16 +65,14 @@ class EvolutionState:
 
     sample holds a consistent (psi, psi_dot) pair at sample.time; _psi_next
     caches the already-computed next level (None before the first step) so
-    the centered psi_dot reconstruction costs nothing extra.
+    the centered psi_dot reconstruction costs nothing extra.  diagnostics and
+    snapshots (the file names evolve wrote) carry over from step to step.
     """
 
     sample: FieldSample
     diagnostics: list[DiagnosticPoint] = field(default_factory=list)
+    snapshots: list[str] = field(default_factory=list)
     _psi_next: np.ndarray | None = None
-
-    @classmethod
-    def from_sample(cls, sample: FieldSample) -> "EvolutionState":
-        return cls(sample=sample)
 
 
 def _laplacian(psi: np.ndarray, spacing) -> np.ndarray:
@@ -129,22 +122,9 @@ def step(state: EvolutionState, spec: PotentialSpec, dt: float) -> EvolutionStat
     return EvolutionState(
         sample=new_sample,
         diagnostics=state.diagnostics,
+        snapshots=state.snapshots,
         _psi_next=psi_ahead,
     )
-
-
-def center_of_energy(sample: FieldSample, spec: PotentialSpec) -> np.ndarray:
-    """Energy-density-weighted mean position, by grid sums."""
-    density = _energy_density(sample, spec)
-    total = float(np.sum(density)) * sample.grid.cell_volume
-    if total < 1e-20:
-        raise ZeroField(f"total energy {total:.3e} below 1e-20")
-    out = np.empty(sample.grid.n)
-    for axis, x in enumerate(sample.grid.axes()):
-        shape = [1] * sample.grid.n
-        shape[axis] = -1
-        out[axis] = float(np.sum(density * x.reshape(shape))) * sample.grid.cell_volume / total
-    return out
 
 
 def evolve(initial: FieldSample, spec: PotentialSpec, t_final: float, dt: float,
@@ -155,11 +135,14 @@ def evolve(initial: FieldSample, spec: PotentialSpec, t_final: float, dt: float,
 
     With snapshot_stride set, the full field is written in the flat binary
     sample layout to snapshot_dir every snapshot_stride steps (plus the
-    initial state)."""
+    initial state), and the returned state's snapshots lists the file names.
+    A snapshot_stride without a snapshot_dir raises ValueError."""
     if dt <= 0 or t_final < 0:
         raise ValueError("need dt > 0 and t_final >= 0")
+    if snapshot_stride is not None and snapshot_dir is None:
+        raise ValueError("snapshot_stride needs a snapshot_dir")
     n_steps = int(round(t_final / dt))
-    state = EvolutionState.from_sample(initial)
+    state = EvolutionState(initial)
 
     def record(st):
         st.diagnostics.append(DiagnosticPoint(
@@ -170,10 +153,10 @@ def evolve(initial: FieldSample, spec: PotentialSpec, t_final: float, dt: float,
         ))
 
     def snapshot(st, m):
-        if snapshot_stride is not None and snapshot_dir is not None:
-            from .boost import save_sample
-            save_sample(st.sample, os.path.join(os.fspath(snapshot_dir),
-                                                f"snapshot_{m:08d}.bin"))
+        if snapshot_stride is not None and m % snapshot_stride == 0:
+            name = f"snapshot_{m:08d}.bin"
+            save_sample(st.sample, os.path.join(os.fspath(snapshot_dir), name))
+            st.snapshots.append(name)
 
     record(state)
     snapshot(state, 0)
@@ -181,8 +164,7 @@ def evolve(initial: FieldSample, spec: PotentialSpec, t_final: float, dt: float,
         state = step(state, spec, dt)
         if m % diag_stride == 0 or m == n_steps:
             record(state)
-        if snapshot_stride is not None and m % snapshot_stride == 0:
-            snapshot(state, m)
+        snapshot(state, m)
     return state
 
 

@@ -71,7 +71,6 @@ class SuperluminalVelocity(ValueError):
 class Provenance(Enum):
     CLOSED_FORM = "ClosedForm"
     GENERAL_FORMULA = "GeneralFormula"
-    GRID_MEASURED = "GridMeasured"
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,6 @@ class FunctionalReport:
 class EnergyMomentum:
     energy: float
     momentum: np.ndarray
-    velocity: np.ndarray
-    provenance: Provenance
 
 
 def pokhozhaev_residual(report: FunctionalReport) -> float:
@@ -267,8 +264,7 @@ def predict_energy_momentum(report: FunctionalReport, v, mode: Provenance) -> En
             momentum = np.zeros(report.n)
     else:
         raise ValueError(f"prediction mode must be ClosedForm or GeneralFormula, got {mode}")
-    return EnergyMomentum(energy=float(energy), momentum=momentum,
-                          velocity=v.copy(), provenance=mode)
+    return EnergyMomentum(energy=float(energy), momentum=momentum)
 
 
 def report_to_dict(report: FunctionalReport) -> dict:

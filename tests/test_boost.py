@@ -5,9 +5,9 @@ import pytest
 
 from solwave.boost import (FieldSample, GridSpec, GridTooSmall, _worker_count,
                            boost_scan, grid_for, load_sample, measure_energy,
-                           measure_energy_momentum, measure_momentum,
-                           sample_boosted, save_sample, scan_to_csv)
-from solwave.functionals import Provenance, compute_functionals
+                           measure_momentum, sample_boosted, save_sample,
+                           scan_to_csv)
+from solwave.functionals import compute_functionals
 
 from conftest import AMP, KAPPA, ORACLE
 
@@ -101,14 +101,6 @@ class TestMeasurement:
         sample = sample_boosted(wave_1d, [0.6], grid_1d, t=0.0)
         assert measure_energy(sample, cubic) == pytest.approx(2.28, rel=1e-3)
         assert measure_momentum(sample)[0] == pytest.approx(1.368, rel=1e-3)
-
-    def test_measured_energy_momentum_provenance(self, wave_1d, grid_1d, cubic):
-        sample = sample_boosted(wave_1d, [0.6], grid_1d, t=0.0)
-        em = measure_energy_momentum(sample, cubic, [0.6])
-        assert em.provenance is Provenance.GRID_MEASURED
-        assert em.energy == pytest.approx(2.28, rel=1e-3)
-        assert em.momentum[0] == pytest.approx(1.368, rel=1e-3)
-        assert em.velocity[0] == 0.6
 
     def test_rest_energy_converges_quadratically(self, wave_1d, cubic):
         errors = []

@@ -165,3 +165,43 @@ def test_demo_solves_once(tmp_path, monkeypatch):
     monkeypatch.setattr(solwave.cli, "find_ground_state", counting)
     assert main(["demo", "--set", f"output_dir={tmp_path / 'demo'}"]) == 0
     assert len(calls) == 1
+
+
+class TestManifestOwnership:
+    """The manifest lists exactly the files the run wrote, never files that
+    were already in output_dir."""
+
+    @staticmethod
+    def _stale_dir(tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "stale_notes.txt").write_text("left by someone else\n")
+        (out / "snapshot_99999999.bin").write_bytes(b"stale")
+        return out
+
+    @staticmethod
+    def _artifacts(out):
+        return json.loads((out / "manifest.json").read_text())["artifacts"]
+
+    def test_demo_lists_only_its_files(self, tmp_path):
+        out = self._stale_dir(tmp_path)
+        assert main(["demo", "--set", f"output_dir={out}"]) == 0
+        assert self._artifacts(out) == [
+            "boost_scan.csv", "boost_scan.json", "evolution.csv",
+            "report_n1k0.json", "wave_n1k0.csv", "wave_n1k0.json"]
+
+    def test_evolve_snapshots_list_only_its_files(self, tmp_path):
+        out = self._stale_dir(tmp_path)
+        cfg = _write_config(tmp_path, velocities=[0.0], grid={"h": 0.1},
+                            evolve={"t_final": 0.5, "dt": 0.05, "diag_stride": 5,
+                                    "snapshot_stride": 5})
+        assert main(["evolve", "--config", str(cfg)]) == 0
+        assert self._artifacts(out) == [
+            "evolution.csv", "snapshot_00000000.bin", "snapshot_00000005.bin",
+            "snapshot_00000010.bin"]
+
+    def test_failing_check_writes_manifest(self, tmp_path):
+        out = self._stale_dir(tmp_path)
+        cfg = _write_config(tmp_path, tolerances={"quadrature_tol": 0.0})
+        assert main(["check", "--config", str(cfg)]) == 2
+        assert self._artifacts(out) == ["report_n1k0.json"]

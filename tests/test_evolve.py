@@ -20,7 +20,7 @@ def small_grid():
 
 class TestStep:
     def test_zero_field_fixed_point(self, cubic, small_grid):
-        state = EvolutionState.from_sample(_zero_sample(small_grid))
+        state = EvolutionState(_zero_sample(small_grid))
         for _ in range(3):
             state = step(state, cubic, 0.02)
         assert np.all(state.sample.psi == 0)
@@ -29,26 +29,26 @@ class TestStep:
     def test_constant_field_stationary(self, cubic, small_grid):
         # f(1) = -1 + 1 = 0 for the cubic spec: psi = 1 is an equilibrium
         psi = np.ones(small_grid.points, dtype=complex)
-        state = EvolutionState.from_sample(FieldSample(
+        state = EvolutionState(FieldSample(
             grid=small_grid, time=0.0, psi=psi, psi_dot=np.zeros_like(psi)))
         for _ in range(50):
             state = step(state, cubic, 0.02)
         np.testing.assert_allclose(state.sample.psi, 1.0, atol=1e-12)
 
     def test_cfl_violation(self, cubic, small_grid):
-        state = EvolutionState.from_sample(_zero_sample(small_grid))
+        state = EvolutionState(_zero_sample(small_grid))
         h = min(small_grid.spacing)
         with pytest.raises(CflViolation):
             step(state, cubic, 0.51 * h)
 
     def test_time_advances(self, cubic, small_grid):
-        state = EvolutionState.from_sample(_zero_sample(small_grid))
+        state = EvolutionState(_zero_sample(small_grid))
         state = step(state, cubic, 0.02)
         assert state.sample.time == pytest.approx(0.02)
 
     def test_three_dimensions_rejected(self, cubic):
         g3 = GridSpec(n=3, extent=(5.0, 5.0, 5.0), points=(16, 16, 16))
-        state = EvolutionState.from_sample(FieldSample(
+        state = EvolutionState(FieldSample(
             grid=g3, time=0.0, psi=np.zeros(g3.points, dtype=complex),
             psi_dot=np.zeros(g3.points, dtype=complex)))
         with pytest.raises(ValueError):
@@ -57,7 +57,7 @@ class TestStep:
     def test_blowup_detected(self, cubic, small_grid):
         x = small_grid.axes()[0]
         psi = (40.0 * np.exp(-x**2)).astype(complex)
-        state = EvolutionState.from_sample(FieldSample(
+        state = EvolutionState(FieldSample(
             grid=small_grid, time=0.0, psi=psi, psi_dot=np.zeros_like(psi)))
         with pytest.raises(NonFinite) as err:
             for _ in range(2000):
@@ -148,7 +148,7 @@ class TestConservation:
                          psi_dot=(0.3j * np.exp(-x**2 / 2)).astype(complex))
         drifts = []
         for dt in (0.04, 0.02):
-            state = EvolutionState.from_sample(s0)
+            state = EvolutionState(s0)
             e_start, worst = discrete_energy(s0), 0.0
             for m in range(1, int(round(2.0 / dt)) + 1):
                 state = step(state, cubic, dt)
@@ -213,3 +213,18 @@ class TestEvolveDiagnostics:
         np.testing.assert_array_equal(first.psi, s0.psi)
         last = load_sample(files[-1])
         assert last.time == pytest.approx(0.5)
+
+    def test_snapshot_names_on_state(self, cubic, wave_1d, tmp_path):
+        g = grid_for(wave_1d, [0.0], 0.5, 0.1)
+        s0 = sample_boosted(wave_1d, [0.0], g, t=0.0)
+        (tmp_path / "snapshot_99999999.bin").write_bytes(b"stale")
+        state = evolve(s0, cubic, 0.5, 0.05, diag_stride=5,
+                       snapshot_stride=5, snapshot_dir=tmp_path)
+        assert state.snapshots == ["snapshot_00000000.bin", "snapshot_00000005.bin",
+                                   "snapshot_00000010.bin"]
+
+    def test_snapshot_stride_needs_dir(self, cubic, wave_1d):
+        g = grid_for(wave_1d, [0.0], 0.5, 0.1)
+        s0 = sample_boosted(wave_1d, [0.0], g, t=0.0)
+        with pytest.raises(ValueError, match="snapshot_dir"):
+            evolve(s0, cubic, 0.5, 0.05, diag_stride=5, snapshot_stride=5)
