@@ -162,6 +162,9 @@ def normalize_config(cfg: dict) -> dict:
     ev["diag_stride"] = int(ev["diag_stride"])
     if ev.get("snapshot_stride") is not None:
         ev["snapshot_stride"] = int(ev["snapshot_stride"])
+    for key in ("diag_stride", "snapshot_stride"):
+        if ev.get(key) is not None and ev[key] < 1:
+            raise ConfigError(f"evolve.{key} must be >= 1, got {ev[key]}")
     cfg["evolve"] = ev
 
     tol = dict(DEFAULT_TOLERANCES)

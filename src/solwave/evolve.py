@@ -83,6 +83,15 @@ def _laplacian(psi: np.ndarray, spacing) -> np.ndarray:
     return out
 
 
+def _check_step(grid, dt: float) -> None:
+    """Reject a grid or time step the leapfrog scheme cannot advance."""
+    if grid.n > 2:
+        raise ValueError("time evolution supports n = 1 and n = 2 only")
+    h_min = min(grid.spacing)
+    if dt > CFL_NUMBER * h_min:
+        raise CflViolation(f"dt={dt} exceeds {CFL_NUMBER} * min h = {CFL_NUMBER * h_min}")
+
+
 def step(state: EvolutionState, spec: PotentialSpec, dt: float) -> EvolutionState:
     """Advance one leapfrog step; returns a new state one dt later.
 
@@ -90,11 +99,7 @@ def step(state: EvolutionState, spec: PotentialSpec, dt: float) -> EvolutionStat
     time attached) when the update leaves the finite range.
     """
     grid = state.sample.grid
-    if grid.n > 2:
-        raise ValueError("time evolution supports n = 1 and n = 2 only")
-    h_min = min(grid.spacing)
-    if dt > CFL_NUMBER * h_min:
-        raise CflViolation(f"dt={dt} exceeds {CFL_NUMBER} * min h = {CFL_NUMBER * h_min}")
+    _check_step(grid, dt)
 
     psi = state.sample.psi
     t = state.sample.time
@@ -136,11 +141,14 @@ def evolve(initial: FieldSample, spec: PotentialSpec, t_final: float, dt: float,
     With snapshot_stride set, the full field is written in the flat binary
     sample layout to snapshot_dir every snapshot_stride steps (plus the
     initial state), and the returned state's snapshots lists the file names.
-    A snapshot_stride without a snapshot_dir raises ValueError."""
+    A snapshot_stride without a snapshot_dir raises ValueError, and a dt
+    beyond the CFL bound raises CflViolation before anything is recorded or
+    written."""
     if dt <= 0 or t_final < 0:
         raise ValueError("need dt > 0 and t_final >= 0")
     if snapshot_stride is not None and snapshot_dir is None:
         raise ValueError("snapshot_stride needs a snapshot_dir")
+    _check_step(initial.grid, dt)
     n_steps = int(round(t_final / dt))
     state = EvolutionState(initial)
 

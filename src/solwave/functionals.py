@@ -21,9 +21,11 @@ moving-frame formulas are
 
 with the convention that component 1 of I_j is the boost axis.
 
-All integrals reduce to radial quadrature (composite Simpson on the stored
-uniform grid) plus closed-form corrections of the exponential tail model in
-terms of the generalized exponential integrals E_j.
+All integrals reduce to radial quadrature: composite Simpson sums on the
+stored uniform grid and nothing else.  That grid ends where |R| <= 1e-8 max|R|
+(the tail splice threshold), so the tail beyond it contributes about 1e-13
+relative (at most 1.5e-13, for n = 3, where the volume factor r^{n-1} is
+largest).
 """
 
 from __future__ import annotations
@@ -35,10 +37,9 @@ from enum import Enum
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.special import expn
 
 from .potential import check_conditions, evaluate_potential
-from .radial import SolitaryWave, _tail_series
+from .radial import SolitaryWave
 
 __all__ = [
     "FunctionalReport",
@@ -125,86 +126,36 @@ def build_report(i0, i_k, v0, omega, n, k=0) -> FunctionalReport:
     )
 
 
-def _inv_r_series(coeffs_a: np.ndarray, coeffs_b: np.ndarray) -> np.ndarray:
-    """Product of two truncated series in 1/r (index = power of 1/r)."""
-    return np.convolve(coeffs_a, coeffs_b)
-
-
-def _tail_integral(series: np.ndarray, a: float, theta: float) -> float:
-    """int_a^inf e^{-theta r} sum_j series[j] r^{-j} dr via E_j(theta a)."""
-    total = 0.0
-    for j, c in enumerate(series):
-        if c != 0.0:
-            total += c * a ** (1 - j) * float(expn(j, theta * a))
-    return total
-
-
-def _tail_corrections(wave: SolitaryWave, a: float):
-    """Closed-form tail contributions past the grid end r = a, for the model
-    P r^{-(n-1)/2} e^{-delta r} (1 + a1/(delta r) + a2/(delta r)^2).
-
-    Returns (int R^2 r^{n-1}, int R'^2 r^{n-1}, int (R^2/r^2) r^{n-1}) from a
-    to infinity.  The r^{n-1} volume factor cancels the squared prefactor
-    power exactly.  Potential-energy corrections beyond the mass term are
-    dropped: the tail starts at |R| ~ 1e-8 max, so cubic and higher monomials
-    contribute below 1e-24 relative.
-    """
-    tail = wave.profile.tail
-    delta, P = tail.delta, tail.prefactor
-    a1, a2 = _tail_series(wave.n, wave.k)
-    val = np.array([1.0, a1 / delta, a2 / delta**2])
-    dval = np.array([0.0, 0.0, -a1 / delta, -2.0 * a2 / delta**2])
-    # R' / (P shape) = dval - (delta + p/r) val,  p = (n-1)/2
-    p = (wave.n - 1) / 2.0
-    g = dval.copy()
-    g[: len(val)] -= delta * val
-    g[1 : 1 + len(val)] -= p * val
-    theta = 2.0 * delta
-    int_r2 = P**2 * _tail_integral(_inv_r_series(val, val), a, theta)
-    int_dr2 = P**2 * _tail_integral(_inv_r_series(g, g), a, theta)
-    ang = np.concatenate([[0.0, 0.0], _inv_r_series(val, val)])
-    int_ang = P**2 * _tail_integral(ang, a, theta)
-    return int_r2, int_dr2, int_ang
-
-
 def compute_functionals(wave: SolitaryWave) -> FunctionalReport:
-    """Radial quadrature of I_0, I_1..I_n, V_0 with analytic tail correction.
+    """Radial quadrature of I_0, I_1..I_n, V_0 for a = R(r) e^{i k phi}.
 
-    Radial waves use the surface measure of the unit sphere and share the
-    gradient integral equally among the n components; planar angular waves
-    use the polar-coordinate forms with the k^2 R^2 / r^2 centrifugal term.
-    Emits warnings for the flagged regimes (omega = 0, or a nonpositive rest
-    energy that the sign conditions cannot explain).
+    Composite Simpson sums on the stored grid alone; the grid ends where
+    |R| <= 1e-8 max|R|, so the tail beyond it contributes about 1e-13
+    relative (at most 1.5e-13, for n = 3).  With |S| the measure of the
+    unit sphere,
+
+        I_0 = |S|/2 int R^2 r^{n-1} dr,
+        I_j = |S| (int R'^2 r^{n-1} dr + k^2 int R^2 r^{n-3} dr) / (2n),
+
+    the gradient integral shared equally among the n components (k = 0
+    unless n = 2).  Emits warnings for the flagged regimes (omega = 0, or a
+    nonpositive rest energy that the sign conditions cannot explain).
     """
     profile = wave.profile
     if profile.tail is None:
         raise TailNotCertified("wave profile has no fitted tail")
     r, R, dR = profile.r_grid, profile.values, profile.derivative
     n, k, omega = wave.n, wave.k, wave.omega
-    a_end = float(r[-1])
-    t_r2, t_dr2, t_ang = _tail_corrections(wave, a_end)
+    measure = SPHERE_MEASURE[n]
 
     rn = r ** (n - 1)
-    int_r2 = float(simpson(R**2 * rn, x=r)) + t_r2
-    int_dr2 = float(simpson(dR**2 * rn, x=r)) + t_dr2
-    pot = evaluate_potential(wave.spec, np.abs(R))
-    int_v = float(simpson(pot * rn, x=r)) + 0.5 * wave.spec.mass_sq * t_r2
-
-    if k == 0:
-        measure = SPHERE_MEASURE[n]
-        i0 = 0.5 * measure * int_r2
-        each = measure * int_dr2 / (2.0 * n)
-        i_k = np.full(n, each)
-        v0 = measure * int_v
-    else:
-        # planar angular wave a = R(r) e^{i k phi}
-        ang = np.zeros_like(r)
-        ang[1:] = (R[1:] / r[1:]) ** 2 * r[1:]
-        int_ang = float(simpson(ang, x=r)) + t_ang
-        i_each = 0.5 * math.pi * (int_dr2 + k * k * int_ang)
-        i_k = np.array([i_each, i_each])
-        i0 = math.pi * int_r2
-        v0 = 2.0 * math.pi * int_v
+    # R^2 r^{n-3}: 0 at the origin when k >= 1 (R ~ r^k), and weighted by k^2 = 0 otherwise
+    cent = np.zeros_like(r)
+    cent[1:] = R[1:] ** 2 * r[1:] ** (n - 3)
+    grad = float(simpson(dR**2 * rn, x=r)) + k * k * float(simpson(cent, x=r))
+    i0 = 0.5 * measure * float(simpson(R**2 * rn, x=r))
+    i_k = np.full(n, measure * grad / (2.0 * n))
+    v0 = measure * float(simpson(evaluate_potential(wave.spec, np.abs(R)) * rn, x=r))
 
     report = build_report(i0, i_k, v0, omega, n, k)
 

@@ -6,15 +6,15 @@ Solves the stationary amplitude equation
 
 outward from r ~ 0 with series initial data.  Every shot (bracket scan,
 bisection, converged profile, shoot) runs through one stepping integrator
-that classifies the trajectory after each step as Decayed, Undershot (turns
-back up before reaching zero), or Overshot (sign change, or runaway past the
-divergence guard).  The decaying profile is a separatrix of the ODE:
-perturbations grow like e^{+delta r} with delta = sqrt(mass_sq - omega^2), so
-a shot with initial datum known to relative accuracy eps tracks the true
-profile only down to |R| ~ sqrt(eps).  Bisection therefore refines the
-initial datum to near machine precision, the trajectory is cut at its deepest
-trusted point, and the profile is continued with the analytic linear-regime
-tail
+that classifies the trajectory after each step; every shot ends Undershot
+(turns back up before reaching zero) or Overshot (sign change, or runaway
+past the divergence guard), and there is no decay outcome.  The decaying
+profile is a separatrix of the ODE: perturbations grow like e^{+delta r} with
+delta = sqrt(mass_sq - omega^2), so a shot with initial datum known to
+relative accuracy eps tracks the true profile only down to |R| ~ sqrt(eps)
+before it veers to one side.  Bisection therefore refines the initial datum
+to near machine precision, the trajectory is cut at its deepest trusted
+point, and the profile is continued with the analytic linear-regime tail
 
     R(r) ~ prefactor * r^{-(n-1)/2} * e^{-delta r} * (1 + a1/(delta r) + a2/(delta r)^2),
 
@@ -37,7 +37,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .artifacts import write_csv, write_json
-from .potential import PotentialSpec, check_conditions, expected_amplitude
+from .potential import PotentialSpec, check_conditions
 
 __all__ = [
     "ShootOutcome",
@@ -62,12 +62,10 @@ __all__ = [
 MATCH_THRESHOLD = 1e-8          # tail splice level, relative to max |R|
 DIVERGENCE_FACTOR = 3.0         # overshoot guard: |R| > factor * amplitude_cap
 SHOT_RANGE = 60.0               # outer end of every shot, in units of 1/delta
-SHOOT_DECAY_REL = 1e-3          # shoot's Decayed ball, relative to the shot's amplitude scale
-SHOOT_SPACING = 0.01            # shoot's trajectory grid spacing, in units of 1/delta
+GRID_DENSITY = 500.0            # default profile grid points per 1/delta
 
 
 class ShootOutcome(Enum):
-    DECAYED = "decayed"
     UNDERSHOT = "undershot"
     OVERSHOT = "overshot"
 
@@ -210,7 +208,7 @@ def _rhs(spec: PotentialSpec, omega: float, n: int, k: int):
     return rhs
 
 
-def _shoot(spec, omega, n, k, s, r_max, decay_abs, rtol=1e-10, dense=False):
+def _shoot(spec, omega, n, k, s, r_max, rtol=1e-10, dense=False):
     """One outward shot with initial datum s, classified step by step.
 
     Returns (outcome, trajectory).  Conditions are checked per step (steps
@@ -221,7 +219,6 @@ def _shoot(spec, omega, n, k, s, r_max, decay_abs, rtol=1e-10, dense=False):
     """
     delta = math.sqrt(spec.mass_sq - omega**2)
     guard = DIVERGENCE_FACTOR * spec.amplitude_cap
-    ball_sq = decay_abs * decay_abs
     r0 = 1e-6 / delta
     y0 = _series_start(spec, omega, n, k, s, r0)
     solver = RK45(_rhs(spec, omega, n, k), r0, np.array(y0), r_max,
@@ -229,9 +226,6 @@ def _shoot(spec, omega, n, k, s, r_max, decay_abs, rtol=1e-10, dense=False):
     ts, pieces = [r0], []
     sign_prev = math.copysign(1.0, y0[0]) if y0[0] != 0 else 1.0
     dR_prev = y0[1]
-    # excited shots launch inside the decay ball (R ~ s r^k); only a re-entry
-    # after leaving it counts as decay
-    armed = y0[0] ** 2 + (y0[1] / delta) ** 2 > ball_sq
     outcome = None
     while outcome is None and solver.status == "running":
         message = solver.step()
@@ -241,14 +235,10 @@ def _shoot(spec, omega, n, k, s, r_max, decay_abs, rtol=1e-10, dense=False):
             ts.append(solver.t)
             pieces.append(solver.dense_output())
         R, dR = solver.y
-        q_sq = R * R + (dR / delta) ** 2
-        if armed and q_sq <= ball_sq:
-            outcome = ShootOutcome.DECAYED
-        elif R == 0.0 or math.copysign(1.0, R) != sign_prev or abs(R) > guard:
+        if R == 0.0 or math.copysign(1.0, R) != sign_prev or abs(R) > guard:
             outcome = ShootOutcome.OVERSHOT
         elif dR_prev < 0.0 <= dR and R > 0.0:
             outcome = ShootOutcome.UNDERSHOT
-        armed = armed or q_sq > ball_sq
         dR_prev = dR
     if outcome is None:  # reached r_max without a terminating step
         R, dR = solver.y
@@ -280,27 +270,14 @@ def _count_sign_changes(values) -> int:
     return int(np.sum(signs[1:] * signs[:-1] < 0))
 
 
-def _amplitude_scale(spec, omega, k, s):
-    if k == 0:
-        return abs(s)
-    a_star = expected_amplitude(spec, omega)
-    return a_star if a_star is not None else max(abs(s), 1.0)
-
-
-def _converged_decay_abs(spec, omega):
-    """Decayed ball of the bracket scan, bisection and converged shot."""
-    return 1e-9 * (expected_amplitude(spec, omega) or 1.0)
-
-
 def shoot(spec: PotentialSpec, omega: float, n: int, k: int, s: float):
     """Integrate one outward shot with initial datum s.
 
-    Returns (outcome, trajectory).  The shot is classified after each
-    accepted integrator step by the same rules the bisection uses, with the
-    Decayed ball at SHOOT_DECAY_REL of the shot's amplitude scale and the
-    range out to SHOT_RANGE / delta.  The trajectory is a partial
-    RadialProfile (no tail fit) sampled every SHOOT_SPACING / delta up to
-    the last step before the terminating one.
+    Returns (outcome, trajectory).  This is the bisection's own shot: the
+    same integrator and step-by-step rules out to SHOT_RANGE / delta, ending
+    Undershot or Overshot (there is no decay ball).  The trajectory is a
+    partial RadialProfile (no tail fit) on the solver's default spacing
+    1 / (GRID_DENSITY delta), up to the last step before the terminating one.
     """
     if s <= 0:
         raise ValueError(f"shoot parameter must be > 0, got {s}")
@@ -309,9 +286,8 @@ def shoot(spec: PotentialSpec, omega: float, n: int, k: int, s: float):
     if k >= 1 and n != 2:
         raise ValueError("angular index k >= 1 requires n = 2")
     delta = math.sqrt(spec.mass_sq - omega**2)
-    decay_abs = SHOOT_DECAY_REL * _amplitude_scale(spec, omega, k, s)
-    outcome, sol = _shoot(spec, omega, n, k, s, SHOT_RANGE / delta, decay_abs, dense=True)
-    h = SHOOT_SPACING / delta
+    outcome, sol = _shoot(spec, omega, n, k, s, SHOT_RANGE / delta, dense=True)
+    h = 1.0 / (GRID_DENSITY * delta)
     r_end = float(sol.t_max)
     grid, vals, ders = _sample(sol, k, s, max(int(math.floor(r_end / h)), 2), h)
     return outcome, RadialProfile(
@@ -325,7 +301,7 @@ def shoot(spec: PotentialSpec, omega: float, n: int, k: int, s: float):
     )
 
 
-def _scan_bracket(spec, omega, n, k, r_max, decay_abs):
+def _scan_bracket(spec, omega, n, k, r_max):
     """Adjacent (Undershot, Overshot) pair among 64 log-spaced candidates over
     (0, amplitude_cap].  When the endpoints classify as expected the boundary
     is located by binary search over the candidate index; otherwise every
@@ -336,18 +312,14 @@ def _scan_bracket(spec, omega, n, k, r_max, decay_abs):
 
     def classify(i):
         if i not in outcomes:
-            outcomes[i], _ = _shoot(spec, omega, n, k, float(ss[i]),
-                                    r_max, decay_abs, rtol=1e-6)
+            outcomes[i], _ = _shoot(spec, omega, n, k, float(ss[i]), r_max, rtol=1e-6)
         return outcomes[i]
 
     lo, hi = 0, len(ss) - 1
     if classify(lo) is ShootOutcome.UNDERSHOT and classify(hi) is ShootOutcome.OVERSHOT:
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            out = classify(mid)
-            if out is ShootOutcome.DECAYED:
-                return float(ss[mid]), float(ss[mid])
-            if out is ShootOutcome.UNDERSHOT:
+            if classify(mid) is ShootOutcome.UNDERSHOT:
                 lo = mid
             else:
                 hi = mid
@@ -356,8 +328,6 @@ def _scan_bracket(spec, omega, n, k, r_max, decay_abs):
     prev_out = None
     for i in range(len(ss)):
         out = classify(i)
-        if out is ShootOutcome.DECAYED:
-            return float(ss[i]), float(ss[i])
         if prev_out is ShootOutcome.UNDERSHOT and out is ShootOutcome.OVERSHOT:
             return float(ss[i - 1]), float(ss[i])
         prev_out = out
@@ -367,18 +337,14 @@ def _scan_bracket(spec, omega, n, k, r_max, decay_abs):
     )
 
 
-def _bisect(spec, omega, n, k, s_lo, s_hi, r_max, decay_abs, tol_s):
-    if s_lo == s_hi:
-        return s_lo
+def _bisect(spec, omega, n, k, s_lo, s_hi, r_max, tol_s):
     for _ in range(200):
         if (s_hi - s_lo) <= tol_s * s_hi:
             break
         mid = 0.5 * (s_lo + s_hi)
         if mid <= s_lo or mid >= s_hi:
             break  # bracket exhausted at float resolution
-        out, _ = _shoot(spec, omega, n, k, mid, r_max, decay_abs)
-        if out is ShootOutcome.DECAYED:
-            return mid
+        out, _ = _shoot(spec, omega, n, k, mid, r_max)
         if out is ShootOutcome.UNDERSHOT:
             s_lo = mid
         else:
@@ -392,8 +358,7 @@ def _assemble_profile(spec, omega, n, k, s, r_max, h_r) -> RadialProfile:
     squares over the last clean decade, and extend the grid with the tail
     model down to the splice threshold."""
     delta = math.sqrt(spec.mass_sq - omega**2)
-    _, sol = _shoot(spec, omega, n, k, s, r_max, _converged_decay_abs(spec, omega),
-                    dense=True)
+    _, sol = _shoot(spec, omega, n, k, s, r_max, dense=True)
     r_end = sol.t_max
     m = int(math.floor(r_end / h_r))
     if m < 16:
@@ -505,11 +470,10 @@ def _solve_wave(spec, omega, n, k, h_r, tol_s) -> SolitaryWave:
     delta = math.sqrt(spec.mass_sq - omega**2)
     r_max = SHOT_RANGE / delta
     if h_r is None:
-        h_r = 1.0 / (500.0 * delta)
-    decay_abs = _converged_decay_abs(spec, omega)
+        h_r = 1.0 / (GRID_DENSITY * delta)
 
-    s_lo, s_hi = _scan_bracket(spec, omega, n, k, r_max, decay_abs)
-    s_conv = _bisect(spec, omega, n, k, s_lo, s_hi, r_max, decay_abs, tol_s)
+    s_lo, s_hi = _scan_bracket(spec, omega, n, k, r_max)
+    s_conv = _bisect(spec, omega, n, k, s_lo, s_hi, r_max, tol_s)
     profile = _assemble_profile(spec, omega, n, k, s_conv, r_max, h_r)
     if profile.node_count != 0:
         raise NodeCountMismatch(

@@ -110,6 +110,22 @@ class TestExitCodes:
         assert main(["evolve", "--config", str(cfg)]) == 2
         assert "CflViolation" in capsys.readouterr().err
 
+    def test_evolve_cfl_violation_writes_no_snapshot(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, velocities=[0.0], grid={"h": 0.1},
+                            evolve={"t_final": 1.0, "dt": 0.2, "diag_stride": 1,
+                                    "snapshot_stride": 1})
+        assert main(["evolve", "--config", str(cfg)]) == 2
+        assert "CflViolation" in capsys.readouterr().err
+        assert list((tmp_path / "out").glob("snapshot_*.bin")) == []
+
+    @pytest.mark.parametrize("key", ["diag_stride", "snapshot_stride"])
+    def test_evolve_zero_stride_is_config_error(self, tmp_path, capsys, key):
+        evolve_cfg = {"t_final": 0.5, "dt": 0.05, "diag_stride": 5} | {key: 0}
+        cfg = _write_config(tmp_path, velocities=[0.0], grid={"h": 0.1},
+                            evolve=evolve_cfg)
+        assert main(["evolve", "--config", str(cfg)]) == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_evolve_ok(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, velocities=[0.5], grid={"h": 0.1},
                             evolve={"t_final": 1.0, "dt": 0.05, "diag_stride": 5},

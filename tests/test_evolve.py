@@ -223,6 +223,14 @@ class TestEvolveDiagnostics:
         assert state.snapshots == ["snapshot_00000000.bin", "snapshot_00000005.bin",
                                    "snapshot_00000010.bin"]
 
+    def test_cfl_violation_before_first_snapshot(self, cubic, wave_1d, tmp_path):
+        g = grid_for(wave_1d, [0.0], 0.5, 0.1)
+        s0 = sample_boosted(wave_1d, [0.0], g, t=0.0)
+        with pytest.raises(CflViolation):
+            evolve(s0, cubic, 0.5, 0.2, diag_stride=5,
+                   snapshot_stride=1, snapshot_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_snapshot_stride_needs_dir(self, cubic, wave_1d):
         g = grid_for(wave_1d, [0.0], 0.5, 0.1)
         s0 = sample_boosted(wave_1d, [0.0], g, t=0.0)

@@ -12,11 +12,17 @@ from conftest import AMP, KAPPA
 
 
 class TestShootClassification:
-    def test_exact_datum_decays(self, cubic, wave_k1):
-        for n, k, s in ((1, 0, 0.848528), (2, 1, wave_k1.profile.shoot_param)):
-            out, traj = shoot(cubic, 0.8, n, k, s)
-            assert out is ShootOutcome.DECAYED
-            assert traj.node_count == 0
+    def test_exact_datum_separates_outcomes(self, cubic, wave_k1):
+        # every shot ends on one side of the separatrix: just below the exact
+        # datum undershoots, just above overshoots, with no decay outcome even
+        # where the trajectory tracks the profile far down its tail
+        for n, k, s in ((1, 0, AMP), (2, 1, wave_k1.profile.shoot_param)):
+            for rel in (1e-7, 1e-9):
+                for factor, expected in ((1 - rel, ShootOutcome.UNDERSHOT),
+                                         (1 + rel, ShootOutcome.OVERSHOT)):
+                    out, traj = shoot(cubic, 0.8, n, k, s * factor)
+                    assert out is expected, f"n={n}, k={k}, s*{factor}: {out}"
+                    assert traj.node_count == 0
 
     def test_double_amplitude_overshoots(self, cubic, wave_k1):
         out, _ = shoot(cubic, 0.8, 1, 0, 2 * AMP)
