@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,7 +102,6 @@ class FieldSample:
     time: float
     psi: np.ndarray
     psi_dot: np.ndarray
-    source: str = ""
 
 
 def _as_velocity(v, n: int) -> np.ndarray:
@@ -208,8 +205,7 @@ def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> Fie
             f"peak {peak:.3e}; enlarge the grid (contracted support plus "
             f"travel distance must fit)"
         )
-    src = f"wave(n={wave.n},k={wave.k},omega={wave.omega}) v={v.tolist()}"
-    return FieldSample(grid=grid, time=float(t), psi=psi, psi_dot=psi_dot, source=src)
+    return FieldSample(grid=grid, time=float(t), psi=psi, psi_dot=psi_dot)
 
 
 def _centered_difference(psi: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -270,31 +266,14 @@ class ScanRow:
     rel_err_p: float
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SOLITON_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        warnings.warn(f"SOLITON_THREADS={raw!r} is not a positive integer; "
-                      "using 1 worker", RuntimeWarning)
-        return 1
-    return count
-
-
 def boost_scan(wave: SolitaryWave, spec: PotentialSpec, velocities,
-               grid: GridSpec, report: FunctionalReport | None = None) -> list[ScanRow]:
+               grid: GridSpec, report: FunctionalReport) -> list[ScanRow]:
     """Measure (E, P) on the grid for each velocity and compare against the
-    particle-like prediction gamma E_0 (1, v).
+    particle-like prediction gamma E_0 (1, v) from the wave's report.
 
     Rows are sorted by |v|.  rel_err_p is normalized by |P_pred| when nonzero,
-    else by E_pred (the v = 0 row).  The scan parallelizes over velocities up
-    to SOLITON_THREADS workers.
+    else by E_pred (the v = 0 row).
     """
-    if report is None:
-        from .functionals import compute_functionals
-        report = compute_functionals(wave)
     vs = [_as_velocity(v, wave.n) for v in velocities]
     vs.sort(key=lambda v: float(np.linalg.norm(v)))
 
@@ -313,10 +292,7 @@ def boost_scan(wave: SolitaryWave, spec: PotentialSpec, velocities,
                        e_predicted=pred.energy, p_predicted=pred.momentum,
                        rel_err_e=rel_e, rel_err_p=rel_p)
 
-    workers = min(_worker_count(), max(len(vs), 1))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, vs))
+    # one call per velocity, so each sample is freed before the next is built
     return [one(v) for v in vs]
 
 
@@ -393,5 +369,4 @@ def load_sample(path) -> FieldSample:
         for _ in range(2):
             raw = np.frombuffer(fh.read(16 * size), dtype="<f8")
             fields.append((raw[0::2] + 1j * raw[1::2]).reshape(points))
-    return FieldSample(grid=grid, time=float(time), psi=fields[0],
-                       psi_dot=fields[1], source=f"loaded:{os.fspath(path)}")
+    return FieldSample(grid=grid, time=float(time), psi=fields[0], psi_dot=fields[1])

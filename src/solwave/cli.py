@@ -1,13 +1,14 @@
 """Command-line pipeline: solve waves, check identities, scan boosts, evolve.
 
 All commands read a single JSON config (--config) with optional dotted-key
-overrides (--set key=value).  A run solves the wave once and hands it to the
-command; demo shares that one solve across its four stages.  Each command
-returns its exit status and the names of the files it wrote under output_dir,
-and main alone writes output_dir/manifest.json: the normalized config and
-exactly those names, whatever the status.  Exit codes: 0 success, 1 config or
-validation error (a potential that cannot be built included), 2 numerical
-failure (a failure raised before the command returns writes no manifest).
+overrides (--set key=value).  A run solves the wave and computes its
+functionals once and hands both to the command; demo shares them across its
+four stages.  Each command returns its exit status and the names of the files
+it wrote under output_dir, and main alone writes output_dir/manifest.json: the
+normalized config and exactly those names, whatever the status.  Exit codes:
+0 success, 1 config or validation error (a potential that cannot be built
+included), 2 numerical failure (a failure raised before the command returns
+writes no manifest).
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
 DEFAULT_TOLERANCES = {
-    "tol_s": 1e-13,
     "quadrature_tol": 1e-6,
     "scan_rel_err": 1e-3,
 }
@@ -181,10 +181,9 @@ def normalize_config(cfg: dict) -> dict:
 
 
 def _solve_from_config(cfg: dict, spec: PotentialSpec):
-    tol_s = cfg["tolerances"]["tol_s"]
     if cfg["k"] >= 1:
-        return find_excited_state(spec, cfg["omega"], cfg["k"], tol_s=tol_s)
-    return find_ground_state(spec, cfg["omega"], cfg["n"], tol_s=tol_s)
+        return find_excited_state(spec, cfg["omega"], cfg["k"])
+    return find_ground_state(spec, cfg["omega"], cfg["n"])
 
 
 def _boost_axis_velocity(speed: float, n: int) -> np.ndarray:
@@ -201,7 +200,7 @@ def _grid_from_config(cfg: dict, wave, v_max: float, t_max: float) -> GridSpec:
     return grid_for(wave, _boost_axis_velocity(v_max, cfg["n"]), t_max, grid["h"])
 
 
-def cmd_solve(cfg: dict, spec: PotentialSpec, wave) -> tuple[int, list[str]]:
+def cmd_solve(cfg: dict, wave, report) -> tuple[int, list[str]]:
     out = cfg["output_dir"]
     stem = f"wave_n{cfg['n']}k{cfg['k']}"
     csv_path = os.path.join(out, stem + ".csv")
@@ -214,9 +213,8 @@ def cmd_solve(cfg: dict, spec: PotentialSpec, wave) -> tuple[int, list[str]]:
     return EXIT_OK, [stem + ".csv", stem + ".json"]
 
 
-def cmd_check(cfg: dict, spec: PotentialSpec, wave) -> tuple[int, list[str]]:
+def cmd_check(cfg: dict, wave, report) -> tuple[int, list[str]]:
     out = cfg["output_dir"]
-    report = compute_functionals(wave)
     payload = report_to_dict(report)
     print(json.dumps(payload, indent=2))
     stem = f"report_n{cfg['n']}k{cfg['k']}.json"
@@ -233,12 +231,11 @@ def cmd_check(cfg: dict, spec: PotentialSpec, wave) -> tuple[int, list[str]]:
     return EXIT_OK, [stem]
 
 
-def cmd_boost_scan(cfg: dict, spec: PotentialSpec, wave) -> tuple[int, list[str]]:
+def cmd_boost_scan(cfg: dict, wave, report) -> tuple[int, list[str]]:
     out = cfg["output_dir"]
-    report = compute_functionals(wave)
     speeds = cfg["velocities"]
     grid = _grid_from_config(cfg, wave, 0.0, 0.0)  # sized for the uncontracted case
-    rows = boost_scan(wave, spec,
+    rows = boost_scan(wave, wave.spec,
                       [_boost_axis_velocity(v, cfg["n"]) for v in speeds],
                       grid, report=report)
     scan_to_csv(rows, os.path.join(out, "boost_scan.csv"))
@@ -255,13 +252,13 @@ def cmd_boost_scan(cfg: dict, spec: PotentialSpec, wave) -> tuple[int, list[str]
     return EXIT_OK, artifacts
 
 
-def cmd_evolve(cfg: dict, spec: PotentialSpec, wave) -> tuple[int, list[str]]:
+def cmd_evolve(cfg: dict, wave, report) -> tuple[int, list[str]]:
     out = cfg["output_dir"]
     speed = cfg["velocities"][0] if cfg["velocities"] else 0.0
     ev = cfg["evolve"]
     grid = _grid_from_config(cfg, wave, abs(speed), ev["t_final"])
     initial = sample_boosted(wave, _boost_axis_velocity(speed, cfg["n"]), grid, t=0.0)
-    state = evolve(initial, spec, ev["t_final"], ev["dt"], ev["diag_stride"],
+    state = evolve(initial, wave.spec, ev["t_final"], ev["dt"], ev["diag_stride"],
                    snapshot_stride=ev.get("snapshot_stride"), snapshot_dir=out)
     diagnostics_to_csv(state.diagnostics, os.path.join(out, "evolution.csv"))
     artifacts = ["evolution.csv", *state.snapshots]
@@ -294,17 +291,17 @@ DEMO_CONFIG = {
 }
 
 
-def cmd_demo(cfg: dict, spec: PotentialSpec, wave) -> tuple[int, list[str]]:
+def cmd_demo(cfg: dict, wave, report) -> tuple[int, list[str]]:
     """Full pipeline on the canonical cubic potential in one dimension; the
-    four stages share the one solved wave, and demo returns the files they
-    wrote."""
+    four stages share the one solved wave and its report, and demo returns
+    the files they wrote."""
     # looked up at call time, so rebinding a module-level command reaches demo
     stages = (("solve", cmd_solve), ("check", cmd_check),
               ("boost-scan", cmd_boost_scan), ("evolve", cmd_evolve))
     artifacts = []
     for label, command in stages:
         print(f"== {label} ==")
-        status, written = command(cfg, spec, wave)
+        status, written = command(cfg, wave, report)
         artifacts += written
         if status:
             return status, artifacts
@@ -349,7 +346,8 @@ def main(argv=None) -> int:
 
     try:
         wave = _solve_from_config(cfg, spec)
-        status, artifacts = COMMANDS[args.command](cfg, spec, wave)
+        report = compute_functionals(wave)
+        status, artifacts = COMMANDS[args.command](cfg, wave, report)
     except (NoBracket, NodeCountMismatch, StepFailure, GridTooSmall,
             CflViolation, NonFinite, SuperluminalVelocity) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

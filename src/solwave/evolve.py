@@ -122,7 +122,6 @@ def step(state: EvolutionState, spec: PotentialSpec, dt: float) -> EvolutionStat
         time=t + dt,
         psi=psi_cur_next,
         psi_dot=(psi_ahead - psi) / (2.0 * dt),
-        source=state.sample.source,
     )
     return EvolutionState(
         sample=new_sample,
@@ -141,11 +140,14 @@ def evolve(initial: FieldSample, spec: PotentialSpec, t_final: float, dt: float,
     With snapshot_stride set, the full field is written in the flat binary
     sample layout to snapshot_dir every snapshot_stride steps (plus the
     initial state), and the returned state's snapshots lists the file names.
-    A snapshot_stride without a snapshot_dir raises ValueError, and a dt
-    beyond the CFL bound raises CflViolation before anything is recorded or
-    written."""
+    A stride below 1 or a snapshot_stride without a snapshot_dir raises
+    ValueError, and a dt beyond the CFL bound raises CflViolation, before
+    anything is recorded or written."""
     if dt <= 0 or t_final < 0:
         raise ValueError("need dt > 0 and t_final >= 0")
+    for name, stride in (("diag_stride", diag_stride), ("snapshot_stride", snapshot_stride)):
+        if stride is not None and stride < 1:
+            raise ValueError(f"{name} must be >= 1, got {stride}")
     if snapshot_stride is not None and snapshot_dir is None:
         raise ValueError("snapshot_stride needs a snapshot_dir")
     _check_step(initial.grid, dt)

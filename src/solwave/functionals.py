@@ -53,7 +53,6 @@ __all__ = [
     "predict_energy_momentum",
     "build_report",
     "report_to_dict",
-    "report_from_dict",
 ]
 
 EPS_FLOOR = 1e-30  # residual denominators: avoids 0/0 for the zero wave
@@ -230,12 +229,3 @@ def report_to_dict(report: FunctionalReport) -> dict:
         "n": report.n,
         "k": report.k,
     }
-
-
-def report_from_dict(d: dict) -> FunctionalReport:
-    return FunctionalReport(
-        i0=float(d["i0"]), i_k=np.asarray(d["i_k"], dtype=float), v0=float(d["v0"]),
-        e0=float(d["e0"]), pokhozhaev_residual=float(d["pokhozhaev_residual"]),
-        isotropy_defect=float(d["isotropy_defect"]), omega=float(d["omega"]),
-        n=int(d["n"]), k=int(d["k"]),
-    )

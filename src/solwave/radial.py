@@ -62,7 +62,8 @@ __all__ = [
 MATCH_THRESHOLD = 1e-8          # tail splice level, relative to max |R|
 DIVERGENCE_FACTOR = 3.0         # overshoot guard: |R| > factor * amplitude_cap
 SHOT_RANGE = 60.0               # outer end of every shot, in units of 1/delta
-GRID_DENSITY = 500.0            # default profile grid points per 1/delta
+GRID_DENSITY = 500.0            # profile grid points per 1/delta
+BISECTION_TOL = 1e-13           # relative bracket width that ends bisection
 
 
 class ShootOutcome(Enum):
@@ -276,7 +277,7 @@ def shoot(spec: PotentialSpec, omega: float, n: int, k: int, s: float):
     Returns (outcome, trajectory).  This is the bisection's own shot: the
     same integrator and step-by-step rules out to SHOT_RANGE / delta, ending
     Undershot or Overshot (there is no decay ball).  The trajectory is a
-    partial RadialProfile (no tail fit) on the solver's default spacing
+    partial RadialProfile (no tail fit) on the solver's spacing
     1 / (GRID_DENSITY delta), up to the last step before the terminating one.
     """
     if s <= 0:
@@ -337,9 +338,9 @@ def _scan_bracket(spec, omega, n, k, r_max):
     )
 
 
-def _bisect(spec, omega, n, k, s_lo, s_hi, r_max, tol_s):
+def _bisect(spec, omega, n, k, s_lo, s_hi, r_max):
     for _ in range(200):
-        if (s_hi - s_lo) <= tol_s * s_hi:
+        if (s_hi - s_lo) <= BISECTION_TOL * s_hi:
             break
         mid = 0.5 * (s_lo + s_hi)
         if mid <= s_lo or mid >= s_hi:
@@ -459,7 +460,7 @@ def _assemble_profile(spec, omega, n, k, s, r_max, h_r) -> RadialProfile:
     )
 
 
-def _solve_wave(spec, omega, n, k, h_r, tol_s) -> SolitaryWave:
+def _solve_wave(spec, omega, n, k) -> SolitaryWave:
     report = check_conditions(spec, omega, n)
     if not (report.s1_holds and report.s2_holds):
         raise NoBracket(
@@ -469,12 +470,11 @@ def _solve_wave(spec, omega, n, k, h_r, tol_s) -> SolitaryWave:
         )
     delta = math.sqrt(spec.mass_sq - omega**2)
     r_max = SHOT_RANGE / delta
-    if h_r is None:
-        h_r = 1.0 / (GRID_DENSITY * delta)
 
     s_lo, s_hi = _scan_bracket(spec, omega, n, k, r_max)
-    s_conv = _bisect(spec, omega, n, k, s_lo, s_hi, r_max, tol_s)
-    profile = _assemble_profile(spec, omega, n, k, s_conv, r_max, h_r)
+    s_conv = _bisect(spec, omega, n, k, s_lo, s_hi, r_max)
+    profile = _assemble_profile(spec, omega, n, k, s_conv, r_max,
+                                1.0 / (GRID_DENSITY * delta))
     if profile.node_count != 0:
         raise NodeCountMismatch(
             f"converged profile has {profile.node_count} interior nodes"
@@ -490,29 +490,30 @@ def _solve_wave(spec, omega, n, k, h_r, tol_s) -> SolitaryWave:
     return SolitaryWave(n=n, k=k, omega=float(omega), profile=profile, spec=spec)
 
 
-def find_ground_state(spec: PotentialSpec, omega: float, n: int, *,
-                      h_r: float | None = None, tol_s: float = 1e-13) -> SolitaryWave:
+def find_ground_state(spec: PotentialSpec, omega: float, n: int) -> SolitaryWave:
     """Node-free radial profile R(|x|) solving the amplitude equation.
 
     Bisects the initial datum between a certified Undershot and Overshot until
-    the bracket is below tol_s (relative), then splices the analytic tail.
-    Raises NoBracket if the 64-point scan finds no bracket, NodeCountMismatch
-    if the converged profile has interior nodes.
+    the bracket is below BISECTION_TOL (relative), then splices the analytic
+    tail.  The profile grid has spacing 1 / (GRID_DENSITY delta); resample_wave
+    rebuilds it on any other spacing.  Raises NoBracket if the 64-point scan
+    finds no bracket, NodeCountMismatch if the converged profile has interior
+    nodes.
     """
     if n not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
-    return _solve_wave(spec, omega, n, 0, h_r, tol_s)
+    return _solve_wave(spec, omega, n, 0)
 
 
-def find_excited_state(spec: PotentialSpec, omega: float, k: int, *,
-                       h_r: float | None = None, tol_s: float = 1e-13) -> SolitaryWave:
+def find_excited_state(spec: PotentialSpec, omega: float, k: int) -> SolitaryWave:
     """Planar (n = 2) excited state R(r) e^{i k phi} with R(0) = 0, R ~ s r^k.
 
-    Same bisection as the ground state, on the r^k series coefficient.
+    Same bisection and grid spacing as the ground state, on the r^k series
+    coefficient; resample_wave rebuilds it on any other spacing.
     """
     if k < 1:
         raise ValueError(f"excited states need angular index k >= 1, got {k}")
-    return _solve_wave(spec, omega, 2, k, h_r, tol_s)
+    return _solve_wave(spec, omega, 2, k)
 
 
 def resample_wave(wave: SolitaryWave, h_r: float) -> SolitaryWave:

@@ -1,10 +1,8 @@
-import warnings
-
 import numpy as np
 import pytest
 
-from solwave.boost import (FieldSample, GridSpec, GridTooSmall, _worker_count,
-                           boost_scan, grid_for, load_sample, measure_energy,
+from solwave.boost import (FieldSample, GridSpec, GridTooSmall, boost_scan,
+                           grid_for, load_sample, measure_energy,
                            measure_momentum, sample_boosted, save_sample,
                            scan_to_csv)
 from solwave.functionals import compute_functionals
@@ -124,12 +122,13 @@ class TestBoostScan:
             assert row.rel_err_p < 1e-3
 
     def test_empty_scan(self, wave_1d, cubic, grid_1d):
-        assert boost_scan(wave_1d, cubic, [], grid_1d) == []
+        assert boost_scan(wave_1d, cubic, [], grid_1d,
+                          compute_functionals(wave_1d)) == []
 
     def test_measured_lorentz_invariants(self, wave_1d, cubic, grid_1d):
         # purely on measured values: E(v) sqrt(1-v^2) = E(0) and P = v E(v)
         rows = boost_scan(wave_1d, cubic, [[v] for v in (0.0, 0.3, 0.6, 0.9)],
-                          grid_1d)
+                          grid_1d, compute_functionals(wave_1d))
         e_rest = rows[0].e_measured
         for row in rows[1:]:
             v = float(np.linalg.norm(row.v))
@@ -168,18 +167,9 @@ class TestBoostScan:
         assert measure_momentum(s1)[0] == pytest.approx(
             measure_momentum(s0)[0], rel=1e-9)
 
-    def test_worker_count_from_environment(self, monkeypatch):
-        monkeypatch.setenv("SOLITON_THREADS", "3")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _worker_count() == 3
-        for raw in ("zero", "0", "-2"):
-            monkeypatch.setenv("SOLITON_THREADS", raw)
-            with pytest.warns(RuntimeWarning, match=f"SOLITON_THREADS='{raw}'"):
-                assert _worker_count() == 1
-
     def test_csv_output(self, wave_1d, cubic, grid_1d, tmp_path):
-        rows = boost_scan(wave_1d, cubic, [[0.0], [0.5]], grid_1d)
+        rows = boost_scan(wave_1d, cubic, [[0.0], [0.5]], grid_1d,
+                          compute_functionals(wave_1d))
         path = tmp_path / "scan.csv"
         scan_to_csv(rows, path)
         lines = path.read_text().strip().splitlines()

@@ -26,7 +26,6 @@ class TestConfig:
 
     def test_defaults_filled(self):
         cfg = normalize_config({"potential": CUBIC_POT})
-        assert cfg["tolerances"]["tol_s"] == 1e-13
         assert cfg["evolve"]["dt"] == 0.01
         assert cfg["grid"]["h"] == 0.05
 
@@ -179,6 +178,19 @@ def test_demo_solves_once(tmp_path, monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(solwave.cli, "find_ground_state", counting)
+    assert main(["demo", "--set", f"output_dir={tmp_path / 'demo'}"]) == 0
+    assert len(calls) == 1
+
+
+def test_demo_computes_functionals_once(tmp_path, monkeypatch):
+    calls = []
+    compute = solwave.cli.compute_functionals
+
+    def counting(wave):
+        calls.append(wave)
+        return compute(wave)
+
+    monkeypatch.setattr(solwave.cli, "compute_functionals", counting)
     assert main(["demo", "--set", f"output_dir={tmp_path / 'demo'}"]) == 0
     assert len(calls) == 1
 

@@ -231,6 +231,15 @@ class TestEvolveDiagnostics:
                    snapshot_stride=1, snapshot_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("stride", ["diag_stride", "snapshot_stride"])
+    def test_zero_stride_rejected_before_writing(self, cubic, wave_1d, tmp_path, stride):
+        g = grid_for(wave_1d, [0.0], 0.5, 0.1)
+        s0 = sample_boosted(wave_1d, [0.0], g, t=0.0)
+        strides = {"diag_stride": 5, "snapshot_stride": 5, stride: 0}
+        with pytest.raises(ValueError, match=stride):
+            evolve(s0, cubic, 0.5, 0.05, snapshot_dir=tmp_path, **strides)
+        assert list(tmp_path.iterdir()) == []
+
     def test_snapshot_stride_needs_dir(self, cubic, wave_1d):
         g = grid_for(wave_1d, [0.0], 0.5, 0.1)
         s0 = sample_boosted(wave_1d, [0.0], g, t=0.0)

@@ -1,7 +1,9 @@
 """Every name a solwave module exports in __all__ must resolve, so a deletion
-cannot leave a stale export behind."""
+cannot leave a stale export behind; and no module reads the environment, so
+configuration comes only through arguments and the CLI config."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -21,3 +23,9 @@ def test_all_names_resolve(name):
     exported = getattr(module, "__all__", [])
     assert exported, f"solwave.{name} has no __all__"
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("name", ["solwave", *(f"solwave.{m}" for m in MODULES)])
+def test_no_environment_reads(name):
+    source = inspect.getsource(importlib.import_module(name))
+    assert [word for word in ("os.environ", "getenv") if word in source] == []

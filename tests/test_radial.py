@@ -6,7 +6,7 @@ from solwave.radial import (NoBracket, RadialProfile, ShootOutcome,
                             SolitaryWave, WaveInterpolant, count_nodes,
                             equation_residual, find_excited_state,
                             find_ground_state, fit_tail_decay, load_wave,
-                            save_wave, shoot)
+                            resample_wave, save_wave, shoot)
 
 from conftest import AMP, KAPPA
 
@@ -187,15 +187,16 @@ class TestEquationResidual:
         assert equation_residual(wave) > 1e-3
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_residual_refines_quadratically(self, cubic, n):
-        r1 = equation_residual(find_ground_state(cubic, 0.8, n, h_r=0.02))
-        r2 = equation_residual(find_ground_state(cubic, 0.8, n, h_r=0.01))
+    def test_residual_refines_quadratically(self, request, n):
+        wave = request.getfixturevalue(f"wave_{n}d")
+        r1 = equation_residual(resample_wave(wave, 0.02))
+        r2 = equation_residual(resample_wave(wave, 0.01))
         assert r1 / r2 == pytest.approx(4.0, rel=0.25)
 
-    def test_residual_decreases_for_excited(self, cubic):
+    def test_residual_decreases_for_excited(self, wave_k1):
         # the odd k=1 profile limits the near-axis rate to O(h); still monotone
-        r1 = equation_residual(find_excited_state(cubic, 0.8, 1, h_r=0.02))
-        r2 = equation_residual(find_excited_state(cubic, 0.8, 1, h_r=0.01))
+        r1 = equation_residual(resample_wave(wave_k1, 0.02))
+        r2 = equation_residual(resample_wave(wave_k1, 0.01))
         assert r1 / r2 > 1.8
 
 
@@ -226,6 +227,18 @@ class TestInterpolantAndSerialization:
         assert np.max(np.abs(interp.value(r) - exact)) < 1e-7
         d_exact = -AMP * KAPPA * np.sinh(KAPPA * r) / np.cosh(KAPPA * r) ** 2
         assert np.max(np.abs(interp.derivative(r) - d_exact)) < 1e-6
+
+    @pytest.mark.parametrize("fixture", ["wave_k1", "wave_k2"])
+    def test_interpolant_near_axis(self, request, fixture):
+        # R ~ s r^k at the first cell midpoints; k = 2 needs the R'' = 2s
+        # clamp of the derivative spline at the origin
+        wave = request.getfixturevalue(fixture)
+        p, k = wave.profile, wave.k
+        interp = WaveInterpolant(wave)
+        r = (np.arange(5) + 0.5) * p.h_r
+        s = p.shoot_param
+        np.testing.assert_allclose(interp.value(r), s * r**k, rtol=1e-3)
+        np.testing.assert_allclose(interp.derivative(r), k * s * r ** (k - 1), rtol=1e-3)
 
     def test_interpolant_tail_region(self, wave_1d):
         mr = wave_1d.profile.tail.match_radius
