@@ -15,9 +15,9 @@ from .radial import (NoBracket, NodeCountMismatch, RadialProfile, ShootOutcome,
                      find_ground_state, fit_tail_decay, load_wave,
                      resample_wave, save_wave, shoot)
 from .functionals import (EnergyMomentum, FunctionalReport, Provenance,
-                          SuperluminalVelocity, TailNotCertified, build_report,
-                          compute_functionals, isotropy_defect,
-                          pokhozhaev_residual, predict_energy_momentum)
+                          SuperluminalVelocity, TailNotCertified,
+                          compute_functionals, lorentz_boost,
+                          predict_energy_momentum)
 from .boost import (FieldSample, GridSpec, GridTooSmall, ScanRow, ZeroField,
                     boost_scan, center_of_energy, grid_for, load_sample,
                     measure_energy, measure_momentum, sample_boosted,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import atomic_write, write_csv, write_json
-from .functionals import (FunctionalReport, Provenance, SuperluminalVelocity,
+from .functionals import (FunctionalReport, Provenance, lorentz_boost,
                           predict_energy_momentum)
 from .potential import PotentialSpec, evaluate_potential
 from .radial import SolitaryWave, WaveInterpolant
@@ -104,30 +104,19 @@ class FieldSample:
     psi_dot: np.ndarray
 
 
-def _as_velocity(v, n: int) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.shape != (n,):
-        raise ValueError(f"velocity must have {n} components, got shape {v.shape}")
-    if np.linalg.norm(v) >= 1.0:
-        raise SuperluminalVelocity(f"|v| = {np.linalg.norm(v)} >= 1")
-    return v
-
-
 def grid_for(wave: SolitaryWave, v, t_max: float, h: float) -> GridSpec:
-    """Grid sized so the boosted wave keeps the boundary-decay invariant:
-    along the boost axis L >= match_radius/gamma + 10/delta + |v| t_max,
-    transverse L >= match_radius + 10/delta."""
-    v = _as_velocity(v, wave.n)
-    speed = float(np.linalg.norm(v))
-    gamma = 1.0 / math.sqrt(1.0 - speed**2)
+    """Grid keeping the boundary-decay invariant up to |t| = t_max: on axis j,
+    L_j >= match_radius + 10/delta + |v_j| t_max, with match_radius/gamma on
+    the axis of an axis-aligned boost.  Raises ValueError when h <= 0."""
+    if h <= 0:
+        raise ValueError(f"grid spacing must be positive, got {h}")
+    v, speed, gamma = lorentz_boost(v, wave.n)
     mr = wave.profile.tail.match_radius
     margin = 10.0 / wave.delta
     extents, points = [], []
-    for j in range(wave.n):
-        if speed > 0 and abs(v[j]) == speed:
-            L = mr / gamma + margin + speed * abs(t_max)
-        else:
-            L = mr + margin
+    for vj in v:
+        support = mr / gamma if speed > 0 and abs(vj) == speed else mr
+        L = support + margin + abs(vj) * abs(t_max)
         N = 2 * int(math.ceil(L / h))
         extents.append(N * h / 2.0)
         points.append(N)
@@ -154,9 +143,7 @@ def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> Fie
     """
     if wave.n != grid.n:
         raise ValueError(f"wave dimension {wave.n} != grid dimension {grid.n}")
-    v = _as_velocity(v, wave.n)
-    speed = float(np.linalg.norm(v))
-    gamma = 1.0 / math.sqrt(1.0 - speed**2)
+    v, speed, gamma = lorentz_boost(v, wave.n)
     omega = wave.omega
     axes = grid.axes()
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
@@ -274,8 +261,7 @@ def boost_scan(wave: SolitaryWave, spec: PotentialSpec, velocities,
     Rows are sorted by |v|.  rel_err_p is normalized by |P_pred| when nonzero,
     else by E_pred (the v = 0 row).
     """
-    vs = [_as_velocity(v, wave.n) for v in velocities]
-    vs.sort(key=lambda v: float(np.linalg.norm(v)))
+    boosts = sorted((lorentz_boost(v, wave.n) for v in velocities), key=lambda b: b[1])
 
     def one(v):
         try:
@@ -293,7 +279,7 @@ def boost_scan(wave: SolitaryWave, spec: PotentialSpec, velocities,
                        rel_err_e=rel_e, rel_err_p=rel_p)
 
     # one call per velocity, so each sample is freed before the next is built
-    return [one(v) for v in vs]
+    return [one(v) for v, _, _ in boosts]
 
 
 def scan_to_csv(rows: list[ScanRow], path) -> None:

@@ -84,20 +84,21 @@ def _read_config(path: str | None, overrides) -> dict:
     return cfg
 
 
-def build_potential(cfg: dict, omega: float) -> PotentialSpec:
+def build_potential(cfg: dict) -> PotentialSpec:
+    """Potential of a normalized config; no amplitude_cap means 10x the expected amplitude."""
     pot = cfg["potential"]
-    terms = tuple((float(t["coupling"]), int(t["exponent"])) for t in pot["terms"])
-    cap = pot.get("amplitude_cap")
+    terms = tuple((t["coupling"], t["exponent"]) for t in pot["terms"])
+    cap = pot["amplitude_cap"]
     if cap is None:
-        probe = PotentialSpec(mass_sq=float(pot["mass_sq"]), terms=terms, amplitude_cap=1.0)
-        a_star = expected_amplitude(probe, omega)
+        probe = PotentialSpec(mass_sq=pot["mass_sq"], terms=terms, amplitude_cap=1.0)
+        a_star = expected_amplitude(probe, cfg["omega"])
         if a_star is None:
             raise ConfigError(
                 "amplitude_cap not given and no expected amplitude exists "
                 "(no admissible negative-energy amplitude for this potential)"
             )
         cap = 10.0 * a_star
-    return PotentialSpec(mass_sq=float(pot["mass_sq"]), terms=terms, amplitude_cap=float(cap))
+    return PotentialSpec(mass_sq=pot["mass_sq"], terms=terms, amplitude_cap=cap)
 
 
 def normalize_config(cfg: dict) -> dict:
@@ -165,6 +166,9 @@ def normalize_config(cfg: dict) -> dict:
     for key in ("diag_stride", "snapshot_stride"):
         if ev.get(key) is not None and ev[key] < 1:
             raise ConfigError(f"evolve.{key} must be >= 1, got {ev[key]}")
+    if not (ev["dt"] > 0 and ev["t_final"] >= 0):  # NaN fails too
+        raise ConfigError("evolve needs dt > 0 and t_final >= 0, got "
+                          f"dt={ev['dt']}, t_final={ev['t_final']}")
     cfg["evolve"] = ev
 
     tol = dict(DEFAULT_TOLERANCES)
@@ -338,7 +342,7 @@ def main(argv=None) -> int:
         if args.command == "demo":
             cfg = DEMO_CONFIG | {"output_dir": cfg.get("output_dir", "solwave_out")}
         cfg = normalize_config(cfg)
-        spec = build_potential(cfg, cfg["omega"])
+        spec = build_potential(cfg)
         os.makedirs(cfg["output_dir"], exist_ok=True)
     except (ConfigError, OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

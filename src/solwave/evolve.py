@@ -87,6 +87,8 @@ def _check_step(grid, dt: float) -> None:
     """Reject a grid or time step the leapfrog scheme cannot advance."""
     if grid.n > 2:
         raise ValueError("time evolution supports n = 1 and n = 2 only")
+    if not dt > 0:  # NaN too
+        raise ValueError(f"need dt > 0, got {dt}")
     h_min = min(grid.spacing)
     if dt > CFL_NUMBER * h_min:
         raise CflViolation(f"dt={dt} exceeds {CFL_NUMBER} * min h = {CFL_NUMBER * h_min}")
@@ -95,8 +97,8 @@ def _check_step(grid, dt: float) -> None:
 def step(state: EvolutionState, spec: PotentialSpec, dt: float) -> EvolutionState:
     """Advance one leapfrog step; returns a new state one dt later.
 
-    Raises CflViolation when dt > 0.5 min h_j and NonFinite (with the failing
-    time attached) when the update leaves the finite range.
+    Raises ValueError unless dt > 0, CflViolation when dt > 0.5 min h_j, and
+    NonFinite (failing time attached) when the update leaves the finite range.
     """
     grid = state.sample.grid
     _check_step(grid, dt)
@@ -140,11 +142,11 @@ def evolve(initial: FieldSample, spec: PotentialSpec, t_final: float, dt: float,
     With snapshot_stride set, the full field is written in the flat binary
     sample layout to snapshot_dir every snapshot_stride steps (plus the
     initial state), and the returned state's snapshots lists the file names.
-    A stride below 1 or a snapshot_stride without a snapshot_dir raises
-    ValueError, and a dt beyond the CFL bound raises CflViolation, before
-    anything is recorded or written."""
-    if dt <= 0 or t_final < 0:
-        raise ValueError("need dt > 0 and t_final >= 0")
+    t_final < 0, dt <= 0, a stride below 1 or a snapshot_stride without a
+    snapshot_dir raises ValueError, and a dt beyond the CFL bound raises
+    CflViolation, before anything is recorded or written."""
+    if not t_final >= 0:
+        raise ValueError(f"need t_final >= 0, got {t_final}")
     for name, stride in (("diag_stride", diag_stride), ("snapshot_stride", snapshot_stride)):
         if stride is not None and stride < 1:
             raise ValueError(f"{name} must be >= 1, got {stride}")

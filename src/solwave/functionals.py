@@ -21,6 +21,9 @@ moving-frame formulas are
 
 with the convention that component 1 of I_j is the boost axis.
 
+FunctionalReport stores I_0, I_1..I_n and V_0 and derives E_0 and both identity
+residuals from them; lorentz_boost is the one velocity check and gamma.
+
 All integrals reduce to radial quadrature: composite Simpson sums on the
 stored uniform grid and nothing else.  That grid ends where |R| <= 1e-8 max|R|
 (the tail splice threshold), so the tail beyond it contributes about 1e-13
@@ -48,10 +51,8 @@ __all__ = [
     "TailNotCertified",
     "SuperluminalVelocity",
     "compute_functionals",
-    "pokhozhaev_residual",
-    "isotropy_defect",
+    "lorentz_boost",
     "predict_energy_momentum",
-    "build_report",
     "report_to_dict",
 ]
 
@@ -75,15 +76,39 @@ class Provenance(Enum):
 
 @dataclass(frozen=True)
 class FunctionalReport:
+    """Rest-frame functionals of one wave; E_0 and the identity residuals are
+    derived from them on every read, so a replaced functional updates them."""
+
     i0: float
     i_k: np.ndarray          # I_1..I_n; component 1 is the boost axis
     v0: float
-    e0: float
-    pokhozhaev_residual: float
-    isotropy_defect: float
     omega: float
     n: int
-    k: int
+    k: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "i_k", np.asarray(self.i_k, dtype=float))
+
+    @property
+    def e0(self) -> float:
+        """Rest energy sum_j I_j + omega^2 I_0 + V_0."""
+        return float(np.sum(self.i_k) + self.omega**2 * self.i0 + self.v0)
+
+    @property
+    def pokhozhaev_residual(self) -> float:
+        """Relative residual of -(n-2) sum I_j = n (V_0 - omega^2 I_0)."""
+        n = self.n
+        sum_i = float(np.sum(self.i_k))
+        lhs = (n - 2) * sum_i + n * (self.v0 - self.omega**2 * self.i0)
+        scale = (abs(n * self.v0) + abs(n * self.omega**2 * self.i0)
+                 + abs((n - 2) * sum_i) + EPS_FLOOR)
+        return abs(lhs) / scale
+
+    @property
+    def isotropy_defect(self) -> float:
+        """I_1 (n-1) - sum_{j>=2} I_j; zero iff the particle-like relation holds."""
+        i = self.i_k
+        return float(i[0] * (self.n - 1) - np.sum(i[1:]))
 
 
 @dataclass(frozen=True)
@@ -92,37 +117,16 @@ class EnergyMomentum:
     momentum: np.ndarray
 
 
-def pokhozhaev_residual(report: FunctionalReport) -> float:
-    """Relative residual of -(n-2) sum I_j = n (V_0 - omega^2 I_0)."""
-    n = report.n
-    sum_i = float(np.sum(report.i_k))
-    lhs = (n - 2) * sum_i + n * (report.v0 - report.omega**2 * report.i0)
-    scale = (abs(n * report.v0) + abs(n * report.omega**2 * report.i0)
-             + abs((n - 2) * sum_i) + EPS_FLOOR)
-    return abs(lhs) / scale
-
-
-def isotropy_defect(report: FunctionalReport) -> float:
-    """I_1 (n-1) - sum_{j>=2} I_j; zero iff the particle-like relation holds."""
-    i = report.i_k
-    return float(i[0] * (report.n - 1) - np.sum(i[1:]))
-
-
-def build_report(i0, i_k, v0, omega, n, k=0) -> FunctionalReport:
-    """Assemble a report from raw functional values (e0 and the identity
-    residuals are derived)."""
-    i_k = np.asarray(i_k, dtype=float)
-    e0 = float(np.sum(i_k) + omega**2 * i0 + v0)
-    partial = FunctionalReport(
-        i0=float(i0), i_k=i_k, v0=float(v0), e0=e0,
-        pokhozhaev_residual=0.0, isotropy_defect=0.0,
-        omega=float(omega), n=int(n), k=int(k),
-    )
-    return replace(
-        partial,
-        pokhozhaev_residual=pokhozhaev_residual(partial),
-        isotropy_defect=isotropy_defect(partial),
-    )
+def lorentz_boost(v, n: int) -> tuple[np.ndarray, float, float]:
+    """(v as an n-vector, |v|, gamma = 1/sqrt(1 - |v|^2)); raises ValueError
+    unless v has n components and SuperluminalVelocity when |v| >= 1."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.shape != (n,):
+        raise ValueError(f"velocity must have {n} components, got shape {v.shape}")
+    speed = float(np.linalg.norm(v))
+    if speed >= 1.0:
+        raise SuperluminalVelocity(f"|v| = {speed} >= 1")
+    return v, speed, 1.0 / math.sqrt(1.0 - speed**2)
 
 
 def compute_functionals(wave: SolitaryWave) -> FunctionalReport:
@@ -156,7 +160,7 @@ def compute_functionals(wave: SolitaryWave) -> FunctionalReport:
     i_k = np.full(n, measure * grad / (2.0 * n))
     v0 = measure * float(simpson(evaluate_potential(wave.spec, np.abs(R)) * rn, x=r))
 
-    report = build_report(i0, i_k, v0, omega, n, k)
+    report = FunctionalReport(i0, i_k, v0, omega, n, k)
 
     if omega == 0.0:
         warnings.warn(
@@ -193,20 +197,14 @@ def predict_energy_momentum(report: FunctionalReport, v, mode: Provenance) -> En
     momentum from 2(I_1 + omega^2 I_0); the boost axis must be component 1 of
     the report's i_k (axis relabeling is the caller's responsibility).
     """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.shape != (report.n,):
-        raise ValueError(f"velocity must have {report.n} components, got {v.shape}")
-    speed = float(np.linalg.norm(v))
-    if speed >= 1.0:
-        raise SuperluminalVelocity(f"|v| = {speed} >= 1")
-    gamma = 1.0 / math.sqrt(1.0 - speed**2)
+    v, speed, gamma = lorentz_boost(v, report.n)
 
     if mode is Provenance.CLOSED_FORM:
         energy = gamma * report.e0
         momentum = gamma * report.e0 * v
     elif mode is Provenance.GENERAL_FORMULA:
-        defect = isotropy_defect(report)
-        energy = gamma * report.e0 + gamma * (2.0 * speed**2 / report.n) * defect
+        energy = (gamma * report.e0
+                  + gamma * (2.0 * speed**2 / report.n) * report.isotropy_defect)
         if speed > 0.0:
             along = gamma * speed * 2.0 * (report.i_k[0] + report.omega**2 * report.i0)
             momentum = along * (v / speed)

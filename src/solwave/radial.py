@@ -209,8 +209,8 @@ def _rhs(spec: PotentialSpec, omega: float, n: int, k: int):
     return rhs
 
 
-def _shoot(spec, omega, n, k, s, r_max, rtol=1e-10, dense=False):
-    """One outward shot with initial datum s, classified step by step.
+def _shoot(spec, omega, n, k, s, rtol=1e-10, dense=False):
+    """One outward shot with datum s to SHOT_RANGE / delta, classified per step.
 
     Returns (outcome, trajectory).  Conditions are checked per step (steps
     resolve 1/delta many times over), not located as events.  With dense=True
@@ -222,7 +222,7 @@ def _shoot(spec, omega, n, k, s, r_max, rtol=1e-10, dense=False):
     guard = DIVERGENCE_FACTOR * spec.amplitude_cap
     r0 = 1e-6 / delta
     y0 = _series_start(spec, omega, n, k, s, r0)
-    solver = RK45(_rhs(spec, omega, n, k), r0, np.array(y0), r_max,
+    solver = RK45(_rhs(spec, omega, n, k), r0, np.array(y0), SHOT_RANGE / delta,
                   rtol=rtol, atol=1e-14 * abs(s))
     ts, pieces = [r0], []
     sign_prev = math.copysign(1.0, y0[0]) if y0[0] != 0 else 1.0
@@ -241,7 +241,7 @@ def _shoot(spec, omega, n, k, s, r_max, rtol=1e-10, dense=False):
         elif dR_prev < 0.0 <= dR and R > 0.0:
             outcome = ShootOutcome.UNDERSHOT
         dR_prev = dR
-    if outcome is None:  # reached r_max without a terminating step
+    if outcome is None:  # reached the end of the range without a terminating step
         R, dR = solver.y
         # monotone runaway below the guard
         outcome = ShootOutcome.OVERSHOT if R > 0 and dR > 0 else ShootOutcome.UNDERSHOT
@@ -287,7 +287,7 @@ def shoot(spec: PotentialSpec, omega: float, n: int, k: int, s: float):
     if k >= 1 and n != 2:
         raise ValueError("angular index k >= 1 requires n = 2")
     delta = math.sqrt(spec.mass_sq - omega**2)
-    outcome, sol = _shoot(spec, omega, n, k, s, SHOT_RANGE / delta, dense=True)
+    outcome, sol = _shoot(spec, omega, n, k, s, dense=True)
     h = 1.0 / (GRID_DENSITY * delta)
     r_end = float(sol.t_max)
     grid, vals, ders = _sample(sol, k, s, max(int(math.floor(r_end / h)), 2), h)
@@ -302,7 +302,7 @@ def shoot(spec: PotentialSpec, omega: float, n: int, k: int, s: float):
     )
 
 
-def _scan_bracket(spec, omega, n, k, r_max):
+def _scan_bracket(spec, omega, n, k):
     """Adjacent (Undershot, Overshot) pair among 64 log-spaced candidates over
     (0, amplitude_cap].  When the endpoints classify as expected the boundary
     is located by binary search over the candidate index; otherwise every
@@ -313,7 +313,7 @@ def _scan_bracket(spec, omega, n, k, r_max):
 
     def classify(i):
         if i not in outcomes:
-            outcomes[i], _ = _shoot(spec, omega, n, k, float(ss[i]), r_max, rtol=1e-6)
+            outcomes[i], _ = _shoot(spec, omega, n, k, float(ss[i]), rtol=1e-6)
         return outcomes[i]
 
     lo, hi = 0, len(ss) - 1
@@ -338,14 +338,14 @@ def _scan_bracket(spec, omega, n, k, r_max):
     )
 
 
-def _bisect(spec, omega, n, k, s_lo, s_hi, r_max):
+def _bisect(spec, omega, n, k, s_lo, s_hi):
     for _ in range(200):
         if (s_hi - s_lo) <= BISECTION_TOL * s_hi:
             break
         mid = 0.5 * (s_lo + s_hi)
         if mid <= s_lo or mid >= s_hi:
             break  # bracket exhausted at float resolution
-        out, _ = _shoot(spec, omega, n, k, mid, r_max)
+        out, _ = _shoot(spec, omega, n, k, mid)
         if out is ShootOutcome.UNDERSHOT:
             s_lo = mid
         else:
@@ -353,13 +353,13 @@ def _bisect(spec, omega, n, k, s_lo, s_hi, r_max):
     return 0.5 * (s_lo + s_hi)
 
 
-def _assemble_profile(spec, omega, n, k, s, r_max, h_r) -> RadialProfile:
+def _assemble_profile(spec, omega, n, k, s, h_r) -> RadialProfile:
     """Shoot at the converged datum s keeping the step interpolants, cut the
     trajectory at its deepest trusted point, fit the tail prefactor by least
     squares over the last clean decade, and extend the grid with the tail
     model down to the splice threshold."""
     delta = math.sqrt(spec.mass_sq - omega**2)
-    _, sol = _shoot(spec, omega, n, k, s, r_max, dense=True)
+    _, sol = _shoot(spec, omega, n, k, s, dense=True)
     r_end = sol.t_max
     m = int(math.floor(r_end / h_r))
     if m < 16:
@@ -469,12 +469,9 @@ def _solve_wave(spec, omega, n, k) -> SolitaryWave:
             f"S2={'ok' if report.s2_holds else 'violated'}"
         )
     delta = math.sqrt(spec.mass_sq - omega**2)
-    r_max = SHOT_RANGE / delta
-
-    s_lo, s_hi = _scan_bracket(spec, omega, n, k, r_max)
-    s_conv = _bisect(spec, omega, n, k, s_lo, s_hi, r_max)
-    profile = _assemble_profile(spec, omega, n, k, s_conv, r_max,
-                                1.0 / (GRID_DENSITY * delta))
+    s_lo, s_hi = _scan_bracket(spec, omega, n, k)
+    s_conv = _bisect(spec, omega, n, k, s_lo, s_hi)
+    profile = _assemble_profile(spec, omega, n, k, s_conv, 1.0 / (GRID_DENSITY * delta))
     if profile.node_count != 0:
         raise NodeCountMismatch(
             f"converged profile has {profile.node_count} interior nodes"
@@ -523,8 +520,7 @@ def resample_wave(wave: SolitaryWave, h_r: float) -> SolitaryWave:
     refinement studies cost one ODE solve per spacing.
     """
     spec, omega, n, k = wave.spec, wave.omega, wave.n, wave.k
-    profile = _assemble_profile(spec, omega, n, k, wave.profile.shoot_param,
-                                SHOT_RANGE / wave.delta, h_r)
+    profile = _assemble_profile(spec, omega, n, k, wave.profile.shoot_param, h_r)
     return SolitaryWave(n=n, k=k, omega=omega, profile=profile, spec=spec)
 
 

@@ -18,8 +18,8 @@ import pytest
 
 from solwave.boost import boost_scan, grid_for, sample_boosted, measure_energy
 from solwave.evolve import evolve
-from solwave.functionals import (Provenance, build_report, compute_functionals,
-                                 isotropy_defect, predict_energy_momentum)
+from solwave.functionals import (FunctionalReport, Provenance,
+                                 compute_functionals, predict_energy_momentum)
 from solwave.potential import check_conditions
 from solwave.radial import find_ground_state, resample_wave
 
@@ -130,9 +130,9 @@ def test_ac4_isotropy_criterion(wave_1d, wave_2d, wave_3d, wave_k1, wave_k2):
     # stretching x1 -> 2 x1 maps the functionals exactly:
     # I_1 -> I_1/2, I_2 -> 2 I_2, I_0 -> 2 I_0, V_0 -> 2 V_0
     base = compute_functionals(wave_2d)
-    stretched = build_report(2 * base.i0, [base.i_k[0] / 2, 2 * base.i_k[1]],
-                             2 * base.v0, base.omega, 2)
-    defect = isotropy_defect(stretched)
+    stretched = FunctionalReport(2 * base.i0, [base.i_k[0] / 2, 2 * base.i_k[1]],
+                                 2 * base.v0, base.omega, 2)
+    defect = stretched.isotropy_defect
     checks["synthetic defect nonzero"] = abs(defect) > 1e-3
     worst = 0.0
     for speed in (0.3, 0.6, 0.9):

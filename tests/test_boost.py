@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from solwave.boost import (FieldSample, GridSpec, GridTooSmall, boost_scan,
                            grid_for, load_sample, measure_energy,
                            measure_momentum, sample_boosted, save_sample,
                            scan_to_csv)
-from solwave.functionals import compute_functionals
+from solwave.functionals import (Provenance, SuperluminalVelocity,
+                                 compute_functionals, predict_energy_momentum)
 
 from conftest import AMP, KAPPA, ORACLE
 
@@ -72,6 +75,18 @@ class TestSampling:
         tiny = GridSpec(n=1, extent=(10.0,), points=(500,))
         with pytest.raises(GridTooSmall):
             sample_boosted(wave_1d, [0.0], tiny, t=0.0)
+
+    def test_oblique_grid_covers_travel(self, wave_2d):
+        # every axis carries its share |v_j| t_max of the travel distance
+        for v in ([0.4, 0.3], [0.3536, 0.3536]):
+            g = grid_for(wave_2d, v, 60.0, 0.2)
+            sample_boosted(wave_2d, v, g, t=60.0)
+            sample_boosted(wave_2d, v, g, t=-60.0)
+
+    def test_nonpositive_spacing_rejected(self, wave_1d):
+        for h in (0.0, -0.1):
+            with pytest.raises(ValueError, match="spacing"):
+                grid_for(wave_1d, [0.0], 0.0, h)
 
     def test_dimension_mismatch(self, wave_1d):
         g2 = GridSpec(n=2, extent=(30.0, 30.0), points=(64, 64))
@@ -177,6 +192,37 @@ class TestBoostScan:
         assert len(lines) == 3
 
 
+class TestVelocityRejection:
+    """Each public entry point that takes a velocity rejects a superluminal
+    one and one with the wrong number of components."""
+
+    @staticmethod
+    def _calls(wave, grid, cubic):
+        report = compute_functionals(wave)
+        return {
+            "grid_for": lambda v: grid_for(wave, v, 0.0, 0.02),
+            "sample_boosted": lambda v: sample_boosted(wave, v, grid),
+            "boost_scan": lambda v: boost_scan(wave, cubic, [v], grid, report),
+            "predict_energy_momentum": lambda v: predict_energy_momentum(
+                report, v, Provenance.CLOSED_FORM),
+        }
+
+    @pytest.mark.parametrize("name", ["grid_for", "sample_boosted", "boost_scan",
+                                      "predict_energy_momentum"])
+    def test_superluminal(self, wave_1d, grid_1d, cubic, name):
+        call = self._calls(wave_1d, grid_1d, cubic)[name]
+        for v in ([1.0], [-1.0]):
+            with pytest.raises(SuperluminalVelocity):
+                call(v)
+
+    @pytest.mark.parametrize("name", ["grid_for", "sample_boosted", "boost_scan",
+                                      "predict_energy_momentum"])
+    def test_wrong_shape(self, wave_1d, grid_1d, cubic, name):
+        call = self._calls(wave_1d, grid_1d, cubic)[name]
+        with pytest.raises(ValueError, match="1 components"):
+            call([0.3, 0.0])
+
+
 class TestBinaryFormat:
     def test_roundtrip(self, wave_2d, cubic, tmp_path):
         g = grid_for(wave_2d, [0.3, 0.0], 0.0, 0.2)
@@ -196,6 +242,12 @@ class TestBinaryFormat:
         full = path.read_bytes()
         path.write_bytes(full[:-8])
         with pytest.raises(ValueError, match=rf"s\.bin.*{len(full) - 8}.*{len(full)}"):
+            load_sample(path)
+
+    def test_short_header_rejected(self, tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(struct.pack("<q", 1) + b"\0\0")  # n = 1, then 2 of 24 header bytes
+        with pytest.raises(ValueError, match=r"short\.bin.*10 bytes.*no complete header"):
             load_sample(path)
 
     def test_layout_is_little_endian_float64(self, wave_1d, tmp_path):

@@ -125,6 +125,17 @@ class TestExitCodes:
         assert main(["evolve", "--config", str(cfg)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [{"dt": 0.0}, {"dt": -0.01}, {"t_final": -1.0},
+                                     {"dt": float("nan")}],
+                             ids=["dt_zero", "dt_negative", "t_final_negative", "dt_nan"])
+    def test_evolve_bad_time_is_config_error(self, tmp_path, capsys, bad):
+        evolve_cfg = {"t_final": 0.5, "dt": 0.05, "diag_stride": 5} | bad
+        cfg = _write_config(tmp_path, velocities=[0.0], grid={"h": 0.1},
+                            evolve=evolve_cfg)
+        assert main(["evolve", "--config", str(cfg)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_evolve_ok(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, velocities=[0.5], grid={"h": 0.1},
                             evolve={"t_final": 1.0, "dt": 0.05, "diag_stride": 5},

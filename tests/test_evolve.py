@@ -41,6 +41,14 @@ class TestStep:
         with pytest.raises(CflViolation):
             step(state, cubic, 0.51 * h)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01])
+    def test_nonpositive_dt_rejected(self, cubic, small_grid, dt):
+        state = EvolutionState(_zero_sample(small_grid))
+        with pytest.raises(ValueError, match="dt > 0"):
+            step(state, cubic, dt)
+        with pytest.raises(ValueError, match="dt > 0"):
+            evolve(state.sample, cubic, 1.0, dt)
+
     def test_time_advances(self, cubic, small_grid):
         state = EvolutionState(_zero_sample(small_grid))
         state = step(state, cubic, 0.02)

@@ -1,7 +1,10 @@
 """Every name a solwave module exports in __all__ must resolve, so a deletion
-cannot leave a stale export behind; and no module reads the environment, so
-configuration comes only through arguments and the CLI config."""
+cannot leave a stale export behind; no module reads the environment, so
+configuration comes only through arguments and the CLI config; and no module
+imports another module's private (underscore) names, so what modules share is
+public API."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -29,3 +32,17 @@ def test_all_names_resolve(name):
 def test_no_environment_reads(name):
     source = inspect.getsource(importlib.import_module(name))
     assert [word for word in ("os.environ", "getenv") if word in source] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_private_cross_imports(name):
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"solwave.{name}")))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "solwave")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -1,12 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from solwave.functionals import (Provenance, SuperluminalVelocity,
-                                 TailNotCertified, build_report,
-                                 compute_functionals, isotropy_defect,
-                                 pokhozhaev_residual, predict_energy_momentum,
+from solwave.functionals import (FunctionalReport, Provenance,
+                                 SuperluminalVelocity, TailNotCertified,
+                                 compute_functionals, predict_energy_momentum,
                                  report_to_dict)
 from solwave.radial import RadialProfile, SolitaryWave, WaveInterpolant
 
@@ -102,9 +102,19 @@ class TestIdentities:
         assert rep.v0 == pytest.approx(0.8**2 * rep.i0, rel=1e-8)
 
     def test_perturbed_v0_breaks_identity(self, report_1d):
-        broken = build_report(report_1d.i0, report_1d.i_k, report_1d.v0 * 1.01,
-                              report_1d.omega, report_1d.n)
+        broken = FunctionalReport(report_1d.i0, report_1d.i_k, report_1d.v0 * 1.01,
+                                  report_1d.omega, report_1d.n)
         assert broken.pokhozhaev_residual > 1e-3
+
+    def test_replaced_functional_rederives(self, report_1d):
+        changed = dataclasses.replace(report_1d, v0=1.01 * report_1d.v0)
+        assert changed.e0 != report_1d.e0
+        assert changed.pokhozhaev_residual != report_1d.pokhozhaev_residual
+        assert changed.e0 == pytest.approx(report_1d.e0 + 0.01 * report_1d.v0, rel=1e-14)
+
+    def test_report_stores_only_functionals(self):
+        assert [f.name for f in dataclasses.fields(FunctionalReport)] == [
+            "i0", "i_k", "v0", "omega", "n", "k"]
 
     def test_angular_components_equal(self, wave_k1):
         rep = compute_functionals(wave_k1)
@@ -117,12 +127,12 @@ class TestIdentities:
             assert abs(rep.isotropy_defect) < 1e-6 * rep.e0
 
     def test_isotropy_defect_n1_always_zero(self):
-        rep = build_report(2.0, [0.7], 1.0, 0.5, 1)
-        assert isotropy_defect(rep) == 0.0
+        rep = FunctionalReport(2.0, [0.7], 1.0, 0.5, 1)
+        assert rep.isotropy_defect == 0.0
 
     def test_anisotropic_report_has_defect(self):
-        rep = build_report(1.0, [0.5, 2.0], 1.0, 0.5, 2)
-        assert isotropy_defect(rep) == pytest.approx(0.5 - 2.0)
+        rep = FunctionalReport(1.0, [0.5, 2.0], 1.0, 0.5, 2)
+        assert rep.isotropy_defect == pytest.approx(0.5 - 2.0)
 
 
 class TestPredictions:
@@ -157,7 +167,7 @@ class TestPredictions:
             np.testing.assert_allclose(general.momentum, closed.momentum, rtol=1e-7)
 
     def test_general_equals_closed_energy_n1_any_report(self):
-        junk = build_report(3.0, [1.7], 0.2, 0.4, 1)
+        junk = FunctionalReport(3.0, [1.7], 0.2, 0.4, 1)
         for v in (0.0, 0.5, 0.9):
             closed = predict_energy_momentum(junk, [v], Provenance.CLOSED_FORM)
             general = predict_energy_momentum(junk, [v], Provenance.GENERAL_FORMULA)
@@ -172,9 +182,9 @@ class TestPredictions:
         exactly (I_1 -> I_1/2, I_2 -> 2 I_2, I_0 -> 2 I_0, V_0 -> 2 V_0); the
         two prediction modes must then differ by gamma (2 v^2 / n) * defect."""
         rep = compute_functionals(wave_2d)
-        stretched = build_report(2 * rep.i0, [rep.i_k[0] / 2, 2 * rep.i_k[1]],
-                                 2 * rep.v0, rep.omega, 2)
-        defect = isotropy_defect(stretched)
+        stretched = FunctionalReport(2 * rep.i0, [rep.i_k[0] / 2, 2 * rep.i_k[1]],
+                                     2 * rep.v0, rep.omega, 2)
+        defect = stretched.isotropy_defect
         assert defect == pytest.approx(-1.5 * rep.i_k[0], rel=1e-12)
         for speed in (0.3, 0.6, 0.9):
             v = [speed, 0.0]
