@@ -1,20 +1,22 @@
-"""Radial solitary-wave profiles by shooting and bisection.
+"""Radial solitary-wave profiles by shooting and Brent's method.
 
 Solves the stationary amplitude equation
 
     R'' + (n-1)/r R' - k^2/r^2 R = U'(R) - omega^2 R,
 
 outward from r ~ 0 with series initial data.  Every shot (bracket scan,
-bisection, converged profile, shoot) runs through one stepping integrator
-that classifies the trajectory after each step; every shot ends Undershot
-(turns back up before reaching zero) or Overshot (sign change, or runaway
-past the divergence guard), and there is no decay outcome.  The decaying
-profile is a separatrix of the ODE: perturbations grow like e^{+delta r} with
-delta = sqrt(mass_sq - omega^2), so a shot with initial datum known to
-relative accuracy eps tracks the true profile only down to |R| ~ sqrt(eps)
-before it veers to one side.  Bisection therefore refines the initial datum
-to near machine precision, the trajectory is cut at its deepest trusted
-point, and the profile is continued with the analytic linear-regime tail
+root-finding, converged profile, shoot) runs through one stepping DOP853
+integrator that classifies the trajectory after each step; every shot ends
+Undershot (turns back up before reaching zero) or Overshot (sign change, or
+runaway past the divergence guard), and there is no decay outcome.  The
+decaying profile is a separatrix of the ODE: perturbations grow like
+e^{+delta r} with delta = sqrt(mass_sq - omega^2), so a shot with initial
+datum known to relative accuracy eps tracks the true profile only down to
+|R| ~ sqrt(eps) before it veers to one side.  Brent's method on the shot's
+signed miss (the growing-mode amplitude, signed by the outcome) therefore
+refines the initial datum to near machine precision, the trajectory is cut at
+its deepest trusted point, and the profile is continued with the analytic
+linear-regime tail
 
     R(r) ~ prefactor * r^{-(n-1)/2} * e^{-delta r} * (1 + a1/(delta r) + a2/(delta r)^2),
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import RK45, OdeSolution
+from scipy.integrate import DOP853, OdeSolution
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
@@ -63,7 +65,7 @@ MATCH_THRESHOLD = 1e-8          # tail splice level, relative to max |R|
 DIVERGENCE_FACTOR = 3.0         # overshoot guard: |R| > factor * amplitude_cap
 SHOT_RANGE = 60.0               # outer end of every shot, in units of 1/delta
 GRID_DENSITY = 500.0            # profile grid points per 1/delta
-BISECTION_TOL = 1e-13           # relative bracket width that ends bisection
+SHOOT_TOL = 1e-13               # relative bracket width that ends root-finding
 
 
 class ShootOutcome(Enum):
@@ -76,7 +78,8 @@ class StepFailure(RuntimeError):
 
 
 class NoBracket(RuntimeError):
-    """No (Undershot, Overshot) pair found on the initial scan."""
+    """No (Undershot, Overshot) pair found on the initial scan, or the scan's
+    pair is not one when re-shot at the solver's tolerance."""
 
 
 class NodeCountMismatch(RuntimeError):
@@ -212,18 +215,22 @@ def _rhs(spec: PotentialSpec, omega: float, n: int, k: int):
 def _shoot(spec, omega, n, k, s, rtol=1e-10, dense=False):
     """One outward shot with datum s to SHOT_RANGE / delta, classified per step.
 
-    Returns (outcome, trajectory).  Conditions are checked per step (steps
-    resolve 1/delta many times over), not located as events.  With dense=True
-    the trajectory is the OdeSolution of the steps before the terminating one,
-    so it never reaches past the event that ended the shot (a shot ending on
-    its first step keeps that step); otherwise it is None.
+    Returns (outcome, miss), or (outcome, trajectory) with dense=True.
+    Conditions are checked per step (steps resolve 1/delta many times over),
+    not located as events.  The miss is the growing-mode amplitude
+    |R' + (delta + (n-1)/(2r)) R| e^{-delta r} at the terminating step, signed
+    + for Undershot and - for Overshot: it is linear in s near the separatrix,
+    and its sign is the shot's classification.  The trajectory is the
+    OdeSolution of the steps before the terminating one, so it never reaches
+    past the event that ended the shot (a shot ending on its first step keeps
+    that step).
     """
     delta = math.sqrt(spec.mass_sq - omega**2)
     guard = DIVERGENCE_FACTOR * spec.amplitude_cap
     r0 = 1e-6 / delta
     y0 = _series_start(spec, omega, n, k, s, r0)
-    solver = RK45(_rhs(spec, omega, n, k), r0, np.array(y0), SHOT_RANGE / delta,
-                  rtol=rtol, atol=1e-14 * abs(s))
+    solver = DOP853(_rhs(spec, omega, n, k), r0, np.array(y0), SHOT_RANGE / delta,
+                    rtol=rtol, atol=1e-14 * abs(s))
     ts, pieces = [r0], []
     sign_prev = math.copysign(1.0, y0[0]) if y0[0] != 0 else 1.0
     dR_prev = y0[1]
@@ -242,12 +249,15 @@ def _shoot(spec, omega, n, k, s, rtol=1e-10, dense=False):
             outcome = ShootOutcome.UNDERSHOT
         dR_prev = dR
     if outcome is None:  # reached the end of the range without a terminating step
-        R, dR = solver.y
         # monotone runaway below the guard
         outcome = ShootOutcome.OVERSHOT if R > 0 and dR > 0 else ShootOutcome.UNDERSHOT
-    elif len(pieces) > 1:
+    if not dense:
+        r = solver.t
+        miss = abs(dR + (delta + (n - 1) / (2.0 * r)) * R) * math.exp(-delta * r)
+        return outcome, (miss if outcome is ShootOutcome.UNDERSHOT else -miss)
+    if len(pieces) > 1:
         del ts[-1], pieces[-1]
-    return outcome, (OdeSolution(ts, pieces) if dense else None)
+    return outcome, OdeSolution(ts, pieces)
 
 
 def _sample(sol: OdeSolution, k: int, s: float, m: int, h: float):
@@ -274,8 +284,8 @@ def _count_sign_changes(values) -> int:
 def shoot(spec: PotentialSpec, omega: float, n: int, k: int, s: float):
     """Integrate one outward shot with initial datum s.
 
-    Returns (outcome, trajectory).  This is the bisection's own shot: the
-    same integrator and step-by-step rules out to SHOT_RANGE / delta, ending
+    Returns (outcome, trajectory).  This is the solver's own shot: the same
+    DOP853 integrator and step-by-step rules out to SHOT_RANGE / delta, ending
     Undershot or Overshot (there is no decay ball).  The trajectory is a
     partial RadialProfile (no tail fit) on the solver's spacing
     1 / (GRID_DENSITY delta), up to the last step before the terminating one.
@@ -338,19 +348,19 @@ def _scan_bracket(spec, omega, n, k):
     )
 
 
-def _bisect(spec, omega, n, k, s_lo, s_hi):
-    for _ in range(200):
-        if (s_hi - s_lo) <= BISECTION_TOL * s_hi:
-            break
-        mid = 0.5 * (s_lo + s_hi)
-        if mid <= s_lo or mid >= s_hi:
-            break  # bracket exhausted at float resolution
-        out, _ = _shoot(spec, omega, n, k, mid)
-        if out is ShootOutcome.UNDERSHOT:
-            s_lo = mid
-        else:
-            s_hi = mid
-    return 0.5 * (s_lo + s_hi)
+def _converge(spec, omega, n, k, s_lo, s_hi):
+    """Brent's method on the shot's signed miss, from the scan's pair down to
+    a bracket of SHOOT_TOL relative width.  The pair is re-shot at the
+    solver's tolerance; if it is no (Undershot, Overshot) pair there, brentq's
+    same-sign ValueError becomes NoBracket."""
+    try:
+        return brentq(lambda s: _shoot(spec, omega, n, k, s)[1], s_lo, s_hi,
+                      xtol=math.ulp(s_lo), rtol=SHOOT_TOL)
+    except ValueError as exc:
+        raise NoBracket(
+            f"scan pair ({s_lo:.3g}, {s_hi:.3g}) for omega={omega}, n={n}, k={k} "
+            "is no Undershot/Overshot pair at the solver's tolerance"
+        ) from exc
 
 
 def _assemble_profile(spec, omega, n, k, s, h_r) -> RadialProfile:
@@ -470,7 +480,7 @@ def _solve_wave(spec, omega, n, k) -> SolitaryWave:
         )
     delta = math.sqrt(spec.mass_sq - omega**2)
     s_lo, s_hi = _scan_bracket(spec, omega, n, k)
-    s_conv = _bisect(spec, omega, n, k, s_lo, s_hi)
+    s_conv = _converge(spec, omega, n, k, s_lo, s_hi)
     profile = _assemble_profile(spec, omega, n, k, s_conv, 1.0 / (GRID_DENSITY * delta))
     if profile.node_count != 0:
         raise NodeCountMismatch(
@@ -490,12 +500,13 @@ def _solve_wave(spec, omega, n, k) -> SolitaryWave:
 def find_ground_state(spec: PotentialSpec, omega: float, n: int) -> SolitaryWave:
     """Node-free radial profile R(|x|) solving the amplitude equation.
 
-    Bisects the initial datum between a certified Undershot and Overshot until
-    the bracket is below BISECTION_TOL (relative), then splices the analytic
-    tail.  The profile grid has spacing 1 / (GRID_DENSITY delta); resample_wave
-    rebuilds it on any other spacing.  Raises NoBracket if the 64-point scan
-    finds no bracket, NodeCountMismatch if the converged profile has interior
-    nodes.
+    Runs Brent's method on the initial datum between a certified Undershot
+    and Overshot until the bracket is below SHOOT_TOL (relative), then
+    splices the analytic tail.  The profile grid has spacing
+    1 / (GRID_DENSITY delta); resample_wave rebuilds it on any other spacing.
+    Raises NoBracket if the 64-point scan finds no bracket or its pair does
+    not hold at the solver's tolerance, NodeCountMismatch if the converged
+    profile has interior nodes.
     """
     if n not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
@@ -505,7 +516,7 @@ def find_ground_state(spec: PotentialSpec, omega: float, n: int) -> SolitaryWave
 def find_excited_state(spec: PotentialSpec, omega: float, k: int) -> SolitaryWave:
     """Planar (n = 2) excited state R(r) e^{i k phi} with R(0) = 0, R ~ s r^k.
 
-    Same bisection and grid spacing as the ground state, on the r^k series
+    Same root-finding and grid spacing as the ground state, on the r^k series
     coefficient; resample_wave rebuilds it on any other spacing.
     """
     if k < 1:
@@ -516,7 +527,7 @@ def find_excited_state(spec: PotentialSpec, omega: float, k: int) -> SolitaryWav
 def resample_wave(wave: SolitaryWave, h_r: float) -> SolitaryWave:
     """Rebuild the profile on a different uniform spacing.
 
-    Re-integrates once at the stored shoot parameter (no bisection), so grid
+    Re-integrates once at the stored shoot parameter (no root-finding), so grid
     refinement studies cost one ODE solve per spacing.
     """
     spec, omega, n, k = wave.spec, wave.omega, wave.n, wave.k

@@ -103,6 +103,18 @@ class TestExitCodes:
         assert main(["boost-scan", "--config", str(cfg)]) == 2
         assert "GridTooSmall" in capsys.readouterr().err
 
+    def test_evolve_3d_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # rejected before the solve: the leapfrog scheme has no 3D grid
+        solves = []
+        monkeypatch.setattr(solwave.cli, "find_ground_state",
+                            lambda *args: solves.append(args))
+        cfg = _write_config(tmp_path)
+        assert main(["evolve", "--config", str(cfg),
+                     "--set", "n=3", "--set", "grid.h=1.0"]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert solves == []
+        assert not (tmp_path / "out").exists()
+
     def test_evolve_cfl_violation(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, velocities=[0.0], grid={"h": 0.1},
                             evolve={"t_final": 1.0, "dt": 0.2, "diag_stride": 1})

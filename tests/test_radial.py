@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from solwave import radial
 from solwave.potential import PotentialSpec, evaluate_potential
 from solwave.radial import (NoBracket, RadialProfile, ShootOutcome,
                             SolitaryWave, WaveInterpolant, count_nodes,
@@ -56,6 +57,46 @@ class TestShootClassification:
             shoot(cubic, 1.5, 1, 0, 1.0)
         with pytest.raises(ValueError):
             shoot(cubic, 0.8, 3, 1, 1.0)
+
+
+class TestRootFinding:
+    @pytest.mark.parametrize("n, k", [(1, 0), (2, 0), (3, 0), (2, 1), (2, 2)])
+    def test_solve_shot_count(self, cubic, monkeypatch, n, k):
+        # scan, root-finding and the dense shot together, counted per call
+        calls = []
+        shoot_once = radial._shoot
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return shoot_once(*args, **kwargs)
+
+        monkeypatch.setattr(radial, "_shoot", counted)
+        if k == 0:
+            find_ground_state(cubic, 0.8, n)
+        else:
+            find_excited_state(cubic, 0.8, k)
+        assert len(calls) <= 32
+
+    @pytest.mark.parametrize("omega", [0.80, 0.825, 0.85])
+    def test_sech_oracle_shoot_param_tight(self, cubic, omega):
+        wave = find_ground_state(cubic, omega, 1)
+        exact = np.sqrt(2.0 * (1.0 - omega**2))
+        assert wave.profile.shoot_param == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("fixture", ["wave_1d", "wave_2d", "wave_3d",
+                                         "wave_k1", "wave_k2"])
+    def test_miss_sign_is_outcome(self, request, fixture):
+        # the root-finder's bracket is certified only if the miss changes
+        # sign exactly where the classification does
+        wave = request.getfixturevalue(fixture)
+        s = wave.profile.shoot_param
+        for eps in (1e-3, 1e-6, 1e-9):
+            for factor, expected, sign in ((1 - eps, ShootOutcome.UNDERSHOT, 1.0),
+                                           (1 + eps, ShootOutcome.OVERSHOT, -1.0)):
+                out, miss = radial._shoot(wave.spec, wave.omega, wave.n, wave.k,
+                                          s * factor)
+                assert out is expected, f"{fixture}, s*{factor}: {out}"
+                assert sign * miss > 0, f"{fixture}, s*{factor}: miss {miss}"
 
 
 class TestGroundState:
