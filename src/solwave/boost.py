@@ -13,9 +13,11 @@ sampled from the exact chain-rule expression
 never by numerical time differencing.  Energy, momentum and the center of
 energy are then measured by plain grid sums of the Hamiltonian density (for
 the center, weighted by position) and -Re(psi_dot conj(grad psi))
-with 2nd-order centered differences under periodic wrap (immaterial given the
-exponential decay, which the grid-sizing rule keeps below 1e-8 of the peak at
-the boundary).
+with solwave.stencil's 2nd-order centered differences under periodic wrap
+(immaterial given the exponential decay, which the grid-sizing rule keeps
+below 1e-8 of the peak at the boundary).  Each sum walks the field in the
+stencil's row blocks and squares moduli as re^2 + im^2, so no temporary is
+larger than one block.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .functionals import (FunctionalReport, Provenance, lorentz_boost,
                           predict_energy_momentum)
 from .potential import PotentialSpec, evaluate_potential
 from .radial import SolitaryWave, WaveInterpolant
+from .stencil import abs_sq, centered_difference, row_blocks
 
 __all__ = [
     "GridSpec",
@@ -195,51 +198,62 @@ def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> Fie
     return FieldSample(grid=grid, time=float(t), psi=psi, psi_dot=psi_dot)
 
 
-def _centered_difference(psi: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Periodic 2nd-order centered derivative of psi along one axis."""
-    return (np.roll(psi, -1, axis=axis) - np.roll(psi, 1, axis=axis)) / (2.0 * h)
-
-
-def _gradient_sq(psi: np.ndarray, spacing) -> np.ndarray:
-    out = np.zeros(psi.shape, dtype=float)
-    for axis, h in enumerate(spacing):
-        out += np.abs(_centered_difference(psi, axis, h)) ** 2
-    return out
-
-
-def _energy_density(sample: FieldSample, spec: PotentialSpec) -> np.ndarray:
-    grad_sq = _gradient_sq(sample.psi, sample.grid.spacing)
-    return (0.5 * np.abs(sample.psi_dot) ** 2 + 0.5 * grad_sq
-            + evaluate_potential(spec, np.abs(sample.psi)))
+def _density_blocks(sample: FieldSample, spec: PotentialSpec):
+    """(rows, Hamiltonian density over those rows) for each row block."""
+    psi = sample.psi
+    blocks = row_blocks(psi)
+    d = np.empty(psi[blocks[0]].shape, dtype=complex)
+    for rows in blocks:
+        grad = d[:rows.stop - rows.start]
+        density = abs_sq(sample.psi_dot[rows])
+        for axis, h in enumerate(sample.grid.spacing):
+            density += abs_sq(centered_difference(psi, axis, h, rows, out=grad))
+        density *= 0.5
+        density += evaluate_potential(spec, np.abs(psi[rows]))
+        yield rows, density
 
 
 def measure_energy(sample: FieldSample, spec: PotentialSpec) -> float:
     """Grid sum of |psi_dot|^2/2 + |grad psi|^2/2 + U(|psi|)."""
-    return float(np.sum(_energy_density(sample, spec))) * sample.grid.cell_volume
+    total = sum(float(np.sum(density)) for _, density in _density_blocks(sample, spec))
+    return total * sample.grid.cell_volume
 
 
 def measure_momentum(sample: FieldSample) -> np.ndarray:
     """-Re int psi_dot conj(grad psi) dx, per component."""
-    vol = sample.grid.cell_volume
-    out = np.empty(sample.grid.n)
-    for axis, h in enumerate(sample.grid.spacing):
-        d = _centered_difference(sample.psi, axis, h)
-        out[axis] = -np.sum((sample.psi_dot * np.conj(d)).real) * vol
-    return out
+    psi, psi_dot = sample.psi, sample.psi_dot
+    blocks = row_blocks(psi)
+    d = np.empty(psi[blocks[0]].shape, dtype=complex)
+    sums = np.zeros(sample.grid.n)
+    for rows in blocks:
+        grad = d[:rows.stop - rows.start]
+        pd = psi_dot[rows]
+        for axis, h in enumerate(sample.grid.spacing):
+            centered_difference(psi, axis, h, rows, out=grad)
+            dot = pd.real * grad.real
+            dot += pd.imag * grad.imag
+            sums[axis] += float(np.sum(dot))
+    return -sums * sample.grid.cell_volume
 
 
 def center_of_energy(sample: FieldSample, spec: PotentialSpec) -> np.ndarray:
     """Energy-density-weighted mean position, by grid sums."""
-    density = _energy_density(sample, spec)
-    total = float(np.sum(density)) * sample.grid.cell_volume
+    n = sample.grid.n
+    coords = []
+    for axis, x in enumerate(sample.grid.axes()):
+        shape = [1] * n
+        shape[axis] = -1
+        coords.append(x.reshape(shape))
+    weight = 0.0
+    moments = np.zeros(n)
+    for rows, density in _density_blocks(sample, spec):
+        weight += float(np.sum(density))
+        for axis, x in enumerate(coords):
+            moments[axis] += float(np.sum(density * (x[rows] if axis == 0 else x)))
+    total = weight * sample.grid.cell_volume
     if total < 1e-20:
         raise ZeroField(f"total energy {total:.3e} below 1e-20")
-    out = np.empty(sample.grid.n)
-    for axis, x in enumerate(sample.grid.axes()):
-        shape = [1] * sample.grid.n
-        shape[axis] = -1
-        out[axis] = float(np.sum(density * x.reshape(shape))) * sample.grid.cell_volume / total
-    return out
+    return moments * sample.grid.cell_volume / total
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ import numpy as np
 from .artifacts import write_json
 from .boost import (GridSpec, GridTooSmall, boost_scan, grid_for,
                     sample_boosted, scan_to_csv, scan_to_json)
-from .evolve import CflViolation, NonFinite, diagnostics_to_csv, evolve
+from .evolve import (CflViolation, NonFinite, diagnostics_to_csv, evolve,
+                     step_count)
 from .functionals import (SuperluminalVelocity, compute_functionals,
                           report_to_dict)
 from .potential import PotentialSpec, expected_amplitude
@@ -169,6 +170,10 @@ def normalize_config(cfg: dict) -> dict:
     if not (ev["dt"] > 0 and ev["t_final"] >= 0):  # NaN fails too
         raise ConfigError("evolve needs dt > 0 and t_final >= 0, got "
                           f"dt={ev['dt']}, t_final={ev['t_final']}")
+    try:
+        step_count(ev["t_final"], ev["dt"])
+    except ValueError as exc:
+        raise ConfigError(f"evolve: {exc}") from exc
     cfg["evolve"] = ev
 
     tol = dict(DEFAULT_TOLERANCES)

@@ -4,17 +4,21 @@ The second-order update
 
     psi^{m+1} = 2 psi^m - psi^{m-1} + dt^2 (Lap_h psi^m + f(psi^m))
 
-uses the standard 2nd-order Laplacian stencil under periodic wrap; the first
-step is bootstrapped by the Taylor expansion from (psi^0, psi_dot^0), and the
-time derivative is reconstructed centrally as (psi^{m+1} - psi^{m-1})/(2 dt),
-so each state carries a consistent (psi, psi_dot) pair at its own time at the
-cost of one stencil evaluation per step.  Blow-up is reported (NonFinite),
+uses the standard 2nd-order Laplacian stencil under periodic wrap, built
+from solwave.stencil's neighbour sums; the first step is bootstrapped by the
+Taylor expansion from (psi^0, psi_dot^0), and the time derivative is
+reconstructed centrally as (psi^{m+1} - psi^{m-1})/(2 dt), so each state
+carries a consistent (psi, psi_dot) pair at its own time at the cost of one
+stencil evaluation per step.  A step is one blocked pass over the rows of the
+grid: each block's Laplacian, force, update and psi_dot are finished while
+its temporaries are still in cache.  Blow-up is reported (NonFinite),
 not prevented: focusing nonlinearities can and should fail loudly for
 non-soliton data.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -24,6 +28,7 @@ from .artifacts import write_csv
 from .boost import (FieldSample, ZeroField, center_of_energy, measure_energy,
                     measure_momentum, save_sample)
 from .potential import PotentialSpec, evaluate_force
+from .stencil import neighbour_sum, row_blocks
 
 __all__ = [
     "CFL_NUMBER",
@@ -32,6 +37,7 @@ __all__ = [
     "DiagnosticPoint",
     "EvolutionState",
     "step",
+    "step_count",
     "evolve",
     "diagnostics_to_csv",
 ]
@@ -75,14 +81,6 @@ class EvolutionState:
     _psi_next: np.ndarray | None = None
 
 
-def _laplacian(psi: np.ndarray, spacing) -> np.ndarray:
-    out = np.zeros_like(psi)
-    for axis, h in enumerate(spacing):
-        out += (np.roll(psi, 1, axis=axis) + np.roll(psi, -1, axis=axis)
-                - 2.0 * psi) / (h * h)
-    return out
-
-
 def _check_step(grid, dt: float) -> None:
     """Reject a grid or time step the leapfrog scheme cannot advance."""
     if grid.n > 2:
@@ -94,8 +92,26 @@ def _check_step(grid, dt: float) -> None:
         raise CflViolation(f"dt={dt} exceeds {CFL_NUMBER} * min h = {CFL_NUMBER * h_min}")
 
 
+def _acceleration(psi: np.ndarray, spec: PotentialSpec, spacing, rows: slice,
+                  acc: np.ndarray, tmp: np.ndarray) -> None:
+    """acc = Lap_h psi + f(psi) over one block of rows (tmp is scratch)."""
+    weights = [1.0 / (h * h) for h in spacing]
+    neighbour_sum(psi, 0, rows, out=acc)
+    acc *= weights[0]
+    for axis in range(1, len(weights)):
+        neighbour_sum(psi, axis, rows, out=tmp)
+        tmp *= weights[axis]
+        acc += tmp
+    np.multiply(psi[rows], 2.0 * sum(weights), out=tmp)
+    acc -= tmp
+    acc += evaluate_force(spec, psi[rows])
+
+
 def step(state: EvolutionState, spec: PotentialSpec, dt: float) -> EvolutionState:
     """Advance one leapfrog step; returns a new state one dt later.
+
+    One pass over the row blocks writes psi^{m+1} and the centered psi_dot^m
+    straight into their new arrays, so every temporary is one block.
 
     Raises ValueError unless dt > 0, CflViolation when dt > 0.5 min h_j, and
     NonFinite (failing time attached) when the update leaves the finite range.
@@ -105,32 +121,60 @@ def step(state: EvolutionState, spec: PotentialSpec, dt: float) -> EvolutionStat
 
     psi = state.sample.psi
     t = state.sample.time
+    blocks = row_blocks(psi)
+    scratch = np.empty((2,) + psi[blocks[0]].shape, dtype=complex)
     # blow-up produces inf/nan mid-update before the explicit check below;
     # keep numpy quiet about it
     with np.errstate(invalid="ignore", over="ignore"):
         if state._psi_next is None:
-            accel = _laplacian(psi, grid.spacing) + evaluate_force(spec, psi)
-            psi_cur_next = psi + dt * state.sample.psi_dot + 0.5 * dt * dt * accel
+            # Taylor bootstrap: psi^1 = psi + dt psi_dot + dt^2/2 (Lap_h psi + f(psi))
+            cur = np.empty(psi.shape, dtype=complex)
+            for rows in blocks:
+                acc, tmp = scratch[:, :rows.stop - rows.start]
+                _acceleration(psi, spec, grid.spacing, rows, acc, tmp)
+                acc *= 0.5 * dt * dt
+                np.multiply(state.sample.psi_dot[rows], dt, out=cur[rows])
+                cur[rows] += psi[rows]
+                cur[rows] += acc
         else:
-            psi_cur_next = state._psi_next
+            cur = state._psi_next
 
-        accel_next = _laplacian(psi_cur_next, grid.spacing) + evaluate_force(spec, psi_cur_next)
-        psi_ahead = 2.0 * psi_cur_next - psi + dt * dt * accel_next
-    if not np.all(np.isfinite(psi_ahead)):
-        raise NonFinite(f"field became non-finite at t={t + 2 * dt:.6g}", time=t + 2 * dt)
+        ahead = np.empty(psi.shape, dtype=complex)
+        psi_dot = np.empty(psi.shape, dtype=complex)
+        for rows in blocks:
+            acc, tmp = scratch[:, :rows.stop - rows.start]
+            _acceleration(cur, spec, grid.spacing, rows, acc, tmp)
+            acc *= dt * dt
+            nxt = ahead[rows]
+            np.multiply(cur[rows], 2.0, out=nxt)
+            nxt -= psi[rows]
+            nxt += acc
+            if not np.isfinite(nxt).all():
+                raise NonFinite(f"field became non-finite at t={t + 2 * dt:.6g}",
+                                time=t + 2 * dt)
+            np.subtract(nxt, psi[rows], out=psi_dot[rows])
+            psi_dot[rows] *= 0.5 / dt
 
-    new_sample = FieldSample(
-        grid=grid,
-        time=t + dt,
-        psi=psi_cur_next,
-        psi_dot=(psi_ahead - psi) / (2.0 * dt),
-    )
+    new_sample = FieldSample(grid=grid, time=t + dt, psi=cur, psi_dot=psi_dot)
     return EvolutionState(
         sample=new_sample,
         diagnostics=state.diagnostics,
         snapshots=state.snapshots,
-        _psi_next=psi_ahead,
+        _psi_next=ahead,
     )
+
+
+def step_count(t_final: float, dt: float) -> int:
+    """The number of dt steps that end exactly at t_final.
+
+    Raises ValueError, naming both values, when t_final/dt lies more than
+    1e-9 max(1, t_final/dt) from an integer: the run would otherwise stop at
+    the nearest multiple of dt instead of at t_final.
+    """
+    ratio = t_final / dt
+    if not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio)):
+        raise ValueError(f"t_final={t_final} is not a whole multiple of dt={dt}")
+    return round(ratio)
 
 
 def evolve(initial: FieldSample, spec: PotentialSpec, t_final: float, dt: float,
@@ -142,9 +186,10 @@ def evolve(initial: FieldSample, spec: PotentialSpec, t_final: float, dt: float,
     With snapshot_stride set, the full field is written in the flat binary
     sample layout to snapshot_dir every snapshot_stride steps (plus the
     initial state), and the returned state's snapshots lists the file names.
-    t_final < 0, dt <= 0, a stride below 1 or a snapshot_stride without a
-    snapshot_dir raises ValueError, and a dt beyond the CFL bound raises
-    CflViolation, before anything is recorded or written."""
+    t_final < 0, dt <= 0, a t_final that is not a whole multiple of dt (see
+    step_count), a stride below 1 or a snapshot_stride without a snapshot_dir
+    raises ValueError, and a dt beyond the CFL bound raises CflViolation,
+    before anything is recorded or written."""
     if not t_final >= 0:
         raise ValueError(f"need t_final >= 0, got {t_final}")
     for name, stride in (("diag_stride", diag_stride), ("snapshot_stride", snapshot_stride)):
@@ -153,7 +198,7 @@ def evolve(initial: FieldSample, spec: PotentialSpec, t_final: float, dt: float,
     if snapshot_stride is not None and snapshot_dir is None:
         raise ValueError("snapshot_stride needs a snapshot_dir")
     _check_step(initial.grid, dt)
-    n_steps = int(round(t_final / dt))
+    n_steps = step_count(t_final, dt)
     state = EvolutionState(initial)
 
     def record(st):

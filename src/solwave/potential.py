@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stencil import abs_sq
+
 __all__ = [
     "PotentialSpec",
     "ConditionReport",
@@ -112,10 +114,14 @@ def force_slope(spec: PotentialSpec, a):
     Factoring out one power of psi keeps the force exactly U(1)-equivariant
     and finite at psi = 0 (every exponent is >= 3).
     """
-    a = np.asarray(a, dtype=float)
-    out = np.full_like(a, -spec.mass_sq)
+    return _slope(spec, np.asarray(a, dtype=float), 1)
+
+
+def _slope(spec: PotentialSpec, x: np.ndarray, power: int):
+    """h(a) from x = a**power, where power divides every e_j - 2."""
+    out = np.full_like(x, -spec.mass_sq)
     for coupling, exponent in spec.terms:
-        out = out + coupling * a ** (exponent - 2)
+        out += coupling * x ** ((exponent - 2) // power)
     return out if out.ndim else float(out)
 
 
@@ -123,10 +129,16 @@ def evaluate_force(spec: PotentialSpec, psi):
     """f(psi) = -grad_psi V(psi), for complex (or real) psi, scalar or array.
 
     Equivariance f(e^{i theta} psi) = e^{i theta} f(psi) holds by construction:
-    the force is psi times the real scalar h(|psi|).
+    the force is psi times the real scalar h(|psi|).  When every exponent is
+    even, h is a polynomial in |psi|^2 = re^2 + im^2 and no square root is
+    taken; an odd exponent needs |psi| itself.
     """
     psi_arr = np.asarray(psi)
-    out = psi_arr * force_slope(spec, np.abs(psi_arr))
+    if all(exponent % 2 == 0 for _, exponent in spec.terms):
+        slope = _slope(spec, np.asarray(abs_sq(psi_arr), dtype=float), 2)
+    else:
+        slope = force_slope(spec, np.abs(psi_arr))
+    out = psi_arr * slope
     return out if out.ndim else out[()]
 
 

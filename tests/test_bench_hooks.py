@@ -1,10 +1,14 @@
 """The benchmark's traced run rebinds library module attributes by name
 (perfbench/spans.py, REBIND).  A rename or deletion in the library would
-silently break that run, so every rebinding point must resolve."""
+silently break that run, so every rebinding point must resolve, and the
+points that carry the step and diagnostic timings must be called."""
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
+
+from solwave import compute_functionals, grid_for, sample_boosted
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -18,3 +22,46 @@ def test_rebind_points_resolve(monkeypatch):
     missing = [(module, attr) for module, attr in spans.REBIND
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def test_traced_call_points_are_called(monkeypatch, cubic, wave_1d):
+    # the traced run times the step and the diagnostics by wrapping these
+    # module attributes; a refactor that stopped calling them through the
+    # module would read 0 for evolve.step_s or evolve.diag_s
+    from solwave import compute_functionals, grid_for, sample_boosted
+
+    evolve_mod = importlib.import_module("solwave.evolve")
+    boost_mod = importlib.import_module("solwave.boost")
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[module.__name__, name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("step", "measure_energy", "measure_momentum", "center_of_energy"):
+        count(evolve_mod, name)
+    for name in ("measure_energy", "measure_momentum"):
+        count(boost_mod, name)
+
+    grid = grid_for(wave_1d, [0.0], 0.5, 0.1)
+    state = evolve_mod.evolve(sample_boosted(wave_1d, [0.0], grid), cubic, 0.5, 0.05,
+                              diag_stride=3)
+    points = len(state.diagnostics)
+    assert points == 5  # steps 0, 3, 6, 9 and the last, 10
+    assert calls == {("solwave.evolve", "step"): 10,
+                     ("solwave.evolve", "measure_energy"): points,
+                     ("solwave.evolve", "measure_momentum"): points,
+                     ("solwave.evolve", "center_of_energy"): points}
+
+    calls.clear()
+    rows = boost_mod.boost_scan(wave_1d, cubic, [[0.0], [0.3], [0.6]],
+                                grid_for(wave_1d, [0.0], 0.0, 0.1),
+                                compute_functionals(wave_1d))
+    assert len(rows) == 3
+    assert calls == {("solwave.boost", "measure_energy"): 3,
+                     ("solwave.boost", "measure_momentum"): 3}

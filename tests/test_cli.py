@@ -148,6 +148,15 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    def test_evolve_end_time_off_the_step_grid_is_config_error(self, tmp_path, capsys):
+        evolve_cfg = {"t_final": 0.13, "dt": 0.05, "diag_stride": 1}
+        cfg = _write_config(tmp_path, velocities=[0.0], grid={"h": 0.1},
+                            evolve=evolve_cfg)
+        assert main(["evolve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "t_final=0.13" in err and "dt=0.05" in err
+        assert not (tmp_path / "out").exists()
+
     def test_evolve_ok(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, velocities=[0.5], grid={"h": 0.1},
                             evolve={"t_final": 1.0, "dt": 0.05, "diag_stride": 5},

@@ -3,8 +3,10 @@ import pytest
 
 from solwave.boost import FieldSample, GridSpec, grid_for, sample_boosted
 from solwave.evolve import (CflViolation, EvolutionState, NonFinite, ZeroField,
-                            center_of_energy, diagnostics_to_csv, evolve, step)
-from solwave.potential import PotentialSpec
+                            center_of_energy, diagnostics_to_csv, evolve, step,
+                            step_count)
+from solwave.potential import PotentialSpec, force_slope
+from solwave.stencil import row_blocks
 
 
 def _zero_sample(grid):
@@ -71,6 +73,52 @@ class TestStep:
             for _ in range(2000):
                 state = step(state, cubic, 0.02)
         assert err.value.time is not None
+
+
+class TestBlockedStep:
+    def test_matches_roll_reference(self, cubic, wave_2d):
+        # the unblocked scheme, written with whole-field np.roll shifts and
+        # the force from |psi|: 20 steps of the boosted n = 2 wave agree
+        def accel(psi, spacing):
+            lap = np.zeros_like(psi)
+            for axis, h in enumerate(spacing):
+                lap += (np.roll(psi, 1, axis=axis) + np.roll(psi, -1, axis=axis)
+                        - 2.0 * psi) / (h * h)
+            return lap + psi * force_slope(cubic, np.abs(psi))
+
+        dt, n_steps = 0.04, 20
+        g = grid_for(wave_2d, [0.6, 0.0], dt * n_steps, 0.2)
+        s0 = sample_boosted(wave_2d, [0.6, 0.0], g, t=0.0)
+        blocks = row_blocks(s0.psi)
+        assert len(blocks) > 2 and (blocks[-1].stop - blocks[-1].start
+                                    < blocks[0].stop - blocks[0].start)
+
+        prev = s0.psi
+        cur = prev + dt * s0.psi_dot + 0.5 * dt * dt * accel(prev, g.spacing)
+        for _ in range(n_steps):
+            ahead = 2.0 * cur - prev + dt * dt * accel(cur, g.spacing)
+            psi_dot = (ahead - prev) / (2.0 * dt)
+            prev, cur = cur, ahead
+
+        state = EvolutionState(s0)
+        for _ in range(n_steps):
+            state = step(state, cubic, dt)
+        for got, want in ((state.sample.psi, prev), (state.sample.psi_dot, psi_dot)):
+            assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-13
+
+    def test_blowup_in_last_block_wrap_row(self, cubic):
+        # only row n - 1, the wrap row of the last block, overflows: the
+        # cubic force of its second level exceeds the float range there,
+        # while its neighbours (row 0 among them) stay finite
+        g = GridSpec(n=2, extent=(60.0, 6.4), points=(600, 64))
+        psi = np.zeros(g.points, dtype=complex)
+        psi[-1] = 1e102
+        assert row_blocks(psi)[-1].stop == g.points[0]
+        state = EvolutionState(FieldSample(grid=g, time=0.0, psi=psi,
+                                           psi_dot=np.zeros_like(psi)))
+        with pytest.raises(NonFinite) as err:
+            step(state, cubic, 0.02)
+        assert err.value.time == pytest.approx(0.04)
 
 
 class TestStandingWave:
@@ -247,6 +295,24 @@ class TestEvolveDiagnostics:
         with pytest.raises(ValueError, match=stride):
             evolve(s0, cubic, 0.5, 0.05, snapshot_dir=tmp_path, **strides)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("t_final", [0.13, 0.01])
+    def test_end_time_off_the_step_grid_rejected(self, cubic, wave_1d, tmp_path, t_final):
+        # 0.13 would end at 0.15 and 0.01 would take no step at all
+        g = grid_for(wave_1d, [0.0], 0.5, 0.1)
+        s0 = sample_boosted(wave_1d, [0.0], g, t=0.0)
+        with pytest.raises(ValueError, match=rf"t_final={t_final}\b.*dt=0.05"):
+            evolve(s0, cubic, t_final, 0.05, diag_stride=1,
+                   snapshot_stride=1, snapshot_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_step_count(self):
+        assert step_count(5.0, 0.04) == 125
+        assert step_count(0.3, 0.1) == 3  # 0.3 / 0.1 = 2.9999999999999996
+        assert step_count(0.0, 0.05) == 0
+        for t_final in (0.13, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                step_count(t_final, 0.05)
 
     def test_snapshot_stride_needs_dir(self, cubic, wave_1d):
         g = grid_for(wave_1d, [0.0], 0.5, 0.1)

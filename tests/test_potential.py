@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from solwave.potential import (PotentialSpec, check_conditions, evaluate_force,
-                               evaluate_potential, expected_amplitude)
+                               evaluate_potential, expected_amplitude, force_slope)
 
 
 def test_potential_values(cubic):
@@ -36,6 +36,27 @@ def test_force_matches_potential_derivative(spec):
     h = 1e-6
     dU = (evaluate_potential(spec, a + h) - evaluate_potential(spec, a - h)) / (2 * h)
     np.testing.assert_allclose(evaluate_force(spec, a), -dU, atol=5e-10, rtol=1e-8)
+
+
+@pytest.mark.parametrize("spec, even", [
+    (PotentialSpec(mass_sq=1.0, terms=((1.0, 4),)), True),
+    (PotentialSpec(mass_sq=1.0, terms=((1.0, 4), (-0.1, 6))), True),
+    (PotentialSpec(mass_sq=0.5, terms=((0.3, 3), (1.0, 5))), False),
+], ids=["cubic", "cubic_quintic", "odd"])
+def test_force_matches_amplitude_formula(spec, even):
+    # even exponents take h from re^2 + im^2, odd ones from |psi|: both agree
+    # with psi * h(|psi|) to rounding of the terms (their sum cancels near a
+    # zero of h, so the bound scales with the terms, not with f)
+    rng = np.random.default_rng(11)
+    psi = rng.uniform(0.0, 3.0, 2000) * np.exp(2j * np.pi * rng.uniform(size=2000))
+    a = np.abs(psi)
+    today = psi * force_slope(spec, a)
+    scale = a * (spec.mass_sq + sum(abs(c) * a ** (e - 2) for c, e in spec.terms))
+    got = evaluate_force(spec, psi)
+    assert np.all(np.abs(got - today) <= 1e-15 * scale)
+    # the odd route is the amplitude formula itself; the even one rounds
+    # differently somewhere among 2000 points, which shows it was taken
+    assert np.array_equal(got, today) == (not even)
 
 
 def test_u1_equivariance(cubic):
