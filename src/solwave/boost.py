@@ -10,14 +10,22 @@ sampled from the exact chain-rule expression
 
     psi_dot = (-gamma (v . grad a)(y) - i gamma omega a(y)) * phase,
 
-never by numerical time differencing.  Energy, momentum and the center of
-energy are then measured by plain grid sums of the Hamiltonian density (for
-the center, weighted by position) and -Re(psi_dot conj(grad psi))
-with solwave.stencil's 2nd-order centered differences under periodic wrap
-(immaterial given the exponential decay, which the grid-sizing rule keeps
-below 1e-8 of the peak at the boundary).  Each sum walks the field in the
-stencil's row blocks and squares moduli as re^2 + im^2, so no temporary is
-larger than one block.
+never by numerical time differencing.  Sampling writes psi and psi_dot one
+row block of solwave.stencil at a time, and they are the only full-size
+arrays it allocates.  Within a block the phase is the constant
+e^{-i omega gamma t} times the outer product of one 1D factor
+e^{i omega gamma v_j x_j} per axis, the vortex factor e^{i k phi} of a k >= 1
+wave is ((y_0 + i y_1)/r)^k, and R, R' are evaluated on the block's r only.
+The boundary-decay check compares |psi| on the boundary faces with the
+largest |R|.
+
+Energy, momentum and the center of energy are then measured by plain grid
+sums of the Hamiltonian density (for the center, weighted by position) and
+-Re(psi_dot conj(grad psi)) with solwave.stencil's 2nd-order centered
+differences under periodic wrap (immaterial given the exponential decay,
+which the grid-sizing rule keeps below 1e-8 of the peak at the boundary).
+Each sum walks the field in the stencil's row blocks and squares moduli as
+re^2 + im^2, so no temporary is larger than one block.
 """
 
 from __future__ import annotations
@@ -139,55 +147,65 @@ def _boundary_max(field: np.ndarray) -> float:
 
 
 def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> FieldSample:
-    """Evaluate (psi_v, psi_dot_v) at time t on the grid.
+    """Evaluate (psi_v, psi_dot_v) at time t on the grid, one row block at a
+    time; psi and psi_dot are the only full-size arrays allocated.
+
+    With a(y) = R(r) e^{i k phi}, the chain rule gives psi = R * u and
+    psi_dot = -gamma (dR (v.y)/r + i k R (v_1 y_0 - v_0 y_1)/r^2 + i omega R) * u,
+    u = e^{i k phi} * phase.  The phase is the constant e^{-i omega gamma t}
+    times one 1D factor e^{i omega gamma v_j x_j} per axis, and
+    e^{i k phi} = ((y_0 + i y_1)/r)^k.
 
     Raises GridTooSmall when the boundary cells carry more than 1e-8 of the
-    peak amplitude.
+    peak amplitude, max |R|.
     """
     if wave.n != grid.n:
         raise ValueError(f"wave dimension {wave.n} != grid dimension {grid.n}")
     v, speed, gamma = lorentz_boost(v, wave.n)
-    omega = wave.omega
-    axes = grid.axes()
-    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-
-    if speed > 0:
-        e = v / speed
-        x_dot_e = sum(m * ei for m, ei in zip(mesh, e))
-        y = [m + (gamma - 1.0) * x_dot_e * ei - gamma * vi * t
-             for m, ei, vi in zip(mesh, e, v)]
-        v_dot_x = speed * x_dot_e
-    else:
-        y = mesh
-        v_dot_x = 0.0
-    y = [np.broadcast_to(yj, grid.points) for yj in y]
-    r = np.sqrt(sum(yj**2 for yj in y))
-
+    omega, k = wave.omega, wave.k
+    mesh = np.meshgrid(*grid.axes(), indexing="ij", sparse=True)
+    e = v / speed if speed > 0 else v
+    # the constant folds into axis 0's factor; a factor with v_j = 0 is 1
+    factors = [np.exp(1j * omega * gamma * vj * m) for vj, m in zip(v, mesh)]
+    factors[0] *= np.exp(-1j * omega * gamma * t)
     interp = WaveInterpolant(wave)
-    R = interp.value(r)
-    dR = interp.derivative(r)
-    safe_r = np.where(r > 0, r, 1.0)
 
-    if wave.k == 0:
-        a = R.astype(complex)
-        grad_a = [dR * yj / safe_r * (r > 0) for yj in y]
-    else:
-        phi = np.arctan2(y[1], y[0])
-        ang = np.exp(1j * wave.k * phi)
-        a = R * ang
-        R_over_r = np.where(r > 0, R / safe_r, 0.0)
-        cphi, sphi = np.cos(phi), np.sin(phi)
-        grad_a = [
-            (dR * cphi - 1j * wave.k * R_over_r * sphi) * ang * (r > 0),
-            (dR * sphi + 1j * wave.k * R_over_r * cphi) * ang * (r > 0),
-        ]
+    psi = np.empty(grid.points, dtype=complex)
+    psi_dot = np.empty(grid.points, dtype=complex)
+    peak = 0.0
+    for rows in row_blocks(psi):
+        x = [mesh[0][rows], *mesh[1:]]
+        x_dot_e = sum(xj * ej for xj, ej in zip(x, e) if ej)
+        y = [xj + (gamma - 1.0) * x_dot_e * ej - gamma * vj * t if ej else xj
+             for xj, ej, vj in zip(x, e, v)]
+        r = np.sqrt(sum(yj**2 for yj in y))
+        safe_r = np.where(r > 0, r, 1.0)  # y = 0 where r = 0, so every y/r term is 0 there
+        R = interp.value(r)
+        u = factors[0][rows]
+        for vj, f in zip(v[1:], factors[1:]):
+            if vj:
+                u = u * f
+        if k:
+            ang = np.empty(r.shape, dtype=complex)
+            np.divide(y[0], safe_r, out=ang.real)
+            np.divide(y[1], safe_r, out=ang.imag)
+            u = u * ang**k
+        np.multiply(R, u, out=psi[rows])
 
-    phase = np.exp(-1j * omega * gamma * (t - v_dot_x))
-    psi = a * phase
-    v_grad_a = sum(vi * g for vi, g in zip(v, grad_a)) if speed > 0 else 0.0
-    psi_dot = (-gamma * v_grad_a - 1j * gamma * omega * a) * phase
+        out = psi_dot[rows]
+        np.multiply(R, -gamma * omega, out=out.imag)
+        if speed > 0:
+            v_dot_y = sum(vj * yj for vj, yj in zip(v, y))
+            np.multiply(interp.derivative(r), v_dot_y / safe_r, out=out.real)
+            out.real *= -gamma
+            if k:
+                out.imag -= (gamma * k) * R * (v[1] * y[0] - v[0] * y[1]) / safe_r**2
+        else:
+            out.real = 0.0
+        out *= u
 
-    peak = float(np.max(np.abs(psi)))
+        peak = max(peak, float(np.max(np.abs(R))))
+
     boundary = _boundary_max(psi)
     if peak > 0 and boundary >= BOUNDARY_DECAY * peak:
         raise GridTooSmall(

@@ -100,11 +100,19 @@ def _poly_coeffs(spec: PotentialSpec) -> np.ndarray:
 
 
 def evaluate_potential(spec: PotentialSpec, a):
-    """U(a) for real amplitude a >= 0 (scalar or array)."""
+    """U(a) for real amplitude a >= 0 (scalar or array).
+
+    Each a^e is a^2 or a^3 times repeated factors of a^2: numpy's general
+    power, taken for any exponent but 2, costs several times as much.
+    """
     a = np.asarray(a, dtype=float)
-    out = spec.mass_sq * a**2 / 2.0
+    a2 = a * a
+    out = spec.mass_sq * a2 / 2.0
     for coupling, exponent in spec.terms:
-        out = out - coupling * a**exponent / exponent
+        power = a2 if exponent % 2 == 0 else a * a2
+        for _ in range((exponent - 2) // 2):
+            power = power * a2
+        out = out - coupling * power / exponent
     return out if out.ndim else float(out)
 
 

@@ -78,8 +78,8 @@ class StepFailure(RuntimeError):
 
 
 class NoBracket(RuntimeError):
-    """No (Undershot, Overshot) pair found on the initial scan, or the scan's
-    pair is not one when re-shot at the solver's tolerance."""
+    """No pair of the initial scan is an (Undershot, Overshot) pair when
+    re-shot at the solver's tolerance (or the scan finds no pair at all)."""
 
 
 class NodeCountMismatch(RuntimeError):
@@ -312,11 +312,15 @@ def shoot(spec: PotentialSpec, omega: float, n: int, k: int, s: float):
     )
 
 
-def _scan_bracket(spec, omega, n, k):
-    """Adjacent (Undershot, Overshot) pair among 64 log-spaced candidates over
-    (0, amplitude_cap].  When the endpoints classify as expected the boundary
-    is located by binary search over the candidate index; otherwise every
-    candidate is classified in turn."""
+def _scan_pairs(spec, omega, n, k):
+    """Adjacent (Undershot, Overshot) pairs among 64 log-spaced candidates
+    over (0, amplitude_cap], classified by rtol-1e-6 shots, lazily and in the
+    order to try them.  When the endpoints classify as expected, the first
+    pair is located by binary search over the candidate index; after it (or
+    when the endpoints do not) every candidate is classified in turn and each
+    further pair is yielded.  An rtol-1e-6 shot can misclassify a datum whose
+    orbit passes close to the separatrix, so a pair may not hold at the
+    solver's tolerance; the caller then asks for the next."""
     cap = spec.amplitude_cap
     ss = np.logspace(math.log10(cap) - 6.0, math.log10(cap), 64)
     outcomes: dict[int, ShootOutcome] = {}
@@ -327,6 +331,7 @@ def _scan_bracket(spec, omega, n, k):
         return outcomes[i]
 
     lo, hi = 0, len(ss) - 1
+    searched = None
     if classify(lo) is ShootOutcome.UNDERSHOT and classify(hi) is ShootOutcome.OVERSHOT:
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -334,33 +339,25 @@ def _scan_bracket(spec, omega, n, k):
                 lo = mid
             else:
                 hi = mid
-        return float(ss[lo]), float(ss[hi])
+        searched = lo
+        yield float(ss[lo]), float(ss[hi])
 
-    prev_out = None
-    for i in range(len(ss)):
-        out = classify(i)
-        if prev_out is ShootOutcome.UNDERSHOT and out is ShootOutcome.OVERSHOT:
-            return float(ss[i - 1]), float(ss[i])
-        prev_out = out
-    raise NoBracket(
-        f"no Undershot/Overshot bracket for omega={omega}, n={n}, k={k} on "
-        f"(0, {cap}]: conditions may fail or amplitude_cap may be too small"
-    )
+    for i in range(1, len(ss)):
+        if (i - 1 != searched and classify(i - 1) is ShootOutcome.UNDERSHOT
+                and classify(i) is ShootOutcome.OVERSHOT):
+            yield float(ss[i - 1]), float(ss[i])
 
 
 def _converge(spec, omega, n, k, s_lo, s_hi):
-    """Brent's method on the shot's signed miss, from the scan's pair down to
-    a bracket of SHOOT_TOL relative width.  The pair is re-shot at the
-    solver's tolerance; if it is no (Undershot, Overshot) pair there, brentq's
-    same-sign ValueError becomes NoBracket."""
+    """Brent's method on the shot's signed miss, from a scan pair down to a
+    bracket of SHOOT_TOL relative width.  The pair is re-shot at the solver's
+    tolerance; None when it is no (Undershot, Overshot) pair there (brentq's
+    same-sign ValueError)."""
     try:
         return brentq(lambda s: _shoot(spec, omega, n, k, s)[1], s_lo, s_hi,
                       xtol=math.ulp(s_lo), rtol=SHOOT_TOL)
-    except ValueError as exc:
-        raise NoBracket(
-            f"scan pair ({s_lo:.3g}, {s_hi:.3g}) for omega={omega}, n={n}, k={k} "
-            "is no Undershot/Overshot pair at the solver's tolerance"
-        ) from exc
+    except ValueError:
+        return None
 
 
 def _assemble_profile(spec, omega, n, k, s, h_r) -> RadialProfile:
@@ -479,8 +476,19 @@ def _solve_wave(spec, omega, n, k) -> SolitaryWave:
             f"S2={'ok' if report.s2_holds else 'violated'}"
         )
     delta = math.sqrt(spec.mass_sq - omega**2)
-    s_lo, s_hi = _scan_bracket(spec, omega, n, k)
-    s_conv = _converge(spec, omega, n, k, s_lo, s_hi)
+    pairs = []
+    for s_lo, s_hi in _scan_pairs(spec, omega, n, k):
+        pairs.append(f"({s_lo:.3g}, {s_hi:.3g})")
+        s_conv = _converge(spec, omega, n, k, s_lo, s_hi)
+        if s_conv is not None:
+            break
+    else:
+        raise NoBracket(
+            f"no Undershot/Overshot bracket for omega={omega}, n={n}, k={k} on "
+            f"(0, {spec.amplitude_cap}]: "
+            + (f"scan pairs {', '.join(pairs)} fail at the solver's tolerance"
+               if pairs else "conditions may fail or amplitude_cap may be too small")
+        )
     profile = _assemble_profile(spec, omega, n, k, s_conv, 1.0 / (GRID_DENSITY * delta))
     if profile.node_count != 0:
         raise NodeCountMismatch(
@@ -504,9 +512,8 @@ def find_ground_state(spec: PotentialSpec, omega: float, n: int) -> SolitaryWave
     and Overshot until the bracket is below SHOOT_TOL (relative), then
     splices the analytic tail.  The profile grid has spacing
     1 / (GRID_DENSITY delta); resample_wave rebuilds it on any other spacing.
-    Raises NoBracket if the 64-point scan finds no bracket or its pair does
-    not hold at the solver's tolerance, NodeCountMismatch if the converged
-    profile has interior nodes.
+    Raises NoBracket if no pair of the 64-point scan holds at the solver's
+    tolerance, NodeCountMismatch if the converged profile has interior nodes.
     """
     if n not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {n}")

@@ -1,14 +1,18 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from solwave.boost import (FieldSample, GridSpec, GridTooSmall, boost_scan,
-                           grid_for, load_sample, measure_energy,
+from solwave.boost import (BOUNDARY_DECAY, FieldSample, GridSpec, GridTooSmall,
+                           boost_scan, grid_for, load_sample, measure_energy,
                            measure_momentum, sample_boosted, save_sample,
                            scan_to_csv)
 from solwave.functionals import (Provenance, SuperluminalVelocity,
-                                 compute_functionals, predict_energy_momentum)
+                                 compute_functionals, lorentz_boost,
+                                 predict_energy_momentum)
+from solwave.radial import WaveInterpolant
+from solwave.stencil import row_blocks
 
 from conftest import AMP, KAPPA, ORACLE
 
@@ -92,6 +96,111 @@ class TestSampling:
         g2 = GridSpec(n=2, extent=(30.0, 30.0), points=(64, 64))
         with pytest.raises(ValueError):
             sample_boosted(wave_1d, [0.0, 0.0], g2, t=0.0)
+
+
+def reference_sample(wave, v, grid, t):
+    """(psi, psi_dot) from the full-array formula: every cell's phase is
+    exp(-i omega gamma (t - v.x)) and its vortex factor exp(i k atan2(y_1, y_0))."""
+    v, speed, gamma = lorentz_boost(v, wave.n)
+    mesh = np.meshgrid(*grid.axes(), indexing="ij", sparse=True)
+    if speed > 0:
+        e = v / speed
+        x_dot_e = sum(m * ei for m, ei in zip(mesh, e))
+        y = [m + (gamma - 1.0) * x_dot_e * ei - gamma * vi * t
+             for m, ei, vi in zip(mesh, e, v)]
+        v_dot_x = speed * x_dot_e
+    else:
+        y, v_dot_x = mesh, 0.0
+    y = [np.broadcast_to(yj, grid.points) for yj in y]
+    r = np.sqrt(sum(yj**2 for yj in y))
+    interp = WaveInterpolant(wave)
+    R, dR = interp.value(r), interp.derivative(r)
+    safe_r = np.where(r > 0, r, 1.0)
+    if wave.k == 0:
+        a = R.astype(complex)
+        grad_a = [dR * yj / safe_r * (r > 0) for yj in y]
+    else:
+        phi = np.arctan2(y[1], y[0])
+        ang = np.exp(1j * wave.k * phi)
+        a = R * ang
+        R_over_r = np.where(r > 0, R / safe_r, 0.0)
+        grad_a = [(dR * np.cos(phi) - 1j * wave.k * R_over_r * np.sin(phi)) * ang * (r > 0),
+                  (dR * np.sin(phi) + 1j * wave.k * R_over_r * np.cos(phi)) * ang * (r > 0)]
+    phase = np.exp(-1j * wave.omega * gamma * (t - v_dot_x))
+    v_grad_a = sum(vi * g for vi, g in zip(v, grad_a)) if speed > 0 else 0.0
+    return a * phase, (-gamma * v_grad_a - 1j * gamma * wave.omega * a) * phase
+
+
+class TestBlockedSampler:
+    # (wave fixture, v, t, h); the 1D and 2D grids end in a ragged row block
+    CASES = [
+        ("wave_1d", [0.6], 1.3, 0.005),
+        ("wave_1d", [-0.3], 0.0, 0.005),
+        ("wave_2d", [0.6, 0.0], 0.7, 0.25),
+        ("wave_2d", [0.3, -0.4], 0.7, 0.25),
+        ("wave_3d", [0.0, 0.5, 0.0], 0.7, 1.2),
+        ("wave_3d", [0.3, -0.4, 0.2], 0.7, 1.2),
+        ("wave_k1", [0.0, 0.0], 0.7, 0.25),
+        ("wave_k1", [0.6, 0.0], 0.7, 0.25),
+        ("wave_k1", [0.3, -0.4], 0.7, 0.25),
+        ("wave_k2", [0.0, 0.6], 0.7, 0.25),
+        ("wave_k2", [-0.3, 0.4], 0.7, 0.25),
+    ]
+
+    @pytest.mark.parametrize("name,v,t,h", CASES)
+    def test_matches_full_array_formula(self, request, name, v, t, h):
+        wave = request.getfixturevalue(name)
+        grid = grid_for(wave, v, t, h)
+        sample = sample_boosted(wave, v, grid, t=t)
+        psi, psi_dot = reference_sample(wave, v, grid, t)
+        assert np.max(np.abs(sample.psi - psi)) <= 1e-13 * np.max(np.abs(psi))
+        assert np.max(np.abs(sample.psi_dot - psi_dot)) <= 1e-13 * np.max(np.abs(psi_dot))
+        blocks = row_blocks(sample.psi)
+        if wave.n < 3:
+            assert len(blocks) > 1
+            assert blocks[-1].stop - blocks[-1].start < blocks[0].stop
+        assert sample.time == t
+
+    def test_memory_is_two_fields(self, wave_k1):
+        # about 1M cells; the vortex factor and an oblique boost take the
+        # most block temporaries
+        v = [0.3, -0.4]
+        grid = grid_for(wave_k1, v, 0.0, 0.09)
+        field_bytes = 16 * int(np.prod(grid.points))
+        assert 0.9e6 < np.prod(grid.points) < 1.2e6
+        tracemalloc.start()
+        try:
+            sample_boosted(wave_k1, v, grid, t=0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * field_bytes
+
+    def test_grid_too_small_at_threshold(self, wave_2d):
+        # A cell-centred grid cropped by c cells on every side keeps its cell
+        # centres, so the full-array field of one large grid gives each
+        # crop's boundary amplitude.  The largest crop below 1e-8 of the peak
+        # must sample; one cell more on each side must raise.
+        v, t, h = [0.3, -0.4], 0.7, 0.25
+        big = grid_for(wave_2d, v, t, h)
+        amp = np.abs(reference_sample(wave_2d, v, big, t)[0])
+        peak = amp.max()
+
+        def boundary(c):
+            inner = amp[c:amp.shape[0] - c, c:amp.shape[1] - c]
+            return max(inner[[0, -1], :].max(), inner[:, [0, -1]].max())
+
+        c = 0
+        while boundary(c + 1) < BOUNDARY_DECAY * peak:
+            c += 1
+
+        def crop(c):
+            return GridSpec(n=2, extent=tuple(L - c * h for L in big.extent),
+                            points=tuple(N - 2 * c for N in big.points))
+
+        sample_boosted(wave_2d, v, crop(c), t=t)
+        with pytest.raises(GridTooSmall):
+            sample_boosted(wave_2d, v, crop(c + 1), t=t)
 
 
 class TestMeasurement:

@@ -38,6 +38,14 @@ def test_amplitude_matches_separatrix(wave_cq_1d):
     assert wave_cq_1d.profile.shoot_param > np.sqrt(0.72)
 
 
+def test_amplitude_where_the_scan_misreads_a_pair():
+    # at omega = 0.6 the rtol-1e-6 scan's first pair, (2.99e-5, 3.73e-5), is
+    # no (Undershot, Overshot) pair at the solver's tolerance: the solver has
+    # to try the scan's other pairs
+    wave = find_ground_state(CQ, 0.6, 1)
+    assert wave.profile.shoot_param == pytest.approx(expected_amplitude(CQ, 0.6), rel=1e-12)
+
+
 def test_profile_quality(wave_cq_1d):
     assert equation_residual(wave_cq_1d) < 1e-6
     assert fit_tail_decay(wave_cq_1d) == pytest.approx(0.6, rel=1e-4)

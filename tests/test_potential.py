@@ -12,6 +12,17 @@ def test_potential_values(cubic):
     assert evaluate_potential(mass_only, 2.0) == pytest.approx(2.0, abs=0)
 
 
+@pytest.mark.parametrize("exponent", range(3, 9))
+def test_potential_powers_match_general_power(exponent):
+    # one term, so the relative bound is not spoilt by cancellation
+    spec = PotentialSpec(mass_sq=0.0, terms=((1.0, exponent),))
+    a = np.concatenate([[0.0], np.random.default_rng(exponent).uniform(0.0, 3.0, 2000)])
+    expected = -(a ** exponent) / exponent
+    got = evaluate_potential(spec, a)
+    assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
+    assert evaluate_potential(spec, 0.0) == 0.0
+
+
 def test_force_values(cubic):
     assert evaluate_force(cubic, 0.0) == 0.0
     assert evaluate_force(cubic, 1.0) == pytest.approx(0.0, abs=1e-15)
