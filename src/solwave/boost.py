@@ -15,7 +15,8 @@ row block of solwave.stencil at a time, and they are the only full-size
 arrays it allocates.  Within a block the phase is the constant
 e^{-i omega gamma t} times the outer product of one 1D factor
 e^{i omega gamma v_j x_j} per axis, the vortex factor e^{i k phi} of a k >= 1
-wave is ((y_0 + i y_1)/r)^k, and R, R' are evaluated on the block's r only.
+wave is ((y_0 + i y_1)/r)^k, and R, R' come from one radial.WaveInterpolant
+call on the block's r.
 The boundary-decay check compares |psi| on the boundary faces with the
 largest |R|.
 
@@ -180,7 +181,7 @@ def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> Fie
              for xj, ej, vj in zip(x, e, v)]
         r = np.sqrt(sum(yj**2 for yj in y))
         safe_r = np.where(r > 0, r, 1.0)  # y = 0 where r = 0, so every y/r term is 0 there
-        R = interp.value(r)
+        R, dR = interp(r)
         u = factors[0][rows]
         for vj, f in zip(v[1:], factors[1:]):
             if vj:
@@ -196,7 +197,7 @@ def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> Fie
         np.multiply(R, -gamma * omega, out=out.imag)
         if speed > 0:
             v_dot_y = sum(vj * yj for vj, yj in zip(v, y))
-            np.multiply(interp.derivative(r), v_dot_y / safe_r, out=out.real)
+            np.multiply(dR, v_dot_y / safe_r, out=out.real)
             out.real *= -gamma
             if k:
                 out.imag -= (gamma * k) * R * (v[1] * y[0] - v[0] * y[1]) / safe_r**2

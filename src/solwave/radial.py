@@ -22,7 +22,8 @@ linear-regime tail
 
 the large-r asymptotic of the linearized equation (a1, a2 derived from n and
 k; both vanish for n = 1 and n = 3 ground states, where the leading form is
-exact).
+exact).  WaveInterpolant evaluates R and R' by Hermite interpolation of R, R'
+and R'' (from the equation) on the grid, and by the tail model beyond it.
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ from enum import Enum
 
 import numpy as np
 from scipy.integrate import DOP853, OdeSolution
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .artifacts import write_csv, write_json
-from .potential import PotentialSpec, check_conditions
+from .potential import PotentialSpec, check_conditions, force_slope
 
 __all__ = [
     "ShootOutcome",
@@ -139,59 +139,52 @@ class SolitaryWave:
         return math.sqrt(self.spec.mass_sq - self.omega**2)
 
 
-def _tail_series(n: int, k: int) -> tuple[float, float]:
-    """First two correction coefficients of the linear-tail asymptotics.
+def _tail(r, prefactor, delta, n, k):
+    """(R, R') of the linear-regime tail
+    prefactor * r^{-(n-1)/2} e^{-delta r} (1 + a1/(delta r) + a2/(delta r)^2).
 
-    The linearized radial equation has decaying solution
-    r^{-(n-1)/2} e^{-delta r} (1 + a1/(delta r) + a2/(delta r)^2 + ...)
-    with mu^2 = ((n-2)/2)^2 + k^2; both coefficients vanish for the n=1 and
-    n=3 ground states, where the leading form is exact.
+    The linearized radial equation has this decaying solution with
+    mu^2 = ((n-2)/2)^2 + k^2; a1 and a2 vanish for the n=1 and n=3 ground
+    states, where the leading form is exact.
     """
     mu4 = 4.0 * (((n - 2) / 2.0) ** 2 + k * k)
     a1 = (mu4 - 1.0) / 8.0
     a2 = (mu4 - 1.0) * (mu4 - 9.0) / 128.0
-    return a1, a2
-
-
-def _tail_correction(r, delta, n, k):
-    a1, a2 = _tail_series(n, k)
-    z = delta * np.asarray(r, dtype=float)
-    return 1.0 + a1 / z + a2 / z**2
-
-
-def _tail_value(r, prefactor, delta, n, k):
     r = np.asarray(r, dtype=float)
-    shape = r ** (-(n - 1) / 2.0) * np.exp(-delta * r)
-    return prefactor * shape * _tail_correction(r, delta, n, k)
+    inv_r = 1.0 / r
+    z = inv_r / delta
+    shape = prefactor * np.exp(-delta * r)
+    if n == 2:
+        shape /= np.sqrt(r)
+    elif n == 3:
+        shape *= inv_r
+    corr = 1.0 + z * (a1 + a2 * z)
+    dcorr = -z * inv_r * (a1 + 2.0 * a2 * z)
+    return shape * corr, shape * (dcorr - (delta + 0.5 * (n - 1) * inv_r) * corr)
 
 
-def _tail_derivative(r, prefactor, delta, n, k):
-    r = np.asarray(r, dtype=float)
-    a1, a2 = _tail_series(n, k)
-    shape = r ** (-(n - 1) / 2.0) * np.exp(-delta * r)
-    val = 1.0 + a1 / (delta * r) + a2 / (delta * r) ** 2
-    dval = -a1 / (delta * r**2) - 2.0 * a2 / (delta**2 * r**3)
-    return prefactor * shape * (dval - (delta + (n - 1) / (2.0 * r)) * val)
+def _curvature(spec: PotentialSpec, omega: float, n: int, k: int, r, R, dR):
+    """R'' from the amplitude equation at r > 0, elementwise over arrays."""
+    return (k * k) * R / r**2 - (n - 1) * dR / r - (force_slope(spec, np.abs(R)) + omega**2) * R
 
 
-def _nonlinear_force(spec: PotentialSpec, R):
-    """sum_j c_j |R|^(e_j - 2) R, the non-mass part of U'(R) extended to real R."""
-    out = np.zeros_like(np.asarray(R, dtype=float))
-    absR = np.abs(R)
-    for coupling, exponent in spec.terms:
-        out = out + coupling * absR ** (exponent - 2) * R
-    return out
+def _origin_curvature(spec: PotentialSpec, omega: float, n: int, k: int, s: float) -> float:
+    """R''(0) from the origin series: (U'(s) - omega^2 s)/n for R ~ s + R''(0) r^2/2
+    (k = 0); for R ~ s r^k, 2s at k = 2 and 0 otherwise."""
+    if k == 0:
+        # this order fixes the shot's initial slope, and the converged datum, to the bit
+        nonlinear = sum(coupling * s ** (exponent - 2) * s for coupling, exponent in spec.terms)
+        return (spec.mass_sq * s - nonlinear - omega**2 * s) / n
+    return 2.0 * s if k == 2 else 0.0
 
 
 def _series_start(spec: PotentialSpec, omega: float, n: int, k: int, s: float, r0: float):
-    """Series initial data regularizing the (n-1)/r and k^2/r^2 terms at r = 0."""
-    m2, w2 = spec.mass_sq, omega**2
+    """Series initial data R ~ s r^k + c r^{k+2} regularizing the (n-1)/r and
+    k^2/r^2 terms at r = 0: c = R''(0)/2 for k = 0, at the linear level otherwise."""
     if k == 0:
-        # R ~ s + (U'(s) - w^2 s) r^2 / (2n)
-        c = (m2 * s - float(_nonlinear_force(spec, s)) - w2 * s) / (2.0 * n)
-        return s + c * r0**2, 2.0 * c * r0
-    # R ~ s r^k + c r^{k+2} at the linear level
-    c = (m2 - w2) * s / (4.0 * (k + 1))
+        c = _origin_curvature(spec, omega, n, k, s) / 2.0
+    else:
+        c = (spec.mass_sq - omega**2) * s / (4.0 * (k + 1))
     return s * r0**k + c * r0 ** (k + 2), k * s * r0 ** (k - 1) + (k + 2) * c * r0 ** (k + 1)
 
 
@@ -373,8 +366,9 @@ def _assemble_profile(spec, omega, n, k, s, h_r) -> RadialProfile:
         raise StepFailure(f"trajectory too short to assemble (r_end={r_end:.3g})")
     grid, vals, ders = _sample(sol, k, s, m, h_r)
 
-    max_R = float(np.max(np.abs(vals)))
-    j_peak = int(np.argmax(np.abs(vals)))
+    absv = np.abs(vals)
+    max_R = float(np.max(absv))
+    j_peak = int(np.argmax(absv))
     q = np.maximum(np.abs(vals), np.abs(ders) / delta)
     j_cut = j_peak + int(np.argmin(q[j_peak:]))
     q_min = q[j_cut]
@@ -390,19 +384,16 @@ def _assemble_profile(spec, omega, n, k, s, h_r) -> RadialProfile:
     # least-squares prefactor over the last clean decade of numeric data
     r_opt = math.sqrt(max(q_min, 1e-12 * max_R) * max_R)
     lo, hi = r_opt / math.sqrt(10.0), r_opt * math.sqrt(10.0)
-    absv = np.abs(vals)
     mask = (absv >= lo) & (absv <= hi) & (np.arange(m + 1) > j_peak) & (np.arange(m + 1) <= j_cut)
     if np.count_nonzero(mask) < 8:
         mask = (absv >= lo / 10) & (absv <= hi * 10) & (np.arange(m + 1) > j_peak) & (np.arange(m + 1) <= j_cut)
     sign = 1.0 if vals[j_cut] >= 0 else -1.0
     if np.count_nonzero(mask) >= 4:
         rw = grid[mask]
-        z = (np.log(absv[mask]) + 0.5 * (n - 1) * np.log(rw) + delta * rw
-             - np.log(_tail_correction(rw, delta, n, k)))
+        z = np.log(absv[mask]) - np.log(np.abs(_tail(rw, 1.0, delta, n, k)[0]))
         prefactor = sign * float(np.exp(np.mean(z)))
     else:  # anchor at the cut point
-        rc = grid[j_cut]
-        prefactor = vals[j_cut] / float(_tail_value(rc, 1.0, delta, n, k))
+        prefactor = vals[j_cut] / float(_tail(grid[j_cut], 1.0, delta, n, k)[0])
 
     # Hand off from numeric data to the tail model across one decade with a
     # C^1 smoothstep: a hard seam at the veer-noise level would dominate the
@@ -420,10 +411,10 @@ def _assemble_profile(spec, omega, n, k, s, h_r) -> RadialProfile:
         j_a = j_b = j_cut
 
     def log_excess(r):
-        return float(np.log(np.abs(_tail_value(r, prefactor, delta, n, k))) - np.log(threshold))
+        return float(np.log(np.abs(_tail(r, prefactor, delta, n, k)[0])) - np.log(threshold))
 
     r_b = grid[j_b]
-    if abs(_tail_value(max(r_b, h_r), prefactor, delta, n, k)) > threshold:
+    if abs(_tail(max(r_b, h_r), prefactor, delta, n, k)[0]) > threshold:
         r_match = brentq(log_excess, max(r_b, h_r), r_b + 40.0 / delta)
         m_total = int(math.ceil(r_match / h_r)) + 2
     else:
@@ -440,14 +431,11 @@ def _assemble_profile(spec, omega, n, k, s, h_r) -> RadialProfile:
         t = (rb - grid_full[j_a]) / (grid_full[j_b] - grid_full[j_a])
         phi = t * t * (3.0 - 2.0 * t)
         dphi = 6.0 * t * (1.0 - t) / (grid_full[j_b] - grid_full[j_a])
-        mv = _tail_value(rb, prefactor, delta, n, k)
-        md = _tail_derivative(rb, prefactor, delta, n, k)
+        mv, md = _tail(rb, prefactor, delta, n, k)
         new_vals[j_a + 1 : j_b] = (1.0 - phi) * vals[j_a + 1 : j_b] + phi * mv
         new_ders[j_a + 1 : j_b] = ((1.0 - phi) * ders[j_a + 1 : j_b] + phi * md
                                    + dphi * (mv - vals[j_a + 1 : j_b]))
-    rt = grid_full[j_b:]
-    new_vals[j_b:] = _tail_value(rt, prefactor, delta, n, k)
-    new_ders[j_b:] = _tail_derivative(rt, prefactor, delta, n, k)
+    new_vals[j_b:], new_ders[j_b:] = _tail(grid_full[j_b:], prefactor, delta, n, k)
 
     below = np.nonzero(np.abs(new_vals) < threshold)[0]
     below = below[below > j_peak]
@@ -562,28 +550,24 @@ def equation_residual(wave: SolitaryWave) -> float:
     h = p.h_r
     d2 = (R[2:] - 2.0 * R[1:-1] + R[:-2]) / h**2
     d1 = (R[2:] - R[:-2]) / (2.0 * h)
-    rr = r[1:-1]
-    Ri = R[1:-1]
-    m2, w2 = wave.spec.mass_sq, wave.omega**2
-    res = (d2 + (wave.n - 1) / rr * d1 - (wave.k**2 / rr**2) * Ri
-           + (w2 - m2) * Ri + _nonlinear_force(wave.spec, Ri))
-    return float(np.max(np.abs(res)) / (np.max(np.abs(R)) * m2))
+    res = d2 - _curvature(wave.spec, wave.omega, wave.n, wave.k, r[1:-1], R[1:-1], d1)
+    return float(np.max(np.abs(res)) / (np.max(np.abs(R)) * wave.spec.mass_sq))
 
 
 def fit_tail_decay(wave: SolitaryWave) -> float:
     """Decay rate fitted from the numeric tail data (diagnostic).
 
-    Fits ln(|R| r^{(n-1)/2}) - ln(asymptotic correction) against [1, r] over
-    the window |R|/max ~ [1e-5, 1e-3]: deep enough for the linear regime,
+    Fits ln|R| - ln|tail model at unit prefactor| against [1, r] over the
+    window |R|/max ~ [1e-5, 1e-3]: deep enough for the linear regime,
     shallow enough to stay clear of the growing-mode veer.  Dividing out the
-    known short asymptotic series leaves a clean exponential whose slope
-    tests the data against the linearization rate.
+    model's power law and short asymptotic series leaves an exponential whose
+    slope is the data's departure from the linearization rate delta.
     """
     p = wave.profile
     if p.tail is None or p.numeric_radius is None:
         raise ValueError("wave has no certified tail to fit")
-    max_R = float(np.max(np.abs(p.values)))
     absv = np.abs(p.values)
+    max_R = float(np.max(absv))
     r_peak = p.r_grid[int(np.argmax(absv))]
     numeric = (p.r_grid <= p.numeric_radius) & (p.r_grid > r_peak)
     lo, hi = 1e-5 * max_R, 1e-3 * max_R
@@ -591,62 +575,65 @@ def fit_tail_decay(wave: SolitaryWave) -> float:
     if np.count_nonzero(mask) < 8:
         mask = numeric & (absv > lo / 100) & (absv < hi * 10)
     rw = p.r_grid[mask]
-    z = (np.log(absv[mask]) + 0.5 * (wave.n - 1) * np.log(rw)
-         - np.log(_tail_correction(rw, p.tail.delta, wave.n, wave.k)))
+    z = np.log(absv[mask]) - np.log(np.abs(_tail(rw, 1.0, p.tail.delta, wave.n, wave.k)[0]))
     basis = np.column_stack([np.ones_like(rw), rw])
     coef, *_ = np.linalg.lstsq(basis, z, rcond=None)
-    return float(-coef[1])
+    return float(p.tail.delta - coef[1])
 
 
 class WaveInterpolant:
-    """Vectorized R(r), R'(r) evaluation: clamped cubic splines on the stored
-    grid, analytic tail beyond match_radius."""
+    """R(r) and R'(r) of a wave in one vectorized call, interp(r) -> (R, R').
+
+    In the stored grid's cell j = floor(r/h) (the last cell for r = r_end),
+    R is the quintic Hermite interpolant of (R, R', R'') at the cell's two
+    nodes and R' the cubic Hermite interpolant of (R', R''); R'' comes from
+    the amplitude equation, at r = 0 from the origin series.  R' is not the
+    quintic's own derivative, which would turn the nodes' ~2e-10 noise into
+    about noise/h.  Past r_end the analytic tail takes over.
+    """
 
     def __init__(self, wave: SolitaryWave):
         p = wave.profile
         if p.tail is None:
             raise ValueError("wave has no certified tail")
-        self.n, self.k = wave.n, wave.k
-        self.tail = p.tail
+        n, k = wave.n, wave.k
+        self._tail_args = (p.tail.prefactor, p.tail.delta, n, k)
         self.r_end = float(p.r_grid[-1])
-        d_end = _tail_derivative(self.r_end, p.tail.prefactor, p.tail.delta, self.n, self.k)
-        self._spline = CubicSpline(
-            p.r_grid, p.values, bc_type=((1, float(p.derivative[0])), (1, float(d_end)))
-        )
-        # clamp the derivative spline with R'' from the equation at both ends
-        m2, w2 = wave.spec.mass_sq, wave.omega**2
-        if wave.k == 0:
-            s = p.values[0]
-            dd0 = (m2 * s - float(_nonlinear_force(wave.spec, s)) - w2 * s) / wave.n
-        elif wave.k == 2:
-            # R ~ s r^2 near the origin
-            r1 = p.r_grid[1]
-            dd0 = 2.0 * p.values[1] / r1**2 if r1 > 0 else 0.0
-        else:
-            dd0 = 0.0
-        rhs = _rhs(wave.spec, wave.omega, self.n, self.k)
-        _, dd_end = rhs(p.r_grid[-1], (p.values[-1], p.derivative[-1]))
-        self._dspline = CubicSpline(
-            p.r_grid, p.derivative, bc_type=((1, float(dd0)), (1, float(dd_end)))
-        )
+        h = p.h_r
+        self._inv_h = 1.0 / h
+        R, dR = p.values, p.derivative
+        dd = np.empty_like(R)
+        dd[0] = _origin_curvature(wave.spec, wave.omega, n, k, p.shoot_param)
+        dd[1:] = _curvature(wave.spec, wave.omega, n, k, p.r_grid[1:], R[1:], dR[1:])
+        # per cell j, the power-series coefficients in t = r/h - j of the
+        # quintic (rows 0-5) and the cubic (rows 6-9), from the node data in
+        # units of t: d = h R', e = h^2 R'' and g = h R''
+        dy, d_dR = R[1:] - R[:-1], dR[1:] - dR[:-1]
+        d0, d1 = h * dR[:-1], h * dR[1:]
+        g0, g1 = h * dd[:-1], h * dd[1:]
+        e0, e1 = h * g0, h * g1
+        self._coef = np.stack([
+            R[:-1], d0, 0.5 * e0,
+            10.0 * dy - 6.0 * d0 - 4.0 * d1 - 1.5 * e0 + 0.5 * e1,
+            -15.0 * dy + 8.0 * d0 + 7.0 * d1 + 1.5 * e0 - e1,
+            6.0 * dy - 3.0 * d0 - 3.0 * d1 - 0.5 * e0 + 0.5 * e1,
+            dR[:-1], g0, 3.0 * d_dR - 2.0 * g0 - g1, -2.0 * d_dR + g0 + g1,
+        ])
 
-    def value(self, r):
+    def __call__(self, r):
         r = np.asarray(r, dtype=float)
+        R = np.empty_like(r)
+        dR = np.empty_like(r)
         inside = r <= self.r_end
-        out = np.empty_like(r)
-        out[inside] = self._spline(r[inside])
-        t = self.tail
-        out[~inside] = _tail_value(r[~inside], t.prefactor, t.delta, self.n, self.k)
-        return out
-
-    def derivative(self, r):
-        r = np.asarray(r, dtype=float)
-        inside = r <= self.r_end
-        out = np.empty_like(r)
-        out[inside] = self._dspline(r[inside])
-        t = self.tail
-        out[~inside] = _tail_derivative(r[~inside], t.prefactor, t.delta, self.n, self.k)
-        return out
+        x = r[inside] * self._inv_h
+        j = np.minimum(x.astype(np.intp), self._coef.shape[1] - 1)
+        t = x - j
+        c = self._coef.take(j, axis=1)
+        R[inside] = c[0] + t * (c[1] + t * (c[2] + t * (c[3] + t * (c[4] + t * c[5]))))
+        dR[inside] = c[6] + t * (c[7] + t * (c[8] + t * c[9]))
+        outside = ~inside
+        R[outside], dR[outside] = _tail(r[outside], *self._tail_args)
+        return R, dR
 
 
 def save_wave(wave: SolitaryWave, csv_path, sidecar_path) -> None:
@@ -665,14 +652,25 @@ def save_wave(wave: SolitaryWave, csv_path, sidecar_path) -> None:
         "shoot_param": p.shoot_param,
         "node_count": p.node_count,
         "numeric_radius": p.numeric_radius,
+        "mass_sq": wave.spec.mass_sq,
+        "terms": [list(term) for term in wave.spec.terms],
     }
     write_json(sidecar_path, sidecar)
 
 
 def load_wave(csv_path, sidecar_path, spec: PotentialSpec) -> SolitaryWave:
-    """Reconstruct a wave from save_wave output plus its potential spec."""
+    """Reconstruct a wave from save_wave output plus its potential spec.
+
+    Raises ValueError when spec's mass_sq or terms differ from the potential
+    the sidecar records (amplitude_cap only bounds the scan and may differ).
+    """
     with open(sidecar_path) as fh:
         meta = json.load(fh)
+    saved = (meta.get("mass_sq"), meta.get("terms"))
+    given = (spec.mass_sq, [list(term) for term in spec.terms])
+    if saved != given:
+        raise ValueError(f"{sidecar_path}: the wave was solved for mass_sq={saved[0]}, "
+                         f"terms={saved[1]}, not for mass_sq={given[0]}, terms={given[1]}")
     data = np.genfromtxt(csv_path, delimiter=",", skip_header=1)
     profile = RadialProfile(
         r_grid=data[:, 0],

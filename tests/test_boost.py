@@ -114,7 +114,7 @@ def reference_sample(wave, v, grid, t):
     y = [np.broadcast_to(yj, grid.points) for yj in y]
     r = np.sqrt(sum(yj**2 for yj in y))
     interp = WaveInterpolant(wave)
-    R, dR = interp.value(r), interp.derivative(r)
+    R, dR = interp(r)
     safe_r = np.where(r > 0, r, 1.0)
     if wave.k == 0:
         a = R.astype(complex)

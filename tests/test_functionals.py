@@ -52,10 +52,10 @@ class TestGridCrossCheck:
         r = np.sqrt(sum(m**2 for m in mesh))
         interp = WaveInterpolant(wave)
         if wave.k == 0:
-            a = interp.value(r).astype(complex)
+            a = interp(r)[0].astype(complex)
         else:
             phi = np.arctan2(mesh[1], mesh[0])
-            a = interp.value(r) * np.exp(1j * wave.k * phi)
+            a = interp(r)[0] * np.exp(1j * wave.k * phi)
         vol = h**n
         i0 = 0.5 * np.sum(np.abs(a) ** 2) * vol
         i_k = []

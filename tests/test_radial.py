@@ -262,31 +262,32 @@ class TestNodeCounting:
 
 class TestInterpolantAndSerialization:
     def test_interpolant_matches_oracle(self, wave_1d):
-        interp = WaveInterpolant(wave_1d)
-        r = np.linspace(0.0, 20.0, 777)
-        exact = AMP / np.cosh(KAPPA * r)
-        assert np.max(np.abs(interp.value(r) - exact)) < 1e-7
+        # between the nodes (0.37 h past each), through the stored grid and
+        # 10/delta into the analytic tail; the nodes themselves carry 1.8e-10
+        p = wave_1d.profile
+        r = np.arange(0.37, (p.r_grid[-1] + 10.0 / KAPPA) / p.h_r) * p.h_r
+        R, dR = WaveInterpolant(wave_1d)(r)
+        assert np.max(np.abs(R - AMP / np.cosh(KAPPA * r))) < 5e-10 * AMP
         d_exact = -AMP * KAPPA * np.sinh(KAPPA * r) / np.cosh(KAPPA * r) ** 2
-        assert np.max(np.abs(interp.derivative(r) - d_exact)) < 1e-6
+        assert np.max(np.abs(dR - d_exact)) < 5e-10 * AMP * KAPPA
 
     @pytest.mark.parametrize("fixture", ["wave_k1", "wave_k2"])
     def test_interpolant_near_axis(self, request, fixture):
-        # R ~ s r^k at the first cell midpoints; k = 2 needs the R'' = 2s
-        # clamp of the derivative spline at the origin
+        # R ~ s r^k at the first cell midpoints; k = 2 needs R''(0) = 2s from
+        # the origin series at the first node
         wave = request.getfixturevalue(fixture)
         p, k = wave.profile, wave.k
-        interp = WaveInterpolant(wave)
         r = (np.arange(5) + 0.5) * p.h_r
+        R, dR = WaveInterpolant(wave)(r)
         s = p.shoot_param
-        np.testing.assert_allclose(interp.value(r), s * r**k, rtol=1e-3)
-        np.testing.assert_allclose(interp.derivative(r), k * s * r ** (k - 1), rtol=1e-3)
+        np.testing.assert_allclose(R, s * r**k, rtol=1e-3)
+        np.testing.assert_allclose(dR, k * s * r ** (k - 1), rtol=1e-3)
 
     def test_interpolant_tail_region(self, wave_1d):
         mr = wave_1d.profile.tail.match_radius
-        interp = WaveInterpolant(wave_1d)
         r = np.linspace(mr + 1, mr + 15, 50)
         exact = 2 * AMP * np.exp(-KAPPA * r)
-        np.testing.assert_allclose(interp.value(r), exact, rtol=1e-4)
+        np.testing.assert_allclose(WaveInterpolant(wave_1d)(r)[0], exact, rtol=1e-4)
 
     def test_save_load_roundtrip(self, wave_2d, cubic, tmp_path):
         csv_path = tmp_path / "wave.csv"
@@ -298,6 +299,19 @@ class TestInterpolantAndSerialization:
         np.testing.assert_allclose(back.profile.values, wave_2d.profile.values,
                                    rtol=0, atol=1e-16)
         assert back.profile.tail.match_radius == wave_2d.profile.tail.match_radius
+
+    def test_load_refuses_another_potential(self, wave_2d, tmp_path):
+        csv_path, sidecar = tmp_path / "wave.csv", tmp_path / "wave.json"
+        save_wave(wave_2d, csv_path, sidecar)
+        # the cubic-quintic potential of test_cubic_quintic.py
+        cq = PotentialSpec(mass_sq=1.0, terms=((1.0, 4), (-0.1, 6)), amplitude_cap=10.0)
+        with pytest.raises(ValueError) as exc:
+            load_wave(csv_path, sidecar, cq)
+        assert "terms=[[1.0, 4]]," in str(exc.value)
+        assert "terms=[[1.0, 4], [-0.1, 6]]" in str(exc.value)
+        # amplitude_cap only bounds the scan
+        wider = PotentialSpec(mass_sq=1.0, terms=((1.0, 4),), amplitude_cap=20.0)
+        assert load_wave(csv_path, sidecar, wider).profile.shoot_param == wave_2d.profile.shoot_param
 
     def test_serialization_deterministic(self, wave_1d, tmp_path):
         a1, a2 = tmp_path / "a.csv", tmp_path / "a.json"
