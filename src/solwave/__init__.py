@@ -9,15 +9,13 @@ P_v = E_0 v/sqrt(1-v^2).
 
 from .potential import (ConditionReport, PotentialSpec, check_conditions,
                         evaluate_force, evaluate_potential, expected_amplitude)
-from .radial import (NoBracket, NodeCountMismatch, RadialProfile, ShootOutcome,
-                     SolitaryWave, StepFailure, TailFit, WaveInterpolant,
-                     count_nodes, equation_residual, find_excited_state,
-                     find_ground_state, fit_tail_decay, load_wave,
-                     resample_wave, save_wave, shoot)
+from .radial import (NoBracket, NodeCountMismatch, RadialProfile, SolitaryWave,
+                     StepFailure, TailFit, WaveInterpolant, equation_residual,
+                     find_excited_state, find_ground_state, fit_tail_decay,
+                     load_wave, resample_wave, save_wave)
 from .functionals import (EnergyMomentum, FunctionalReport, Provenance,
-                          SuperluminalVelocity, TailNotCertified,
-                          compute_functionals, lorentz_boost,
-                          predict_energy_momentum)
+                          SuperluminalVelocity, compute_functionals,
+                          lorentz_boost, predict_energy_momentum)
 from .boost import (FieldSample, GridSpec, GridTooSmall, ScanRow, ZeroField,
                     boost_scan, center_of_energy, grid_for, load_sample,
                     measure_energy, measure_momentum, sample_boosted,

@@ -342,9 +342,9 @@ def scan_to_json(rows: list[ScanRow], path) -> None:
 
 
 def save_sample(sample: FieldSample, path) -> None:
-    """Flat binary layout, little-endian float64 throughout:
+    """Flat binary layout, little-endian throughout:
     header  = [n] + [N_1..N_n] as int64, [L_1..L_n] + [time] as float64,
-    payload = interleaved re/im of psi (C order), then of psi_dot.
+    payload = psi, then psi_dot, each as complex128 (re/im float64 pairs) in C order.
     """
     g = sample.grid
 
@@ -354,10 +354,7 @@ def save_sample(sample: FieldSample, path) -> None:
         fh.write(struct.pack(f"<{g.n}d", *g.extent))
         fh.write(struct.pack("<d", sample.time))
         for field in (sample.psi, sample.psi_dot):
-            inter = np.empty(field.size * 2)
-            inter[0::2] = field.real.ravel(order="C")
-            inter[1::2] = field.imag.ravel(order="C")
-            fh.write(inter.astype("<f8").tobytes())
+            fh.write(np.asarray(field, dtype="<c16").tobytes(order="C"))
 
     atomic_write(path, write, binary=True)
 
@@ -384,8 +381,5 @@ def load_sample(path) -> FieldSample:
         if actual != expected:
             raise ValueError(f"{os.fspath(path)}: sample file has {actual} bytes, "
                              f"its header implies {expected}")
-        fields = []
-        for _ in range(2):
-            raw = np.frombuffer(fh.read(16 * size), dtype="<f8")
-            fields.append((raw[0::2] + 1j * raw[1::2]).reshape(points))
+        fields = [np.fromfile(fh, dtype="<c16", count=size).reshape(points) for _ in range(2)]
     return FieldSample(grid=grid, time=float(time), psi=fields[0], psi_dot=fields[1])

@@ -102,6 +102,14 @@ def build_potential(cfg: dict) -> PotentialSpec:
     return PotentialSpec(mass_sq=pot["mass_sq"], terms=terms, amplitude_cap=cap)
 
 
+def _whole(value, key: str) -> int:
+    """value as an int when it is a whole number (4, 4.0 and "4" alike)."""
+    number = float(value)
+    if not number.is_integer():
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    return int(number)
+
+
 def normalize_config(cfg: dict) -> dict:
     """Fill defaults, coerce types, and re-validate every cross-field
     constraint (|v| < 1, k >= 1 implies n = 2, omega^2 < m^2).  Normalizing a
@@ -114,8 +122,9 @@ def normalize_config(cfg: dict) -> dict:
         raise ConfigError("potential.mass_sq is required")
     pot["mass_sq"] = float(pot["mass_sq"])
     pot["terms"] = [
-        {"coupling": float(t["coupling"]), "exponent": int(t["exponent"])}
-        for t in pot.get("terms", [])
+        {"coupling": float(t["coupling"]),
+         "exponent": _whole(t["exponent"], f"potential.terms[{i}].exponent")}
+        for i, t in enumerate(pot.get("terms", []))
     ]
     if pot.get("amplitude_cap") is not None:
         pot["amplitude_cap"] = float(pot["amplitude_cap"])
@@ -123,8 +132,8 @@ def normalize_config(cfg: dict) -> dict:
         pot["amplitude_cap"] = None
 
     cfg["omega"] = float(cfg.get("omega", 0.8))
-    cfg["n"] = int(cfg.get("n", 1))
-    cfg["k"] = int(cfg.get("k", 0))
+    cfg["n"] = _whole(cfg.get("n", 1), "n")
+    cfg["k"] = _whole(cfg.get("k", 0), "k")
     if cfg["n"] not in (1, 2, 3):
         raise ConfigError(f"n must be 1, 2 or 3, got {cfg['n']}")
     if cfg["k"] < 0:
@@ -146,7 +155,7 @@ def normalize_config(cfg: dict) -> dict:
         raise ConfigError("grid.extent and grid.points must be given together")
     if "extent" in grid:
         grid["extent"] = [float(x) for x in grid["extent"]]
-        grid["points"] = [int(p) for p in grid["points"]]
+        grid["points"] = [_whole(p, "grid.points") for p in grid["points"]]
         if len(grid["extent"]) != cfg["n"] or len(grid["points"]) != cfg["n"]:
             raise ConfigError("grid extent/points must have one entry per axis")
         GridSpec(n=cfg["n"], extent=tuple(grid["extent"]), points=tuple(grid["points"]))
@@ -161,9 +170,9 @@ def normalize_config(cfg: dict) -> dict:
     ev.update(cfg.get("evolve") or {})
     ev["t_final"] = float(ev["t_final"])
     ev["dt"] = float(ev["dt"])
-    ev["diag_stride"] = int(ev["diag_stride"])
+    ev["diag_stride"] = _whole(ev["diag_stride"], "evolve.diag_stride")
     if ev.get("snapshot_stride") is not None:
-        ev["snapshot_stride"] = int(ev["snapshot_stride"])
+        ev["snapshot_stride"] = _whole(ev["snapshot_stride"], "evolve.snapshot_stride")
     for key in ("diag_stride", "snapshot_stride"):
         if ev.get(key) is not None and ev[key] < 1:
             raise ConfigError(f"evolve.{key} must be >= 1, got {ev[key]}")
@@ -215,9 +224,8 @@ def cmd_solve(cfg: dict, wave, report) -> tuple[int, list[str]]:
     csv_path = os.path.join(out, stem + ".csv")
     json_path = os.path.join(out, stem + ".json")
     save_wave(wave, csv_path, json_path)
-    tail = wave.profile.tail
     print(f"shoot_param = {wave.profile.shoot_param:.17g}")
-    print(f"delta       = {tail.delta:.17g}")
+    print(f"delta       = {wave.delta:.17g}")
     print(f"node_count  = {wave.profile.node_count}")
     return EXIT_OK, [stem + ".csv", stem + ".json"]
 

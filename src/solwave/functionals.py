@@ -48,7 +48,6 @@ __all__ = [
     "FunctionalReport",
     "EnergyMomentum",
     "Provenance",
-    "TailNotCertified",
     "SuperluminalVelocity",
     "compute_functionals",
     "lorentz_boost",
@@ -59,10 +58,6 @@ __all__ = [
 EPS_FLOOR = 1e-30  # residual denominators: avoids 0/0 for the zero wave
 
 SPHERE_MEASURE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
-
-
-class TailNotCertified(RuntimeError):
-    """Functional quadrature needs a profile with a fitted tail."""
 
 
 class SuperluminalVelocity(ValueError):
@@ -145,8 +140,6 @@ def compute_functionals(wave: SolitaryWave) -> FunctionalReport:
     nonpositive rest energy that the sign conditions cannot explain).
     """
     profile = wave.profile
-    if profile.tail is None:
-        raise TailNotCertified("wave profile has no fitted tail")
     r, R, dR = profile.r_grid, profile.values, profile.derivative
     n, k, omega = wave.n, wave.k, wave.omega
     measure = SPHERE_MEASURE[n]

@@ -5,7 +5,7 @@ Solves the stationary amplitude equation
     R'' + (n-1)/r R' - k^2/r^2 R = U'(R) - omega^2 R,
 
 outward from r ~ 0 with series initial data.  Every shot (bracket scan,
-root-finding, converged profile, shoot) runs through one stepping DOP853
+root-finding, converged profile) runs through one stepping DOP853
 integrator that classifies the trajectory after each step; every shot ends
 Undershot (turns back up before reaching zero) or Overshot (sign change, or
 runaway past the divergence guard), and there is no decay outcome.  The
@@ -42,18 +42,15 @@ from .artifacts import write_csv, write_json
 from .potential import PotentialSpec, check_conditions, force_slope
 
 __all__ = [
-    "ShootOutcome",
     "TailFit",
     "RadialProfile",
     "SolitaryWave",
     "StepFailure",
     "NoBracket",
     "NodeCountMismatch",
-    "shoot",
     "find_ground_state",
     "find_excited_state",
     "resample_wave",
-    "count_nodes",
     "equation_residual",
     "fit_tail_decay",
     "WaveInterpolant",
@@ -88,16 +85,18 @@ class NodeCountMismatch(RuntimeError):
 
 @dataclass(frozen=True)
 class TailFit:
-    """Exponential tail R(r) ~ prefactor * r^{-(n-1)/2} e^{-delta r} past match_radius."""
+    """A solved profile's fitted tail R ~ prefactor * r^{-(n-1)/2} e^{-delta r}
+    (with its short asymptotic series), below 1e-8 max|R| from match_radius
+    on; its rate delta is the wave's own SolitaryWave.delta."""
 
-    delta: float
     prefactor: float
     match_radius: float
 
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Profile on a uniform grid with an analytic tail.
+    """A solved profile: the converged shot on a uniform grid, spliced to its
+    fitted analytic tail, so every profile carries its TailFit.
 
     numeric_radius marks where integrated data ends and the fitted tail model
     takes over (numeric_radius <= match_radius <= r_grid[-1]).
@@ -106,10 +105,10 @@ class RadialProfile:
     r_grid: np.ndarray
     values: np.ndarray
     derivative: np.ndarray
-    tail: TailFit | None
+    tail: TailFit
     node_count: int
     shoot_param: float
-    numeric_radius: float | None = None
+    numeric_radius: float
 
     @property
     def h_r(self) -> float:
@@ -274,37 +273,6 @@ def _count_sign_changes(values) -> int:
     return int(np.sum(signs[1:] * signs[:-1] < 0))
 
 
-def shoot(spec: PotentialSpec, omega: float, n: int, k: int, s: float):
-    """Integrate one outward shot with initial datum s.
-
-    Returns (outcome, trajectory).  This is the solver's own shot: the same
-    DOP853 integrator and step-by-step rules out to SHOT_RANGE / delta, ending
-    Undershot or Overshot (there is no decay ball).  The trajectory is a
-    partial RadialProfile (no tail fit) on the solver's spacing
-    1 / (GRID_DENSITY delta), up to the last step before the terminating one.
-    """
-    if s <= 0:
-        raise ValueError(f"shoot parameter must be > 0, got {s}")
-    if omega**2 >= spec.mass_sq:
-        raise ValueError("need omega^2 < mass_sq for a decaying profile")
-    if k >= 1 and n != 2:
-        raise ValueError("angular index k >= 1 requires n = 2")
-    delta = math.sqrt(spec.mass_sq - omega**2)
-    outcome, sol = _shoot(spec, omega, n, k, s, dense=True)
-    h = 1.0 / (GRID_DENSITY * delta)
-    r_end = float(sol.t_max)
-    grid, vals, ders = _sample(sol, k, s, max(int(math.floor(r_end / h)), 2), h)
-    return outcome, RadialProfile(
-        r_grid=grid,
-        values=vals,
-        derivative=ders,
-        tail=None,
-        node_count=_count_sign_changes(vals),
-        shoot_param=s,
-        numeric_radius=r_end,
-    )
-
-
 def _scan_pairs(spec, omega, n, k):
     """Adjacent (Undershot, Overshot) pairs among 64 log-spaced candidates
     over (0, amplitude_cap], classified by rtol-1e-6 shots, lazily and in the
@@ -443,7 +411,7 @@ def _assemble_profile(spec, omega, n, k, s, h_r) -> RadialProfile:
         raise StepFailure("profile never reaches the tail splice threshold")
     match_radius = float(grid_full[below[0]])
 
-    tail = TailFit(delta=delta, prefactor=float(prefactor), match_radius=match_radius)
+    tail = TailFit(prefactor=float(prefactor), match_radius=match_radius)
     return RadialProfile(
         r_grid=grid_full,
         values=new_vals,
@@ -530,16 +498,6 @@ def resample_wave(wave: SolitaryWave, h_r: float) -> SolitaryWave:
     return SolitaryWave(n=n, k=k, omega=omega, profile=profile, spec=spec)
 
 
-def count_nodes(profile: RadialProfile) -> int:
-    """Strict sign changes of R over the grid, ignoring the tail region."""
-    if profile.r_grid.size == 0:
-        raise ValueError("empty profile")
-    values = profile.values
-    if profile.tail is not None:
-        values = values[profile.r_grid < profile.tail.match_radius]
-    return _count_sign_changes(values)
-
-
 def equation_residual(wave: SolitaryWave) -> float:
     """Max interior residual of the amplitude equation by centered differences,
     normalized by max |R| * mass_sq."""
@@ -564,8 +522,6 @@ def fit_tail_decay(wave: SolitaryWave) -> float:
     slope is the data's departure from the linearization rate delta.
     """
     p = wave.profile
-    if p.tail is None or p.numeric_radius is None:
-        raise ValueError("wave has no certified tail to fit")
     absv = np.abs(p.values)
     max_R = float(np.max(absv))
     r_peak = p.r_grid[int(np.argmax(absv))]
@@ -575,10 +531,10 @@ def fit_tail_decay(wave: SolitaryWave) -> float:
     if np.count_nonzero(mask) < 8:
         mask = numeric & (absv > lo / 100) & (absv < hi * 10)
     rw = p.r_grid[mask]
-    z = np.log(absv[mask]) - np.log(np.abs(_tail(rw, 1.0, p.tail.delta, wave.n, wave.k)[0]))
+    z = np.log(absv[mask]) - np.log(np.abs(_tail(rw, 1.0, wave.delta, wave.n, wave.k)[0]))
     basis = np.column_stack([np.ones_like(rw), rw])
     coef, *_ = np.linalg.lstsq(basis, z, rcond=None)
-    return float(p.tail.delta - coef[1])
+    return float(wave.delta - coef[1])
 
 
 class WaveInterpolant:
@@ -594,10 +550,8 @@ class WaveInterpolant:
 
     def __init__(self, wave: SolitaryWave):
         p = wave.profile
-        if p.tail is None:
-            raise ValueError("wave has no certified tail")
         n, k = wave.n, wave.k
-        self._tail_args = (p.tail.prefactor, p.tail.delta, n, k)
+        self._tail_args = (p.tail.prefactor, wave.delta, n, k)
         self.r_end = float(p.r_grid[-1])
         h = p.h_r
         self._inv_h = 1.0 / h
@@ -639,14 +593,12 @@ class WaveInterpolant:
 def save_wave(wave: SolitaryWave, csv_path, sidecar_path) -> None:
     """CSV with columns r, R, dR plus a JSON sidecar of scalar metadata."""
     p = wave.profile
-    if p.tail is None:
-        raise ValueError("refusing to serialize an uncertified profile")
     write_csv(csv_path, ["r", "R", "dR"], zip(p.r_grid, p.values, p.derivative))
     sidecar = {
         "n": wave.n,
         "k": wave.k,
         "omega": wave.omega,
-        "delta": p.tail.delta,
+        "delta": wave.delta,
         "prefactor": p.tail.prefactor,
         "match_radius": p.tail.match_radius,
         "shoot_param": p.shoot_param,
@@ -676,14 +628,10 @@ def load_wave(csv_path, sidecar_path, spec: PotentialSpec) -> SolitaryWave:
         r_grid=data[:, 0],
         values=data[:, 1],
         derivative=data[:, 2],
-        tail=TailFit(
-            delta=meta["delta"],
-            prefactor=meta["prefactor"],
-            match_radius=meta["match_radius"],
-        ),
+        tail=TailFit(prefactor=meta["prefactor"], match_radius=meta["match_radius"]),
         node_count=int(meta["node_count"]),
         shoot_param=float(meta["shoot_param"]),
-        numeric_radius=meta.get("numeric_radius"),
+        numeric_radius=meta["numeric_radius"],
     )
     return SolitaryWave(
         n=int(meta["n"]), k=int(meta["k"]), omega=float(meta["omega"]),

@@ -343,6 +343,7 @@ class TestBinaryFormat:
         assert back.time == sample.time
         np.testing.assert_array_equal(back.psi, sample.psi)
         np.testing.assert_array_equal(back.psi_dot, sample.psi_dot)
+        assert back.psi.flags.writeable and back.psi_dot.flags.writeable
 
     def test_truncated_file_rejected(self, wave_1d, tmp_path):
         g = GridSpec(n=1, extent=(50.0,), points=(2000,))

@@ -33,6 +33,15 @@ class TestConfig:
         with pytest.raises(Exception):
             normalize_config({"potential": CUBIC_POT, "velocities": [1.2]})
 
+    @pytest.mark.parametrize("exponent", [4, 4.0, "4"])
+    def test_whole_number_forms_accepted(self, exponent):
+        pot = {"mass_sq": 1.0, "terms": [{"coupling": 1.0, "exponent": exponent}]}
+        cfg = normalize_config({"potential": pot, "n": 2.0, "k": "1"})
+        assert cfg["potential"]["terms"][0]["exponent"] == 4
+        assert (cfg["n"], cfg["k"]) == (2, 1)
+        assert all(type(v) is int for v in (cfg["potential"]["terms"][0]["exponent"],
+                                            cfg["n"], cfg["k"]))
+
 
 class TestExitCodes:
     def test_solve_ok(self, tmp_path, capsys):
@@ -69,6 +78,24 @@ class TestExitCodes:
         cfg = _write_config(tmp_path, potential={"mass_sq": 1.0, "terms": [term]})
         assert main(["solve", "--config", str(cfg)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"n": 1.9}, "n"),
+        ({"n": 2, "k": 1.5}, "k"),
+        ({"potential": {"mass_sq": 1.0, "amplitude_cap": 8.5,
+                        "terms": [{"coupling": 1.0, "exponent": 4.5}]}},
+         "potential.terms[0].exponent"),
+        ({"evolve": {"diag_stride": 2.5}}, "evolve.diag_stride"),
+        ({"evolve": {"snapshot_stride": 2.5}}, "evolve.snapshot_stride"),
+        ({"grid": {"extent": [40.0], "points": [800.5]}}, "grid.points"),
+    ], ids=["n", "k", "exponent", "diag_stride", "snapshot_stride", "points"])
+    def test_non_whole_number_is_config_error(self, tmp_path, capsys, extra, key):
+        # truncating 1.9 to 1 would solve, and record, another problem
+        cfg = _write_config(tmp_path, **extra)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{key} must be a whole number" in err
+        assert not (tmp_path / "out").exists()
 
     def test_check_ok(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)

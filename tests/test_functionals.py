@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from solwave.functionals import (FunctionalReport, Provenance,
-                                 SuperluminalVelocity, TailNotCertified,
-                                 compute_functionals, predict_energy_momentum,
-                                 report_to_dict)
-from solwave.radial import RadialProfile, SolitaryWave, WaveInterpolant
+                                 SuperluminalVelocity, compute_functionals,
+                                 predict_energy_momentum, report_to_dict)
+from solwave.radial import WaveInterpolant
 
 from conftest import ORACLE
 
@@ -28,15 +27,6 @@ class TestOracleValues:
     def test_e0_is_sum(self, report_1d):
         total = np.sum(report_1d.i_k) + report_1d.omega**2 * report_1d.i0 + report_1d.v0
         assert report_1d.e0 == total
-
-    def test_uncertified_profile_rejected(self, wave_1d, cubic):
-        p = wave_1d.profile
-        bare = RadialProfile(r_grid=p.r_grid, values=p.values,
-                             derivative=p.derivative, tail=None,
-                             node_count=0, shoot_param=p.shoot_param)
-        wave = SolitaryWave(n=1, k=0, omega=0.8, profile=bare, spec=cubic)
-        with pytest.raises(TailNotCertified):
-            compute_functionals(wave)
 
 
 class TestGridCrossCheck:
