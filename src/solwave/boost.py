@@ -21,12 +21,14 @@ The boundary-decay check compares |psi| on the boundary faces with the
 largest |R|.
 
 Energy, momentum and the center of energy are then measured by plain grid
-sums of the Hamiltonian density (for the center, weighted by position) and
--Re(psi_dot conj(grad psi)) with solwave.stencil's 2nd-order centered
+sums of the Hamiltonian density (for the center, its marginals against the
+coordinates) and -Re(psi_dot conj(grad psi)) with 2nd-order centered
 differences under periodic wrap (immaterial given the exponential decay,
 which the grid-sizing rule keeps below 1e-8 of the peak at the boundary).
-Each sum walks the field in the stencil's row blocks and squares moduli as
-re^2 + im^2, so no temporary is larger than one block.
+The differences are solwave.stencil's unscaled neighbour differences, with
+the 1/(2h) folded into the sums.  Each sum walks the field in the stencil's
+row blocks and squares moduli as re^2 + im^2, so no temporary is larger
+than one block.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .functionals import (FunctionalReport, Provenance, lorentz_boost,
                           predict_energy_momentum)
 from .potential import PotentialSpec, evaluate_potential
 from .radial import SolitaryWave, WaveInterpolant
-from .stencil import abs_sq, centered_difference, row_blocks
+from .stencil import abs_sq, neighbour_difference, row_blocks
 
 __all__ = [
     "GridSpec",
@@ -218,16 +220,23 @@ def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> Fie
 
 
 def _density_blocks(sample: FieldSample, spec: PotentialSpec):
-    """(rows, Hamiltonian density over those rows) for each row block."""
+    """(rows, Hamiltonian density over those rows) for each row block.
+
+    The gradient term sum_j |D_j psi|^2 / (8 h_j^2) takes the unscaled
+    neighbour difference D_j psi = psi[i + 1] - psi[i - 1], so the 1/(2 h_j)
+    of the centered difference is paid on one real block per axis."""
     psi = sample.psi
     blocks = row_blocks(psi)
     d = np.empty(psi[blocks[0]].shape, dtype=complex)
+    weights = [0.125 / (h * h) for h in sample.grid.spacing]
     for rows in blocks:
-        grad = d[:rows.stop - rows.start]
+        diff = d[:rows.stop - rows.start]
         density = abs_sq(sample.psi_dot[rows])
-        for axis, h in enumerate(sample.grid.spacing):
-            density += abs_sq(centered_difference(psi, axis, h, rows, out=grad))
         density *= 0.5
+        for axis, w in enumerate(weights):
+            grad_sq = abs_sq(neighbour_difference(psi, axis, rows, out=diff))
+            grad_sq *= w
+            density += grad_sq
         density += evaluate_potential(spec, np.abs(psi[rows]))
         yield rows, density
 
@@ -239,36 +248,38 @@ def measure_energy(sample: FieldSample, spec: PotentialSpec) -> float:
 
 
 def measure_momentum(sample: FieldSample) -> np.ndarray:
-    """-Re int psi_dot conj(grad psi) dx, per component."""
+    """-Re int psi_dot conj(grad psi) dx, per component.  Each component
+    sums Re(psi_dot conj(D_j psi)) over the unscaled neighbour difference
+    and takes the 1/(2 h_j) once, on the sum."""
     psi, psi_dot = sample.psi, sample.psi_dot
     blocks = row_blocks(psi)
     d = np.empty(psi[blocks[0]].shape, dtype=complex)
     sums = np.zeros(sample.grid.n)
     for rows in blocks:
-        grad = d[:rows.stop - rows.start]
+        diff = d[:rows.stop - rows.start]
         pd = psi_dot[rows]
-        for axis, h in enumerate(sample.grid.spacing):
-            centered_difference(psi, axis, h, rows, out=grad)
-            dot = pd.real * grad.real
-            dot += pd.imag * grad.imag
+        for axis in range(sample.grid.n):
+            neighbour_difference(psi, axis, rows, out=diff)
+            dot = pd.real * diff.real
+            dot += pd.imag * diff.imag
             sums[axis] += float(np.sum(dot))
-    return -sums * sample.grid.cell_volume
+    scale = [0.5 / h for h in sample.grid.spacing]
+    return -sums * scale * sample.grid.cell_volume
 
 
 def center_of_energy(sample: FieldSample, spec: PotentialSpec) -> np.ndarray:
-    """Energy-density-weighted mean position, by grid sums."""
+    """Energy-density-weighted mean position, by grid sums: the moment along
+    axis j is the density's marginal over the other axes (its row sums for
+    axis 0, its column sums for axis 1) against the axis-j coordinates."""
     n = sample.grid.n
-    coords = []
-    for axis, x in enumerate(sample.grid.axes()):
-        shape = [1] * n
-        shape[axis] = -1
-        coords.append(x.reshape(shape))
+    axes = sample.grid.axes()
     weight = 0.0
     moments = np.zeros(n)
     for rows, density in _density_blocks(sample, spec):
-        weight += float(np.sum(density))
-        for axis, x in enumerate(coords):
-            moments[axis] += float(np.sum(density * (x[rows] if axis == 0 else x)))
+        for axis, x in enumerate(axes):
+            marginal = np.sum(density, axis=tuple(b for b in range(n) if b != axis))
+            moments[axis] += float(marginal @ (x[rows] if axis == 0 else x))
+        weight += float(np.sum(marginal))  # every marginal sums to the block's total
     total = weight * sample.grid.cell_volume
     if total < 1e-20:
         raise ZeroField(f"total energy {total:.3e} below 1e-20")

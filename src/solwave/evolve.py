@@ -1,19 +1,23 @@
 """Leapfrog time evolution of the field equation on a periodic grid.
 
-The second-order update
+The second-order update psi^{m+1} = 2 psi^m - psi^{m-1} + dt^2 (Lap_h psi^m
++ f(psi^m)), with the standard 2nd-order Laplacian stencil under periodic
+wrap, is written around one kernel
 
-    psi^{m+1} = 2 psi^m - psi^{m-1} + dt^2 (Lap_h psi^m + f(psi^m))
+    K(psi) = sum_j c_j N_j(psi) + (2 - 2 sum_j c_j) psi + dt^2 f(psi),
+    c_j = dt^2 / h_j^2,
 
-uses the standard 2nd-order Laplacian stencil under periodic wrap, built
-from solwave.stencil's neighbour sums; the first step is bootstrapped by the
-Taylor expansion from (psi^0, psi_dot^0), and the time derivative is
-reconstructed centrally as (psi^{m+1} - psi^{m-1})/(2 dt), so each state
-carries a consistent (psi, psi_dot) pair at its own time at the cost of one
-stencil evaluation per step.  A step is one blocked pass over the rows of the
-grid: each block's Laplacian, force, update and psi_dot are finished while
-its temporaries are still in cache.  Blow-up is reported (NonFinite),
-not prevented: focusing nonlinearities can and should fail loudly for
-non-soliton data.
+where N_j is solwave.stencil's neighbour sum along axis j: a step is
+psi^{m+1} = K(psi^m) - psi^{m-1}, and the first step is the Taylor bootstrap
+psi^1 = dt psi_dot^0 + K(psi^0)/2.  The time derivative is reconstructed
+centrally as (psi^{m+1} - psi^{m-1})/(2 dt), so each state carries a
+consistent (psi, psi_dot) pair at its own time at the cost of one kernel
+evaluation per step.  A step is one blocked pass over the rows of the grid:
+each block's kernel, update and psi_dot are finished while its temporaries
+are still in cache, and in steady state the new levels are written over the
+arrays of the state being stepped (see step).  Blow-up is reported
+(NonFinite), not prevented: focusing nonlinearities can and should fail
+loudly for non-soliton data.
 """
 
 from __future__ import annotations
@@ -73,6 +77,12 @@ class EvolutionState:
     caches the already-computed next level (None before the first step) so
     the centered psi_dot reconstruction costs nothing extra.  diagnostics and
     snapshots (the file names evolve wrote) carry over from step to step.
+
+    Ownership: the arrays of a state made by step (sample.psi,
+    sample.psi_dot and _psi_next) belong to the stepping.  Stepping it
+    consumes them, as the next state's arrays, so read or copy its sample
+    before the next step; after NonFinite the stepped state is invalid.  A
+    state built by the caller (no _psi_next) is never written.
     """
 
     sample: FieldSample
@@ -92,26 +102,38 @@ def _check_step(grid, dt: float) -> None:
         raise CflViolation(f"dt={dt} exceeds {CFL_NUMBER} * min h = {CFL_NUMBER * h_min}")
 
 
-def _acceleration(psi: np.ndarray, spec: PotentialSpec, spacing, rows: slice,
-                  acc: np.ndarray, tmp: np.ndarray) -> None:
-    """acc = Lap_h psi + f(psi) over one block of rows (tmp is scratch)."""
-    weights = [1.0 / (h * h) for h in spacing]
-    neighbour_sum(psi, 0, rows, out=acc)
-    acc *= weights[0]
-    for axis in range(1, len(weights)):
+def _kernel(psi: np.ndarray, spec: PotentialSpec, coeffs, dt: float, rows: slice,
+            out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = K(psi) of the module docstring over one block of rows, with
+    coeffs the c_j = dt^2/h_j^2; tmp is scratch of the block's shape."""
+    neighbour_sum(psi, 0, rows, out=out)
+    out *= coeffs[0]
+    for axis in range(1, len(coeffs)):
         neighbour_sum(psi, axis, rows, out=tmp)
-        tmp *= weights[axis]
-        acc += tmp
-    np.multiply(psi[rows], 2.0 * sum(weights), out=tmp)
-    acc -= tmp
-    acc += evaluate_force(spec, psi[rows])
+        tmp *= coeffs[axis]
+        out += tmp
+    np.multiply(psi[rows], 2.0 - 2.0 * sum(coeffs), out=tmp)
+    out += tmp
+    force = evaluate_force(spec, psi[rows])
+    force *= dt * dt
+    out += force
 
 
 def step(state: EvolutionState, spec: PotentialSpec, dt: float) -> EvolutionState:
     """Advance one leapfrog step; returns a new state one dt later.
 
-    One pass over the row blocks writes psi^{m+1} and the centered psi_dot^m
-    straight into their new arrays, so every temporary is one block.
+    One pass over the row blocks writes the next level
+    psi^{m+2} = K(psi^{m+1}) - psi^m (K of the module docstring) and the
+    centered psi_dot^{m+1}, so every temporary is one block; a state without
+    a cached next level first takes the Taylor bootstrap.
+
+    Ownership: a state made by step hands its arrays on.  Stepping it writes
+    psi^{m+2} over its psi_dot and psi_dot^{m+1} over its psi, so its sample
+    must not be used afterwards, and a step-made state is stepped at most
+    once; in steady state a step allocates only block scratch.  A state the
+    caller built (no cached next level) is never written: its first step
+    allocates the three arrays of the new state.  After NonFinite the stepped
+    state is invalid.
 
     Raises ValueError unless dt > 0, CflViolation when dt > 0.5 min h_j, and
     NonFinite (failing time attached) when the update leaves the finite range.
@@ -121,37 +143,36 @@ def step(state: EvolutionState, spec: PotentialSpec, dt: float) -> EvolutionStat
 
     psi = state.sample.psi
     t = state.sample.time
+    coeffs = [dt * dt / (h * h) for h in grid.spacing]
     blocks = row_blocks(psi)
     scratch = np.empty((2,) + psi[blocks[0]].shape, dtype=complex)
     # blow-up produces inf/nan mid-update before the explicit check below;
     # keep numpy quiet about it
     with np.errstate(invalid="ignore", over="ignore"):
         if state._psi_next is None:
-            # Taylor bootstrap: psi^1 = psi + dt psi_dot + dt^2/2 (Lap_h psi + f(psi))
             cur = np.empty(psi.shape, dtype=complex)
             for rows in blocks:
-                acc, tmp = scratch[:, :rows.stop - rows.start]
-                _acceleration(psi, spec, grid.spacing, rows, acc, tmp)
-                acc *= 0.5 * dt * dt
+                half, tmp = scratch[:, :rows.stop - rows.start]
+                _kernel(psi, spec, coeffs, dt, rows, half, tmp)
+                half *= 0.5
                 np.multiply(state.sample.psi_dot[rows], dt, out=cur[rows])
-                cur[rows] += psi[rows]
-                cur[rows] += acc
+                cur[rows] += half
+            ahead = np.empty(psi.shape, dtype=complex)
+            psi_dot = np.empty(psi.shape, dtype=complex)
         else:
-            cur = state._psi_next
+            # the ring: psi^{m+2} over psi_dot^m, psi_dot^{m+1} over psi^m
+            cur, ahead, psi_dot = state._psi_next, state.sample.psi_dot, psi
 
-        ahead = np.empty(psi.shape, dtype=complex)
-        psi_dot = np.empty(psi.shape, dtype=complex)
+        tmp = scratch[1]
         for rows in blocks:
-            acc, tmp = scratch[:, :rows.stop - rows.start]
-            _acceleration(cur, spec, grid.spacing, rows, acc, tmp)
-            acc *= dt * dt
             nxt = ahead[rows]
-            np.multiply(cur[rows], 2.0, out=nxt)
+            _kernel(cur, spec, coeffs, dt, rows, nxt, tmp[:rows.stop - rows.start])
             nxt -= psi[rows]
-            nxt += acc
-            if not np.isfinite(nxt).all():
+            if not np.isfinite(nxt.view(float)).all():
                 raise NonFinite(f"field became non-finite at t={t + 2 * dt:.6g}",
                                 time=t + 2 * dt)
+            # psi[rows] is read here for the last time before psi_dot may
+            # overwrite it
             np.subtract(nxt, psi[rows], out=psi_dot[rows])
             psi_dot[rows] *= 0.5 / dt
 

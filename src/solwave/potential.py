@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .stencil import abs_sq
 
@@ -126,10 +127,21 @@ def force_slope(spec: PotentialSpec, a):
 
 
 def _slope(spec: PotentialSpec, x: np.ndarray, power: int):
-    """h(a) from x = a**power, where power divides every e_j - 2."""
-    out = np.full_like(x, -spec.mass_sq)
+    """h(a) from x = a**power, where power divides every e_j - 2.
+
+    The first term's array takes the mass and the other terms in place, in
+    the order -mass_sq + t_1 + t_2 + ..., and a unit power is x itself."""
+    out = None
     for coupling, exponent in spec.terms:
-        out += coupling * x ** ((exponent - 2) // power)
+        p = (exponent - 2) // power
+        term = coupling * (x if p == 1 else x ** p)
+        if out is None:
+            out = term
+            out -= spec.mass_sq
+        else:
+            out += term
+    if out is None:
+        out = np.full_like(x, -spec.mass_sq)
     return out if out.ndim else float(out)
 
 
@@ -151,18 +163,50 @@ def evaluate_force(spec: PotentialSpec, psi):
 
 
 def expected_amplitude(spec: PotentialSpec, omega: float) -> float | None:
-    """Smallest positive zero of U(a) - omega^2 a^2/2, or None.
+    """Smallest positive zero of U(a) - omega^2 a^2/2 at which it changes
+    sign, or None.
 
     This is the separatrix amplitude of the one-dimensional profile equation
     and sets the scale of ground-state amplitudes in any dimension; it is the
-    natural default for sizing amplitude_cap.
+    natural default for sizing amplitude_cap.  The zero comes from brackets
+    between the polynomial's extrema (_sign_change_zeros), not from np.roots,
+    whose companion eigenvalues lose a zero near 1 beside a coupling ~1e-115.
     """
     g = _poly_coeffs(spec).copy()
     g[-3] -= omega**2 / 2.0
-    roots = np.roots(g)
-    real = roots[np.abs(roots.imag) < 1e-9 * (1 + np.abs(roots))].real
-    positive = np.sort(real[real > 1e-12])
-    return float(positive[0]) if positive.size else None
+    zeros = _sign_change_zeros(g)
+    return zeros[0] if zeros else None
+
+
+def _sign_change_zeros(coeffs: np.ndarray) -> list[float]:
+    """Ascending positive zeros at which the polynomial (highest degree first)
+    changes sign.
+
+    Between consecutive sign-changing zeros of the derivative (found the same
+    way) the polynomial is monotone, so each stretch up to Fujiwara's bound on
+    the zeros holds at most one, bracketed by its ends and polished by brentq.
+    Dividing out a^k (trailing zero coefficients) keeps the sign on a > 0,
+    and above a = 1 the polynomial is evaluated over a^degree, in 1/a, so
+    nothing overflows.
+    """
+    c = np.trim_zeros(np.trim_zeros(np.asarray(coeffs, dtype=float), "f"), "b")
+    degree = c.size - 1
+    if degree < 1:
+        return []
+    reverse = c[::-1]
+
+    def sign_poly(a):  # p(a) / max(1, a)^degree
+        return float(np.polyval(c, a) if a <= 1.0 else np.polyval(reverse, 1.0 / a))
+
+    with np.errstate(over="ignore"):
+        bound = 2.0 * max(abs(c[k] / c[0]) ** (1.0 / k) for k in range(1, degree + 1))
+    bound = min(float(bound), np.finfo(float).max)
+    extrema = [z for z in _sign_change_zeros(np.polyder(c)) if z < bound]
+    edges = [0.0, *extrema, bound]
+    # bisecting from the whole float range to 4 eps relative takes < 2200 steps
+    return [float(brentq(sign_poly, lo, hi, xtol=np.finfo(float).tiny, maxiter=2200))
+            for lo, hi in zip(edges, edges[1:])
+            if np.sign(sign_poly(lo)) * np.sign(sign_poly(hi)) < 0]
 
 
 def _scan_negative(coeffs: np.ndarray, cap: float, n_grid: int = 10_000):

@@ -18,7 +18,7 @@ __all__ = [
     "BLOCK_BYTES",
     "row_blocks",
     "neighbour_sum",
-    "centered_difference",
+    "neighbour_difference",
     "abs_sq",
 ]
 
@@ -68,21 +68,20 @@ def neighbour_sum(psi: np.ndarray, axis: int, rows: slice, out: np.ndarray) -> n
     return _shifted_pair(np.add, psi, axis, rows, out)
 
 
-def centered_difference(psi: np.ndarray, axis: int, h: float, rows: slice,
-                        out: np.ndarray) -> np.ndarray:
-    """(psi[i + 1] - psi[i - 1]) / (2 h) along axis (periodic), over the
-    given rows."""
-    _shifted_pair(np.subtract, psi, axis, rows, out)
-    out *= 0.5 / h  # a complex division by 2 h costs several times more
-    return out
+def neighbour_difference(psi: np.ndarray, axis: int, rows: slice, out: np.ndarray) -> np.ndarray:
+    """psi[i + 1] - psi[i - 1] along axis (periodic), over the given rows;
+    the centered difference is this over 2 h, a scale the callers fold into
+    their sums."""
+    return _shifted_pair(np.subtract, psi, axis, rows, out)
 
 
 def abs_sq(z) -> np.ndarray:
     """|z|^2 as re^2 + im^2, without the hypot (and its square root) that
-    np.abs(z)**2 takes first."""
+    np.abs(z)**2 takes first.  np.square of a strided real or imaginary part
+    is faster than multiplying it by itself."""
     z = np.asarray(z)
     if not np.iscomplexobj(z):
-        return z * z
-    out = z.real * z.real
-    out += z.imag * z.imag
+        return np.square(z)
+    out = np.square(z.real)
+    out += np.square(z.imag)
     return out

@@ -27,7 +27,9 @@ def test_rebind_points_resolve(monkeypatch):
 def test_traced_call_points_are_called(monkeypatch, cubic, wave_1d):
     # the traced run times the step and the diagnostics by wrapping these
     # module attributes; a refactor that stopped calling them through the
-    # module would read 0 for evolve.step_s or evolve.diag_s
+    # module would read 0 for evolve.step_s, evolve.diag_s or, for the
+    # per-block force and potential, potential.evaluate_force_s and
+    # potential.evaluate_potential_s
     from solwave import compute_functionals, grid_for, sample_boosted
 
     evolve_mod = importlib.import_module("solwave.evolve")
@@ -43,9 +45,10 @@ def test_traced_call_points_are_called(monkeypatch, cubic, wave_1d):
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("step", "measure_energy", "measure_momentum", "center_of_energy"):
+    for name in ("step", "measure_energy", "measure_momentum", "center_of_energy",
+                 "evaluate_force"):
         count(evolve_mod, name)
-    for name in ("measure_energy", "measure_momentum"):
+    for name in ("measure_energy", "measure_momentum", "evaluate_potential"):
         count(boost_mod, name)
 
     grid = grid_for(wave_1d, [0.0], 0.5, 0.1)
@@ -53,6 +56,11 @@ def test_traced_call_points_are_called(monkeypatch, cubic, wave_1d):
                               diag_stride=3)
     points = len(state.diagnostics)
     assert points == 5  # steps 0, 3, 6, 9 and the last, 10
+    # once per block: at least once per step, per density pass
+    force_calls = calls.pop(("solwave.evolve", "evaluate_force"), 0)
+    assert force_calls >= calls["solwave.evolve", "step"]
+    potential_calls = calls.pop(("solwave.boost", "evaluate_potential"), 0)
+    assert potential_calls >= 2 * points  # measure_energy and center_of_energy
     assert calls == {("solwave.evolve", "step"): 10,
                      ("solwave.evolve", "measure_energy"): points,
                      ("solwave.evolve", "measure_momentum"): points,
@@ -63,5 +71,6 @@ def test_traced_call_points_are_called(monkeypatch, cubic, wave_1d):
                                 grid_for(wave_1d, [0.0], 0.0, 0.1),
                                 compute_functionals(wave_1d))
     assert len(rows) == 3
+    assert calls.pop(("solwave.boost", "evaluate_potential"), 0) >= 3
     assert calls == {("solwave.boost", "measure_energy"): 3,
                      ("solwave.boost", "measure_momentum"): 3}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,71 @@ class TestBlockedStep:
         with pytest.raises(NonFinite) as err:
             step(state, cubic, 0.02)
         assert err.value.time == pytest.approx(0.04)
+
+
+class TestOwnership:
+    """A caller's arrays are never written; a step-made state hands its own
+    arrays to the next step, so steady-state stepping allocates only block
+    scratch."""
+
+    def test_evolve_leaves_initial_sample_untouched(self, cubic, wave_1d):
+        g = grid_for(wave_1d, [0.6], 0.5, 0.1)
+        s0 = sample_boosted(wave_1d, [0.6], g, t=0.0)
+        psi, psi_dot = s0.psi.copy(), s0.psi_dot.copy()
+        evolve(s0, cubic, 0.5, 0.05, diag_stride=3)
+        np.testing.assert_array_equal(s0.psi, psi)
+        np.testing.assert_array_equal(s0.psi_dot, psi_dot)
+
+    def test_step_on_caller_state_writes_nothing(self, cubic, wave_2d):
+        g = grid_for(wave_2d, [0.6, 0.0], 0.2, 0.2)
+        s0 = sample_boosted(wave_2d, [0.6, 0.0], g, t=0.0)
+        psi, psi_dot = s0.psi.copy(), s0.psi_dot.copy()
+        new = step(EvolutionState(s0), cubic, 0.04)
+        np.testing.assert_array_equal(s0.psi, psi)
+        np.testing.assert_array_equal(s0.psi_dot, psi_dot)
+        for out in (new.sample.psi, new.sample.psi_dot):
+            assert not np.shares_memory(out, s0.psi)
+            assert not np.shares_memory(out, s0.psi_dot)
+
+    def test_steady_state_step_allocates_only_block_scratch(self, cubic):
+        # 512 x 512 complex cells are 4 MiB, about sixteen 256 KiB blocks
+        g = GridSpec(n=2, extent=(12.8, 12.8), points=(512, 512))
+        x, y = np.meshgrid(*g.axes(), indexing="ij", sparse=True)
+        psi = np.exp(-(x**2 + y**2) + 0.5j * x)
+        state = step(EvolutionState(FieldSample(grid=g, time=0.0, psi=psi,
+                                                psi_dot=np.zeros_like(psi))), cubic, 0.02)
+        tracemalloc.start()
+        try:
+            for _ in range(9):  # steps 2..10
+                state = step(state, cubic, 0.02)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * psi.nbytes
+
+
+class TestDiscreteCharge:
+    # psi^{m+1} + psi^{m-1} = A psi^m with A real and symmetric (the
+    # neighbour sums plus a real slope of |psi|), so the leapfrog conserves
+    # Q^{m+1/2} = Im <psi^m, psi^{m+1}> to rounding
+    @pytest.mark.parametrize("unequal", [False, True], ids=["equal_h", "unequal_h"])
+    def test_conserved_to_rounding(self, cubic, wave_2d, unequal):
+        dt, n_steps = 0.04, 100
+        g = grid_for(wave_2d, [0.6, 0.0], dt * n_steps, 0.2)
+        if unequal:
+            n1 = 2 * round(0.4 * g.points[1])  # h_1 about 1.25 h_0
+            g = GridSpec(n=2, extent=g.extent, points=(g.points[0], n1))
+            assert g.spacing[0] != g.spacing[1]
+        state = EvolutionState(sample_boosted(wave_2d, [0.6, 0.0], g, t=0.0))
+        prev = state.sample.psi.copy()
+        charges = []
+        for _ in range(n_steps):
+            state = step(state, cubic, dt)
+            cur = state.sample.psi.copy()  # the next step reuses the buffers
+            charges.append(np.vdot(prev, cur).imag)
+            prev = cur
+        charges = np.array(charges)
+        assert np.max(np.abs(charges / charges[0] - 1.0)) < 1e-12
 
 
 class TestStandingWave:

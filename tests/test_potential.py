@@ -152,6 +152,32 @@ def test_expected_amplitude(cubic):
     assert expected_amplitude(PotentialSpec(mass_sq=1.0), 0.5) is None
 
 
+@pytest.mark.parametrize("terms, omega, root", [
+    # np.roots lost the zero near 1 and returned a far one, ~1.9e38 ...
+    (((1.0, 3), (-2.7e-115, 6)), 0.314, 1.5 * (1 - 0.314**2)),
+    # ... ~2.6e111 ...
+    (((0.33, 6), (-6.5e-224, 8), (1e-20, 3)), 0.5, (0.375 / 0.055) ** 0.25),
+    # ... and ~3.5e44
+    (((0.395, 4), (-1.4e-45, 5)), 0.395, np.sqrt(2 * (1 - 0.395**2) / 0.395)),
+    # a subnormal coupling made np.roots raise LinAlgError
+    (((1.0, 4), (2e-311, 6)), 0.5, np.sqrt(1.5)),
+])
+def test_expected_amplitude_beside_tiny_couplings(terms, omega, root):
+    # the first sign change of U(a) - omega^2 a^2/2 is that of the terms
+    # without the tiny coupling, to far below 1e-12
+    spec = PotentialSpec(mass_sq=1.0, terms=terms)
+    assert expected_amplitude(spec, omega) == pytest.approx(root, rel=1e-12)
+
+
+@pytest.mark.parametrize("terms, omega", [
+    (((1.0, 4), (-1.0, 6)), 0.3),  # U - omega^2 a^2/2 > 0 for every a > 0
+    (((1.0, 4),), 1.0),            # -a^4/4: touches zero at a = 0 only
+    (((1.0, 4),), 1.2),            # negative for every a > 0
+])
+def test_expected_amplitude_none_without_sign_change(terms, omega):
+    assert expected_amplitude(PotentialSpec(mass_sq=1.0, terms=terms), omega) is None
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         PotentialSpec(mass_sq=-1.0)

@@ -111,8 +111,8 @@ class TestRootFinding:
            omega=st.floats(0.3, 0.95))
     def test_random_potential_oracle(self, terms, omega):
         # in 1D the shoot parameter is the first zero of U(a) - omega^2 a^2 / 2.
-        # Couplings lie on a 0.01 lattice in [-1, 2]: beside a coupling ~1e-115,
-        # np.roots in expected_amplitude misses that zero (a limit of the oracle)
+        # Couplings lie on a 0.01 lattice in [-1, 2]; expected_amplitude beside
+        # couplings many decades smaller is tested in test_potential.py
         a_star = expected_amplitude(
             PotentialSpec(mass_sq=1.0, terms=tuple(terms), amplitude_cap=1.0), omega)
         assume(a_star is not None)

@@ -4,7 +4,7 @@ A periodic plane wave exp(i k.x) is an eigenfunction of both stencils:
 
     psi[i + 1] + psi[i - 1] = 2 cos(k_j h_j) psi          (along axis j)
     Lap_h psi = -sum_j (2 - 2 cos(k_j h_j)) / h_j^2 psi
-    (psi[i + 1] - psi[i - 1]) / (2 h_j) = i sin(k_j h_j) / h_j psi
+    psi[i + 1] - psi[i - 1] = 2 i sin(k_j h_j) psi
 
 The grids have unequal spacings and a row count that is not a multiple of
 the block rows, so every case crosses both wrap rows and a ragged last
@@ -14,7 +14,7 @@ block.  Each output starts as NaN, so a row a stencil leaves unwritten fails.
 import numpy as np
 import pytest
 
-from solwave.stencil import (BLOCK_BYTES, abs_sq, centered_difference,
+from solwave.stencil import (BLOCK_BYTES, abs_sq, neighbour_difference,
                              neighbour_sum, row_blocks)
 
 # shape, spacing, mode numbers
@@ -71,11 +71,11 @@ def test_neighbour_sum_and_laplacian(case):
     np.testing.assert_allclose(lap, symbol * psi, rtol=0, atol=1e-12 * abs(symbol))
 
 
-def test_centered_difference(case):
+def test_neighbour_difference(case):
     psi, spacing, k = case
     for axis, (h, kj) in enumerate(zip(spacing, k)):
-        d = blocked(psi, lambda rows, out: centered_difference(psi, axis, h, rows, out=out))
-        np.testing.assert_allclose(d, 1j * np.sin(kj * h) / h * psi, rtol=0, atol=1e-12)
+        d = blocked(psi, lambda rows, out: neighbour_difference(psi, axis, rows, out=out))
+        np.testing.assert_allclose(d, 2j * np.sin(kj * h) * psi, rtol=0, atol=1e-12)
 
 
 def test_wrap_rows_read_the_far_end():
