@@ -237,7 +237,7 @@ def _density_blocks(sample: FieldSample, spec: PotentialSpec):
             grad_sq = abs_sq(neighbour_difference(psi, axis, rows, out=diff))
             grad_sq *= w
             density += grad_sq
-        density += evaluate_potential(spec, np.abs(psi[rows]))
+        density += evaluate_potential(spec, psi[rows])
         yield rows, density
 
 

@@ -151,7 +151,7 @@ def compute_functionals(wave: SolitaryWave) -> FunctionalReport:
     grad = float(simpson(dR**2 * rn, x=r)) + k * k * float(simpson(cent, x=r))
     i0 = 0.5 * measure * float(simpson(R**2 * rn, x=r))
     i_k = np.full(n, measure * grad / (2.0 * n))
-    v0 = measure * float(simpson(evaluate_potential(wave.spec, np.abs(R)) * rn, x=r))
+    v0 = measure * float(simpson(evaluate_potential(wave.spec, R) * rn, x=r))
 
     report = FunctionalReport(i0, i_k, v0, omega, n, k)
 

@@ -6,15 +6,21 @@ The field equation couples to a real potential V(psi) = U(|psi|) where
 
 so the force f(psi) = -grad_psi V is a real multiple of psi:
 
-    f(psi) = g(|psi|) * psi / |psi|,   g(a) = -U'(a) = -mass_sq*a + sum_j c_j a^{e_j - 1}.
+    f(psi) = h(|psi|) * psi,   h(a) = -U'(a)/a = -mass_sq + sum_j c_j a^{e_j - 2}.
 
 The canonical cubic case (mass_sq=m^2, one term (b, 4)) gives
 U(a) = m^2 a^2/2 - b a^4/4 and f(a) = -m^2 a + b a^3.
+
+evaluate_potential and evaluate_force both take the field psi.  Both sum
+the one power ladder sum_j w_j a^{e_j - 2}, built from a^2 = re^2 + im^2 when
+every exponent is even: U(a) = a^2 (mass_sq/2 - sum_j (c_j/e_j) a^{e_j-2}).
 
 Admissibility of a spec for solitary waves at frequency omega is summarized by
 four scalar conditions (small-amplitude mass gap, a negative-energy amplitude,
 power subcriticality, and nonnegativity of U(a) + omega^2 a^2/2), each checked
 numerically over [0, amplitude_cap] plus an exact polynomial tail analysis.
+The polynomials U(a) -+ omega^2 a^2/2 have one coefficient builder, and every
+zero of them and of their derivatives comes from one bracketing root finder.
 """
 
 from __future__ import annotations
@@ -89,31 +95,52 @@ class ConditionReport:
     n: int
 
 
-def _poly_coeffs(spec: PotentialSpec) -> np.ndarray:
-    """Coefficients of U as a numpy polynomial (highest degree first)."""
-    degree = max([e for _, e in spec.terms], default=2)
-    degree = max(degree, 2)
+def _poly_coeffs(spec: PotentialSpec, w2: float = 0.0) -> np.ndarray:
+    """Coefficients of U(a) + w2 a^2/2 as a numpy polynomial (highest degree
+    first); the a^2 slot is mass_sq/2, then + w2/2."""
+    degree = max([2, *(e for _, e in spec.terms)])
     coeffs = np.zeros(degree + 1)
-    coeffs[degree - 2] = spec.mass_sq / 2.0  # a^2 slot
+    coeffs[degree - 2] = spec.mass_sq / 2.0
+    coeffs[degree - 2] += w2 / 2.0
     for coupling, exponent in spec.terms:
         coeffs[degree - exponent] -= coupling / exponent
     return coeffs
 
 
-def evaluate_potential(spec: PotentialSpec, a):
-    """U(a) for real amplitude a >= 0 (scalar or array).
+def _moduli(spec: PotentialSpec, psi):
+    """(a^2, a) for a = |psi|.  When every exponent is even only a^2 is
+    needed, taken as re^2 + im^2 without a square root, and a is None."""
+    if all(exponent % 2 == 0 for _, exponent in spec.terms):
+        return np.asarray(abs_sq(psi), dtype=float), None
+    a = np.asarray(np.abs(psi), dtype=float)
+    return a * a, a
 
-    Each a^e is a^2 or a^3 times repeated factors of a^2: numpy's general
-    power, taken for any exponent but 2, costs several times as much.
-    """
-    a = np.asarray(a, dtype=float)
-    a2 = a * a
-    out = spec.mass_sq * a2 / 2.0
-    for coupling, exponent in spec.terms:
-        power = a2 if exponent % 2 == 0 else a * a2
+
+def _power_sum(spec: PotentialSpec, weights, start: float, a2, a):
+    """start + sum_j w_j a^(e_j - 2), summed in that order into the first
+    term's array.  Each power is a product of factors a^2, times a for an odd
+    e_j: numpy's general power, taken for any exponent but 2, costs several
+    times as much."""
+    out = None
+    for w, (_, exponent) in zip(weights, spec.terms):
+        power = a if exponent % 2 else None
         for _ in range((exponent - 2) // 2):
-            power = power * a2
-        out = out - coupling * power / exponent
+            power = a2 if power is None else power * a2
+        term = w * power
+        if out is None:
+            out = term
+            out += start
+        else:
+            out += term
+    return np.full_like(a2, start) if out is None else out
+
+
+def evaluate_potential(spec: PotentialSpec, psi):
+    """V(psi) = U(|psi|) = a^2 (mass_sq/2 - sum_j (c_j/e_j) a^(e_j-2)) at
+    a = |psi|, for complex (or real) psi, scalar or array."""
+    a2, a = _moduli(spec, psi)
+    out = _power_sum(spec, [-c / e for c, e in spec.terms], spec.mass_sq / 2.0, a2, a)
+    out *= a2
     return out if out.ndim else float(out)
 
 
@@ -123,25 +150,8 @@ def force_slope(spec: PotentialSpec, a):
     Factoring out one power of psi keeps the force exactly U(1)-equivariant
     and finite at psi = 0 (every exponent is >= 3).
     """
-    return _slope(spec, np.asarray(a, dtype=float), 1)
-
-
-def _slope(spec: PotentialSpec, x: np.ndarray, power: int):
-    """h(a) from x = a**power, where power divides every e_j - 2.
-
-    The first term's array takes the mass and the other terms in place, in
-    the order -mass_sq + t_1 + t_2 + ..., and a unit power is x itself."""
-    out = None
-    for coupling, exponent in spec.terms:
-        p = (exponent - 2) // power
-        term = coupling * (x if p == 1 else x ** p)
-        if out is None:
-            out = term
-            out -= spec.mass_sq
-        else:
-            out += term
-    if out is None:
-        out = np.full_like(x, -spec.mass_sq)
+    a = np.asarray(a, dtype=float)
+    out = _power_sum(spec, [c for c, _ in spec.terms], -spec.mass_sq, a * a, a)
     return out if out.ndim else float(out)
 
 
@@ -149,16 +159,12 @@ def evaluate_force(spec: PotentialSpec, psi):
     """f(psi) = -grad_psi V(psi), for complex (or real) psi, scalar or array.
 
     Equivariance f(e^{i theta} psi) = e^{i theta} f(psi) holds by construction:
-    the force is psi times the real scalar h(|psi|).  When every exponent is
-    even, h is a polynomial in |psi|^2 = re^2 + im^2 and no square root is
-    taken; an odd exponent needs |psi| itself.
+    the force is psi times the real scalar h(|psi|), from the moduli that
+    evaluate_potential takes.
     """
     psi_arr = np.asarray(psi)
-    if all(exponent % 2 == 0 for _, exponent in spec.terms):
-        slope = _slope(spec, np.asarray(abs_sq(psi_arr), dtype=float), 2)
-    else:
-        slope = force_slope(spec, np.abs(psi_arr))
-    out = psi_arr * slope
+    a2, a = _moduli(spec, psi_arr)
+    out = psi_arr * _power_sum(spec, [c for c, _ in spec.terms], -spec.mass_sq, a2, a)
     return out if out.ndim else out[()]
 
 
@@ -169,12 +175,11 @@ def expected_amplitude(spec: PotentialSpec, omega: float) -> float | None:
     This is the separatrix amplitude of the one-dimensional profile equation
     and sets the scale of ground-state amplitudes in any dimension; it is the
     natural default for sizing amplitude_cap.  The zero comes from brackets
-    between the polynomial's extrema (_sign_change_zeros), not from np.roots,
-    whose companion eigenvalues lose a zero near 1 beside a coupling ~1e-115.
+    between the polynomial's extrema (_sign_change_zeros), not from the
+    eigenvalues of its companion matrix, which lose a zero near 1 beside a
+    coupling ~1e-115.
     """
-    g = _poly_coeffs(spec).copy()
-    g[-3] -= omega**2 / 2.0
-    zeros = _sign_change_zeros(g)
+    zeros = _sign_change_zeros(_poly_coeffs(spec, -omega**2))
     return zeros[0] if zeros else None
 
 
@@ -209,75 +214,49 @@ def _sign_change_zeros(coeffs: np.ndarray) -> list[float]:
             if np.sign(sign_poly(lo)) * np.sign(sign_poly(hi)) < 0]
 
 
-def _scan_negative(coeffs: np.ndarray, cap: float, n_grid: int = 10_000):
-    """First point in (0, cap] where the polynomial dips negative, refined
-    against exact stationary points; None if nonnegative on the range."""
-    grid = np.linspace(0.0, cap, n_grid + 1)
-    candidates = [grid]
-    if len(coeffs) > 2:
-        crit = np.roots(np.polyder(coeffs))
-        crit = crit[np.abs(crit.imag) < 1e-9 * (1 + np.abs(crit))].real
-        crit = crit[(crit > 0) & (crit <= cap)]
-        if crit.size:
-            candidates.append(crit)
-    points = np.sort(np.concatenate(candidates))
-    values = np.polyval(coeffs, points)
-    bad = points[values < 0]
+def _scan_negative(coeffs: np.ndarray, cap: float):
+    """First point in (0, cap] where the polynomial dips negative, on a
+    10^4-step grid refined by its stationary points; None if nonnegative on
+    the range."""
+    crit = [z for z in _sign_change_zeros(np.polyder(coeffs)) if z <= cap]
+    points = np.sort(np.concatenate([np.linspace(0.0, cap, 10_001), crit]))
+    bad = points[np.polyval(coeffs, points) < 0]
     return float(bad[0]) if bad.size else None
-
-
-def _leading_force_term(spec: PotentialSpec) -> tuple[float, int]:
-    """(coefficient, power) of the dominant term of f(a) as a -> infinity."""
-    if not spec.terms:
-        return (-spec.mass_sq, 1)
-    by_exponent: dict[int, float] = {}
-    for coupling, exponent in spec.terms:
-        by_exponent[exponent - 1] = by_exponent.get(exponent - 1, 0.0) + coupling
-    for power in sorted(by_exponent, reverse=True):
-        if by_exponent[power] != 0.0:
-            return (by_exponent[power], power)
-    return (-spec.mass_sq, 1)
 
 
 def check_conditions(spec: PotentialSpec, omega: float, n: int) -> ConditionReport:
     """Evaluate the four admissibility conditions for (spec, omega, n).
 
     S2 and S4 are decided on a 10^4-point uniform grid over [0, amplitude_cap]
-    augmented with the exact stationary points of the scanned polynomial; if
-    the grid shows no S2 witness but the polynomial tail is negative, the
-    witness is recovered from the exact roots beyond the cap.
+    augmented with the stationary points of the scanned polynomial; if the
+    grid shows no S2 witness but the polynomial's leading coefficient is
+    negative, the witness is 1.01 times its last sign-changing zero, past
+    which it stays negative.  Every zero comes from _sign_change_zeros.
     """
     cap = spec.amplitude_cap
     s1_value = omega**2 - spec.mass_sq
     s1_holds = s1_value < 0
 
     # S2: U(a) - omega^2 a^2 / 2 < 0 somewhere
-    g2 = _poly_coeffs(spec).copy()
-    g2[-3] -= omega**2 / 2.0
+    g2 = _poly_coeffs(spec, -omega**2)
     witness = _scan_negative(g2, cap)
     if witness is None and g2[0] < 0:
-        # negative leading coefficient: a witness exists beyond the cap
-        roots = np.roots(g2)
-        real = roots[np.abs(roots.imag) < 1e-9 * (1 + np.abs(roots))].real
-        beyond = np.sort(real[real > cap])
-        probe = 1.01 * beyond[-1] if beyond.size else 2.0 * cap
-        while np.polyval(g2, probe) >= 0:
-            probe *= 2.0
-        witness = float(probe)
+        # nonnegative up to the cap, negative at infinity: it changes sign
+        witness = 1.01 * _sign_change_zeros(g2)[-1]
     s2_holds = witness is not None
 
-    # S3: growth of f at infinity against the critical power (n+2)/(n-2)
+    # S3: growth of f at infinity against the critical power (n+2)/(n-2);
+    # with u_d the top nonzero coefficient of U, f leads with -d u_d a^(d-1)
     if n <= 2:
         s3_holds = None
     else:
-        coeff, power = _leading_force_term(spec)
+        u = np.trim_zeros(_poly_coeffs(spec), "f")
+        power = u.size - 2
         l_crit = (n + 2) / (n - 2)
-        s3_holds = power < l_crit or (power == l_crit and coeff <= 0)
+        s3_holds = bool(power < l_crit or (power == l_crit and u[0] >= 0))
 
     # S4: U(a) + omega^2 a^2 / 2 >= 0 on [0, cap]
-    g4 = _poly_coeffs(spec).copy()
-    g4[-3] += omega**2 / 2.0
-    violation = _scan_negative(g4, cap)
+    violation = _scan_negative(_poly_coeffs(spec, omega**2), cap)
 
     return ConditionReport(
         s1_holds=s1_holds,

@@ -7,6 +7,7 @@ import solwave.cli
 from solwave.cli import main, normalize_config
 
 CUBIC_POT = {"mass_sq": 1.0, "terms": [{"coupling": 1.0, "exponent": 4}]}
+BASE = {"potential": CUBIC_POT, "omega": 0.8, "n": 1, "k": 0, "output_dir": "out"}
 
 
 def _write_config(tmp_path, **extra):
@@ -96,6 +97,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and f"{key} must be a whole number" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config, argv, message", [
+        (BASE, ["--set", "omega"], "expects key=value"),
+        (BASE, ["--set", "omega.value=0.7"], "crosses a non-object"),
+        ([BASE], [], "root must be a JSON object"),
+        ({k: v for k, v in BASE.items() if k != "potential"}, [], "'potential' section"),
+        (BASE | {"potential": {"terms": CUBIC_POT["terms"]}}, [], "mass_sq is required"),
+        (BASE | {"n": 4}, [], "n must be 1, 2 or 3"),
+        (BASE | {"k": -1}, [], "k must be >= 0"),
+        (BASE | {"grid": {"h": 0}}, [], "grid.h must be positive"),
+        (BASE | {"grid": {"extent": [40.0]}}, [], "given together"),
+        (BASE | {"grid": {"extent": [40.0, 40.0], "points": [800, 800]}}, [],
+         "one entry per axis"),
+    ], ids=["set_without_equals", "set_through_value", "non_object_root", "no_potential",
+            "no_mass_sq", "n_4", "k_negative", "grid_h_zero", "extent_without_points",
+            "extent_wrong_length"])
+    def test_rejected_config_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                             config, argv, message):
+        monkeypatch.chdir(tmp_path)  # the default output_dir is relative
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main(["solve", "--config", "config.json", *argv]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert [p for p in tmp_path.iterdir() if p.is_dir()] == []
+
+    def test_solve_excited_state(self, tmp_path):
+        cfg = _write_config(tmp_path)
+        assert main(["solve", "--config", str(cfg), "--set", "n=2", "--set", "k=1"]) == 0
+        outdir = tmp_path / "out"
+        assert (outdir / "wave_n2k1.csv").exists()
+        sidecar = json.loads((outdir / "wave_n2k1.json").read_text())
+        assert (sidecar["k"], sidecar["node_count"]) == (1, 0)
 
     def test_check_ok(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)

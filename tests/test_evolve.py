@@ -354,13 +354,15 @@ class TestEvolveDiagnostics:
                    snapshot_stride=1, snapshot_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("stride", ["diag_stride", "snapshot_stride"])
+    @pytest.mark.parametrize("stride", ["diag_stride", "snapshot_stride", "t_final"])
     def test_zero_stride_rejected_before_writing(self, cubic, wave_1d, tmp_path, stride):
+        # and, beside them, a negative end time
         g = grid_for(wave_1d, [0.0], 0.5, 0.1)
         s0 = sample_boosted(wave_1d, [0.0], g, t=0.0)
-        strides = {"diag_stride": 5, "snapshot_stride": 5, stride: 0}
+        args = {"t_final": 0.5, "diag_stride": 5, "snapshot_stride": 5}
+        args[stride] = -1.0 if stride == "t_final" else 0
         with pytest.raises(ValueError, match=stride):
-            evolve(s0, cubic, 0.5, 0.05, snapshot_dir=tmp_path, **strides)
+            evolve(s0, cubic, dt=0.05, snapshot_dir=tmp_path, **args)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("t_final", [0.13, 0.01])

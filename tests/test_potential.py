@@ -3,6 +3,7 @@ import pytest
 
 from solwave.potential import (PotentialSpec, check_conditions, evaluate_force,
                                evaluate_potential, expected_amplitude, force_slope)
+from solwave.radial import find_ground_state
 
 
 def test_potential_values(cubic):
@@ -68,6 +69,27 @@ def test_force_matches_amplitude_formula(spec, even):
     # the odd route is the amplitude formula itself; the even one rounds
     # differently somewhere among 2000 points, which shows it was taken
     assert np.array_equal(got, today) == (not even)
+
+
+@pytest.mark.parametrize("spec, even", [
+    (PotentialSpec(mass_sq=1.0, terms=((1.0, 4),)), True),
+    (PotentialSpec(mass_sq=1.0, terms=((1.0, 4), (-0.1, 6))), True),
+    (PotentialSpec(mass_sq=0.5, terms=((0.3, 3), (1.0, 5))), False),
+], ids=["cubic", "cubic_quintic", "odd"])
+def test_potential_takes_the_field(spec, even):
+    # V(psi) = U(|psi|): even exponents take a^2 = re^2 + im^2, odd ones |psi|
+    rng = np.random.default_rng(13)
+    psi = rng.uniform(0.0, 3.0, 2000) * np.exp(2j * np.pi * rng.uniform(size=2000))
+    a = np.abs(psi)
+    amplitude = evaluate_potential(spec, a)
+    scale = a * a * (spec.mass_sq / 2 + sum(abs(c / e) * a ** (e - 2) for c, e in spec.terms))
+    got = evaluate_potential(spec, psi)
+    assert np.all(np.abs(got - amplitude) <= 1e-15 * scale)
+    for theta in np.linspace(0.0, 2 * np.pi, 9, endpoint=False)[1:]:
+        rotated = evaluate_potential(spec, np.exp(1j * theta) * psi)
+        assert np.all(np.abs(rotated - got) <= 1e-14 * scale)
+    # the odd route is the amplitude route itself
+    assert np.array_equal(got, amplitude) == (not even)
 
 
 def test_u1_equivariance(cubic):
@@ -167,6 +189,20 @@ def test_expected_amplitude_beside_tiny_couplings(terms, omega, root):
     # without the tiny coupling, to far below 1e-12
     spec = PotentialSpec(mass_sq=1.0, terms=terms)
     assert expected_amplitude(spec, omega) == pytest.approx(root, rel=1e-12)
+    # the scan's stationary points come from the same root finder: the S2
+    # witness is the first grid point past the root, at most one step of
+    # cap/10^4 on (the root sits on a node here, up to rounding)
+    cap = 10.0 * root
+    rep = check_conditions(PotentialSpec(mass_sq=1.0, terms=terms, amplitude_cap=cap), omega, 1)
+    assert rep.s2_holds
+    assert root <= rep.s2_witness <= root + 1.001 * cap / 1e4
+
+
+def test_ground_state_beside_subnormal_coupling():
+    spec = PotentialSpec(mass_sq=1.0, terms=((1.0, 4), (2e-311, 6)),
+                         amplitude_cap=10.0 * np.sqrt(1.5))
+    wave = find_ground_state(spec, 0.5, 1)
+    assert abs(wave.profile.shoot_param - np.sqrt(1.5)) <= 1e-12
 
 
 @pytest.mark.parametrize("terms, omega", [
