@@ -1,10 +1,9 @@
 """Solitary waves of U(1)-invariant nonlinear Klein-Gordon equations.
 
 Construct radial ground states and planar angular excited states by shooting,
-verify the Derrick-Pokhozhaev and isotropy identities, and confirm by direct
-grid integration and time evolution that Lorentz-boosted waves carry the
-relativistic particle energy-momentum  E_v = E_0/sqrt(1-v^2),
-P_v = E_0 v/sqrt(1-v^2).
+verify the Derrick-Pokhozhaev identity, and confirm by direct grid integration
+and time evolution that Lorentz-boosted waves carry the relativistic particle
+energy-momentum  E_v = E_0/sqrt(1-v^2), P_v = E_0 v/sqrt(1-v^2).
 """
 
 from .potential import (ConditionReport, PotentialSpec, check_conditions,
@@ -13,9 +12,8 @@ from .radial import (NoBracket, NodeCountMismatch, RadialProfile, SolitaryWave,
                      StepFailure, TailFit, WaveInterpolant, equation_residual,
                      find_excited_state, find_ground_state, fit_tail_decay,
                      load_wave, resample_wave, save_wave)
-from .functionals import (EnergyMomentum, FunctionalReport, Provenance,
-                          SuperluminalVelocity, compute_functionals,
-                          lorentz_boost, predict_energy_momentum)
+from .functionals import (EnergyMomentum, FunctionalReport, SuperluminalVelocity,
+                          compute_functionals, lorentz_boost, predict_energy_momentum)
 from .boost import (FieldSample, GridSpec, GridTooSmall, ScanRow, ZeroField,
                     boost_scan, center_of_energy, grid_for, load_sample,
                     measure_energy, measure_momentum, sample_boosted,

@@ -41,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import atomic_write, write_csv, write_json
-from .functionals import (FunctionalReport, Provenance, lorentz_boost,
-                          predict_energy_momentum)
+from .functionals import FunctionalReport, lorentz_boost, predict_energy_momentum
 from .potential import PotentialSpec, evaluate_potential
 from .radial import SolitaryWave, WaveInterpolant
 from .stencil import abs_sq, neighbour_difference, row_blocks
@@ -314,7 +313,7 @@ def boost_scan(wave: SolitaryWave, spec: PotentialSpec, velocities,
             raise GridTooSmall(f"at v={v.tolist()}: {exc}") from exc
         e_m = measure_energy(sample, spec)
         p_m = measure_momentum(sample)
-        pred = predict_energy_momentum(report, v, Provenance.CLOSED_FORM)
+        pred = predict_energy_momentum(report, v)
         rel_e = abs(e_m / pred.energy - 1.0)
         p_scale = float(np.linalg.norm(pred.momentum))
         rel_p = float(np.linalg.norm(p_m - pred.momentum)) / (p_scale if p_scale > 0 else pred.energy)

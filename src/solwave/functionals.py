@@ -23,6 +23,10 @@ with the convention that component 1 of I_j is the boost axis.
 
 FunctionalReport stores I_0, I_1..I_n and V_0 and derives E_0 and both identity
 residuals from them; lorentz_boost is the one velocity check and gamma.
+compute_functionals shares the gradient integral equally among I_1..I_n, so
+a computed report's isotropy defect is zero by construction: it is reported,
+not checked.  predict_energy_momentum is the particle-like relation and
+predict_general_energy_momentum the anisotropic formulas above.
 
 All integrals reduce to radial quadrature: composite Simpson sums on the
 stored uniform grid and nothing else.  That grid ends where |R| <= 1e-8 max|R|
@@ -35,23 +39,22 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
 
-from .potential import check_conditions, evaluate_potential
+from .potential import evaluate_potential
 from .radial import SolitaryWave
 
 __all__ = [
     "FunctionalReport",
     "EnergyMomentum",
-    "Provenance",
     "SuperluminalVelocity",
     "compute_functionals",
     "lorentz_boost",
     "predict_energy_momentum",
+    "predict_general_energy_momentum",
     "report_to_dict",
 ]
 
@@ -62,11 +65,6 @@ SPHERE_MEASURE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 class SuperluminalVelocity(ValueError):
     """|v| >= 1 requested."""
-
-
-class Provenance(Enum):
-    CLOSED_FORM = "ClosedForm"
-    GENERAL_FORMULA = "GeneralFormula"
 
 
 @dataclass(frozen=True)
@@ -119,7 +117,7 @@ def lorentz_boost(v, n: int) -> tuple[np.ndarray, float, float]:
     if v.shape != (n,):
         raise ValueError(f"velocity must have {n} components, got shape {v.shape}")
     speed = float(np.linalg.norm(v))
-    if speed >= 1.0:
+    if not speed < 1.0:  # NaN fails too
         raise SuperluminalVelocity(f"|v| = {speed} >= 1")
     return v, speed, 1.0 / math.sqrt(1.0 - speed**2)
 
@@ -136,8 +134,8 @@ def compute_functionals(wave: SolitaryWave) -> FunctionalReport:
         I_j = |S| (int R'^2 r^{n-1} dr + k^2 int R^2 r^{n-3} dr) / (2n),
 
     the gradient integral shared equally among the n components (k = 0
-    unless n = 2).  Emits warnings for the flagged regimes (omega = 0, or a
-    nonpositive rest energy that the sign conditions cannot explain).
+    unless n = 2).  Emits a warning for omega = 0, and one for a nonpositive
+    rest energy, which no solution has.
     """
     profile = wave.profile
     r, R, dR = profile.r_grid, profile.values, profile.derivative
@@ -163,48 +161,37 @@ def compute_functionals(wave: SolitaryWave) -> FunctionalReport:
             RuntimeWarning,
         )
     elif report.e0 <= 0.0:
-        attained = float(np.max(np.abs(R)))
-        s4 = check_conditions(replace(wave.spec, amplitude_cap=attained), omega, n)
-        if s4.s4_holds_on_cap_range:
-            warnings.warn(
-                f"nonpositive rest energy E_0={report.e0:.6g} despite the "
-                "nonnegativity condition holding on the attained amplitude "
-                "range; the wave is suspect",
-                RuntimeWarning,
-            )
-        else:
-            warnings.warn(
-                f"nonpositive rest energy E_0={report.e0:.6g}; the "
-                "nonnegativity condition fails inside the attained amplitude "
-                "range so positivity is not guaranteed",
-                RuntimeWarning,
-            )
+        # E_0 - lhs/n = (2/n) sum I_j + 2 omega^2 I_0 > 0, so E_0 <= 0 puts the
+        # Pokhozhaev residual at 1/2 or more (n <= 3)
+        warnings.warn(
+            f"nonpositive rest energy E_0={report.e0:.6g} with Pokhozhaev residual "
+            f"{report.pokhozhaev_residual:.3g}: the dilation identity forces "
+            "E_0 > 0 on a solution, so the wave is suspect",
+            RuntimeWarning,
+        )
     return report
 
 
-def predict_energy_momentum(report: FunctionalReport, v, mode: Provenance) -> EnergyMomentum:
-    """Moving-frame energy and momentum predicted from rest-frame functionals.
+def predict_energy_momentum(report: FunctionalReport, v) -> EnergyMomentum:
+    """The particle-like relation (gamma E_0, gamma E_0 v) from the rest-frame
+    functionals."""
+    v, _, gamma = lorentz_boost(v, report.n)
+    return EnergyMomentum(energy=float(gamma * report.e0), momentum=gamma * report.e0 * v)
 
-    ClosedForm is the particle-like relation (gamma E_0, gamma E_0 v).
-    GeneralFormula keeps the anisotropy term in the energy and computes the
-    momentum from 2(I_1 + omega^2 I_0); the boost axis must be component 1 of
-    the report's i_k (axis relabeling is the caller's responsibility).
-    """
+
+def predict_general_energy_momentum(report: FunctionalReport, v) -> EnergyMomentum:
+    """The general moving-frame formulas: the anisotropy term kept in the
+    energy and the momentum from 2(I_1 + omega^2 I_0).  The boost axis must
+    be component 1 of the report's i_k (axis relabeling is the caller's
+    responsibility)."""
     v, speed, gamma = lorentz_boost(v, report.n)
-
-    if mode is Provenance.CLOSED_FORM:
-        energy = gamma * report.e0
-        momentum = gamma * report.e0 * v
-    elif mode is Provenance.GENERAL_FORMULA:
-        energy = (gamma * report.e0
-                  + gamma * (2.0 * speed**2 / report.n) * report.isotropy_defect)
-        if speed > 0.0:
-            along = gamma * speed * 2.0 * (report.i_k[0] + report.omega**2 * report.i0)
-            momentum = along * (v / speed)
-        else:
-            momentum = np.zeros(report.n)
+    energy = (gamma * report.e0
+              + gamma * (2.0 * speed**2 / report.n) * report.isotropy_defect)
+    if speed > 0.0:
+        along = gamma * speed * 2.0 * (report.i_k[0] + report.omega**2 * report.i0)
+        momentum = along * (v / speed)
     else:
-        raise ValueError(f"prediction mode must be ClosedForm or GeneralFormula, got {mode}")
+        momentum = np.zeros(report.n)
     return EnergyMomentum(energy=float(energy), momentum=momentum)
 
 

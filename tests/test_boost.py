@@ -8,9 +8,8 @@ from solwave.boost import (BOUNDARY_DECAY, FieldSample, GridSpec, GridTooSmall,
                            boost_scan, grid_for, load_sample, measure_energy,
                            measure_momentum, sample_boosted, save_sample,
                            scan_to_csv)
-from solwave.functionals import (Provenance, SuperluminalVelocity,
-                                 compute_functionals, lorentz_boost,
-                                 predict_energy_momentum)
+from solwave.functionals import (SuperluminalVelocity, compute_functionals,
+                                 lorentz_boost, predict_energy_momentum)
 from solwave.radial import WaveInterpolant
 from solwave.stencil import row_blocks
 
@@ -312,8 +311,7 @@ class TestVelocityRejection:
             "grid_for": lambda v: grid_for(wave, v, 0.0, 0.02),
             "sample_boosted": lambda v: sample_boosted(wave, v, grid),
             "boost_scan": lambda v: boost_scan(wave, cubic, [v], grid, report),
-            "predict_energy_momentum": lambda v: predict_energy_momentum(
-                report, v, Provenance.CLOSED_FORM),
+            "predict_energy_momentum": lambda v: predict_energy_momentum(report, v),
         }
 
     @pytest.mark.parametrize("name", ["grid_for", "sample_boosted", "boost_scan",

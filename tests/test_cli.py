@@ -110,9 +110,32 @@ class TestExitCodes:
         (BASE | {"grid": {"extent": [40.0]}}, [], "given together"),
         (BASE | {"grid": {"extent": [40.0, 40.0], "points": [800, 800]}}, [],
          "one entry per axis"),
+        (BASE, ["--set", "tolerances.quadrature_tol=NaN"],
+         "tolerances.quadrature_tol must be a finite number"),
+        (BASE, ["--set", "tolerances.scan_rel_err=NaN"],
+         "tolerances.scan_rel_err must be a finite number"),
+        (BASE, ["--set", "tolerances.speed_rel_err=-0.01"],
+         "tolerances.speed_rel_err must be >= 0"),
+        (BASE, ["--set", "velocities=[NaN]"], "velocities must be a finite number"),
+        (BASE, ["--set", "grid.h=NaN"], "grid.h must be a finite number"),
+        (BASE, ["--set", "potential.amplitude_cap=NaN"],
+         "potential.amplitude_cap must be a finite number"),
+        (BASE, ["--set", "evolve.t_final=Infinity"], "evolve.t_final must be a finite number"),
+        (BASE, ["--set", "velocites=[0.3,0.6]"], "unknown key(s) in config: 'velocites'"),
+        (BASE, ["--set", "potential.cap=5"], "unknown key(s) in potential: 'cap'"),
+        (BASE | {"potential": CUBIC_POT | {"terms": [{"coupling": 1.0, "exponent": 4,
+                                                      "power": 6}]}}, [],
+         "unknown key(s) in potential.terms[0]: 'power'"),
+        (BASE, ["--set", "grid.step=0.1"], "unknown key(s) in grid: 'step'"),
+        (BASE, ["--set", "evolve.t_end=1"], "unknown key(s) in evolve: 't_end'"),
+        (BASE, ["--set", "tolerances.speed_tol=0.1"],
+         "unknown key(s) in tolerances: 'speed_tol'"),
     ], ids=["set_without_equals", "set_through_value", "non_object_root", "no_potential",
             "no_mass_sq", "n_4", "k_negative", "grid_h_zero", "extent_without_points",
-            "extent_wrong_length"])
+            "extent_wrong_length", "quadrature_tol_nan", "scan_rel_err_nan",
+            "speed_rel_err_negative", "velocity_nan", "grid_h_nan", "amplitude_cap_nan",
+            "t_final_infinite", "misspelt_top_level", "misspelt_potential", "misspelt_term",
+            "misspelt_grid", "misspelt_evolve", "misspelt_tolerance"])
     def test_rejected_config_is_config_error(self, tmp_path, capsys, monkeypatch,
                                              config, argv, message):
         monkeypatch.chdir(tmp_path)  # the default output_dir is relative
@@ -217,6 +240,15 @@ class TestExitCodes:
         assert "config error" in err and "t_final=0.13" in err and "dt=0.05" in err
         assert not (tmp_path / "out").exists()
 
+    def test_evolve_speed_miss_is_numerical_error(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, velocities=[0.5], grid={"h": 0.1},
+                            evolve={"t_final": 1.0, "dt": 0.05, "diag_stride": 5},
+                            tolerances={"speed_rel_err": 0.0})
+        assert main(["evolve", "--config", str(cfg)]) == 2
+        assert "FAIL: fitted speed" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["artifacts"] == ["evolution.csv"]
+
     def test_evolve_ok(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, velocities=[0.5], grid={"h": 0.1},
                             evolve={"t_final": 1.0, "dt": 0.05, "diag_stride": 5},
@@ -285,6 +317,22 @@ def test_demo_computes_functionals_once(tmp_path, monkeypatch):
     monkeypatch.setattr(solwave.cli, "compute_functionals", counting)
     assert main(["demo", "--set", f"output_dir={tmp_path / 'demo'}"]) == 0
     assert len(calls) == 1
+
+
+def test_demo_stops_at_first_failing_stage(tmp_path, monkeypatch):
+    check = solwave.cli.cmd_check
+
+    def failing(cfg, wave, report):
+        _, written = check(cfg, wave, report)
+        return 2, written
+
+    monkeypatch.setattr(solwave.cli, "cmd_check", failing)
+    out = tmp_path / "demo"
+    assert main(["demo", "--set", f"output_dir={out}"]) == 2
+    assert sorted(os.listdir(out)) == [
+        "manifest.json", "report_n1k0.json", "wave_n1k0.csv", "wave_n1k0.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"] == ["report_n1k0.json", "wave_n1k0.csv", "wave_n1k0.json"]
 
 
 class TestManifestOwnership:

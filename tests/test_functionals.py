@@ -1,12 +1,16 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from solwave.functionals import (FunctionalReport, Provenance,
-                                 SuperluminalVelocity, compute_functionals,
-                                 predict_energy_momentum, report_to_dict)
+import solwave.functionals
+import solwave.potential
+from solwave.functionals import (FunctionalReport, SuperluminalVelocity,
+                                 compute_functionals, lorentz_boost,
+                                 predict_energy_momentum,
+                                 predict_general_energy_momentum, report_to_dict)
 from solwave.radial import WaveInterpolant
 
 from conftest import ORACLE
@@ -120,6 +124,27 @@ class TestIdentities:
         rep = FunctionalReport(2.0, [0.7], 1.0, 0.5, 1)
         assert rep.isotropy_defect == 0.0
 
+    def test_scaled_profile_warns_once(self, wave_1d, monkeypatch):
+        """The sech profile scaled x3 is no solution: E_0 = -4.32 with a
+        Pokhozhaev residual of 1.0.  One warning names both, and no
+        admissibility scan runs to word it."""
+        calls = []
+        for module in (solwave.potential, solwave.functionals):
+            monkeypatch.setattr(module, "check_conditions",
+                                lambda *args: calls.append(args), raising=False)
+        profile = dataclasses.replace(wave_1d.profile, values=3 * wave_1d.profile.values,
+                                      derivative=3 * wave_1d.profile.derivative)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = compute_functionals(dataclasses.replace(wave_1d, profile=profile))
+        assert rep.e0 == pytest.approx(-4.32, rel=1e-6)
+        assert rep.pokhozhaev_residual == pytest.approx(1.0, rel=1e-12)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        message = str(caught[0].message)
+        assert f"E_0={rep.e0:.6g}" in message
+        assert f"Pokhozhaev residual {rep.pokhozhaev_residual:.3g}" in message
+        assert calls == []
+
     def test_anisotropic_report_has_defect(self):
         rep = FunctionalReport(1.0, [0.5, 2.0], 1.0, 0.5, 2)
         assert rep.isotropy_defect == pytest.approx(0.5 - 2.0)
@@ -127,45 +152,49 @@ class TestIdentities:
 
 class TestPredictions:
     def test_rest_frame(self, report_1d):
-        em = predict_energy_momentum(report_1d, [0.0], Provenance.CLOSED_FORM)
+        em = predict_energy_momentum(report_1d, [0.0])
         assert em.energy == pytest.approx(report_1d.e0, abs=0)
         assert em.momentum[0] == 0.0
 
     def test_oracle_at_v06(self, report_1d):
-        em = predict_energy_momentum(report_1d, [0.6], Provenance.CLOSED_FORM)
+        em = predict_energy_momentum(report_1d, [0.6])
         assert em.energy == pytest.approx(2.28, rel=1e-6)
         assert em.momentum[0] == pytest.approx(1.368, rel=1e-6)
 
     def test_momentum_equals_energy_times_velocity(self, report_1d):
         for v in (0.1, 0.45, 0.72):
-            em = predict_energy_momentum(report_1d, [v], Provenance.CLOSED_FORM)
+            em = predict_energy_momentum(report_1d, [v])
             assert em.momentum[0] == em.energy * v  # exact float identity
 
     def test_invariant_mass_constant(self, report_1d):
         values = []
         for v in np.arange(0.0, 0.95, 0.1):
-            em = predict_energy_momentum(report_1d, [v], Provenance.CLOSED_FORM)
+            em = predict_energy_momentum(report_1d, [v])
             values.append(em.energy * np.sqrt(1 - v**2))
         assert np.max(np.abs(np.array(values) / report_1d.e0 - 1)) < 1e-10
 
     def test_general_equals_closed_for_isotropic(self, wave_2d):
         rep = compute_functionals(wave_2d)
         for v in ([0.3, 0.0], [0.0, 0.5], [0.4, 0.3]):
-            closed = predict_energy_momentum(rep, v, Provenance.CLOSED_FORM)
-            general = predict_energy_momentum(rep, v, Provenance.GENERAL_FORMULA)
+            closed = predict_energy_momentum(rep, v)
+            general = predict_general_energy_momentum(rep, v)
             assert general.energy == pytest.approx(closed.energy, rel=1e-9)
             np.testing.assert_allclose(general.momentum, closed.momentum, rtol=1e-7)
 
     def test_general_equals_closed_energy_n1_any_report(self):
         junk = FunctionalReport(3.0, [1.7], 0.2, 0.4, 1)
         for v in (0.0, 0.5, 0.9):
-            closed = predict_energy_momentum(junk, [v], Provenance.CLOSED_FORM)
-            general = predict_energy_momentum(junk, [v], Provenance.GENERAL_FORMULA)
+            closed = predict_energy_momentum(junk, [v])
+            general = predict_general_energy_momentum(junk, [v])
             assert general.energy == closed.energy
 
     def test_superluminal_rejected(self, report_1d):
         with pytest.raises(SuperluminalVelocity):
-            predict_energy_momentum(report_1d, [1.0], Provenance.CLOSED_FORM)
+            predict_energy_momentum(report_1d, [1.0])
+
+    def test_nan_velocity_rejected(self):
+        with pytest.raises(SuperluminalVelocity):
+            lorentz_boost([float("nan")], 1)
 
     def test_stretched_profile_energy_shift(self, wave_2d):
         """Stretching a radial profile 2x along axis 1 scales the functionals
@@ -179,8 +208,8 @@ class TestPredictions:
         for speed in (0.3, 0.6, 0.9):
             v = [speed, 0.0]
             gamma = 1 / np.sqrt(1 - speed**2)
-            closed = predict_energy_momentum(stretched, v, Provenance.CLOSED_FORM)
-            general = predict_energy_momentum(stretched, v, Provenance.GENERAL_FORMULA)
+            closed = predict_energy_momentum(stretched, v)
+            general = predict_general_energy_momentum(stretched, v)
             shift = gamma * (2 * speed**2 / 2) * defect
             assert general.energy - closed.energy == pytest.approx(shift, rel=1e-8)
 
