@@ -9,7 +9,7 @@ energy-momentum  E_v = E_0/sqrt(1-v^2), P_v = E_0 v/sqrt(1-v^2).
 from .potential import (ConditionReport, PotentialSpec, check_conditions,
                         evaluate_force, evaluate_potential, expected_amplitude)
 from .radial import (NoBracket, NodeCountMismatch, RadialProfile, SolitaryWave,
-                     StepFailure, TailFit, WaveInterpolant, equation_residual,
+                     StepFailure, WaveInterpolant, equation_residual,
                      find_excited_state, find_ground_state, fit_tail_decay,
                      load_wave, resample_wave, save_wave)
 from .functionals import (EnergyMomentum, FunctionalReport, SuperluminalVelocity,

@@ -124,7 +124,7 @@ def grid_for(wave: SolitaryWave, v, t_max: float, h: float) -> GridSpec:
     if h <= 0:
         raise ValueError(f"grid spacing must be positive, got {h}")
     v, speed, gamma = lorentz_boost(v, wave.n)
-    mr = wave.profile.tail.match_radius
+    mr = wave.profile.match_radius
     margin = 10.0 / wave.delta
     extents, points = [], []
     for vj in v:

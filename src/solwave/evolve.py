@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import write_csv
-from .boost import (FieldSample, ZeroField, center_of_energy, measure_energy,
-                    measure_momentum, save_sample)
+from .boost import (FieldSample, center_of_energy, measure_energy, measure_momentum,
+                    save_sample)
 from .potential import PotentialSpec, evaluate_force
 from .stencil import neighbour_sum, row_blocks
 

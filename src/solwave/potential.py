@@ -25,6 +25,7 @@ zero of them and of their derivatives comes from one bracketing root finder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,14 +61,16 @@ class PotentialSpec:
     amplitude_cap: float = 10.0
 
     def __post_init__(self):
-        if self.mass_sq < 0:
-            raise ValueError(f"mass_sq must be >= 0, got {self.mass_sq}")
-        if self.amplitude_cap <= 0:
-            raise ValueError(f"amplitude_cap must be > 0, got {self.amplitude_cap}")
+        if not (math.isfinite(self.mass_sq) and self.mass_sq >= 0):
+            raise ValueError(f"mass_sq must be finite and >= 0, got {self.mass_sq}")
+        if not (math.isfinite(self.amplitude_cap) and self.amplitude_cap > 0):
+            raise ValueError(f"amplitude_cap must be finite and > 0, got {self.amplitude_cap}")
         norm = []
         for coupling, exponent in self.terms:
             if int(exponent) != exponent or exponent < 3:
                 raise ValueError(f"term exponent must be an integer >= 3, got {exponent}")
+            if not math.isfinite(coupling):
+                raise ValueError(f"term coupling must be finite, got {coupling}")
             norm.append((float(coupling), int(exponent)))
         object.__setattr__(self, "terms", tuple(norm))
 

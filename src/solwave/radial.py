@@ -13,7 +13,7 @@ decaying profile is a separatrix of the ODE: perturbations grow like
 e^{+delta r} with delta = sqrt(mass_sq - omega^2), so a shot with initial
 datum known to relative accuracy eps tracks the true profile only down to
 |R| ~ sqrt(eps) before it veers to one side.  Brent's method on the shot's
-signed miss (the growing-mode amplitude, signed by the outcome) therefore
+signed miss (the growing-mode amplitude, whose sign is the outcome) therefore
 refines the initial datum to near machine precision, the trajectory is cut at
 its deepest trusted point, and the profile is continued with the analytic
 linear-regime tail
@@ -32,7 +32,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.integrate import DOP853, OdeSolution
@@ -42,7 +41,6 @@ from .artifacts import write_csv, write_json
 from .potential import PotentialSpec, check_conditions, force_slope
 
 __all__ = [
-    "TailFit",
     "RadialProfile",
     "SolitaryWave",
     "StepFailure",
@@ -65,11 +63,6 @@ GRID_DENSITY = 500.0            # profile grid points per 1/delta
 SHOOT_TOL = 1e-13               # relative bracket width that ends root-finding
 
 
-class ShootOutcome(Enum):
-    UNDERSHOT = "undershot"
-    OVERSHOT = "overshot"
-
-
 class StepFailure(RuntimeError):
     """The adaptive integrator underflowed its step size."""
 
@@ -84,31 +77,24 @@ class NodeCountMismatch(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TailFit:
-    """A solved profile's fitted tail R ~ prefactor * r^{-(n-1)/2} e^{-delta r}
-    (with its short asymptotic series), below 1e-8 max|R| from match_radius
-    on; its rate delta is the wave's own SolitaryWave.delta."""
-
-    prefactor: float
-    match_radius: float
-
-
-@dataclass(frozen=True)
 class RadialProfile:
     """A solved profile: the converged shot on a uniform grid, spliced to its
-    fitted analytic tail, so every profile carries its TailFit.
+    fitted analytic tail R ~ prefactor * r^{-(n-1)/2} e^{-delta r} (with its
+    short asymptotic series), whose rate delta is SolitaryWave.delta.
 
-    numeric_radius marks where integrated data ends and the fitted tail model
-    takes over (numeric_radius <= match_radius <= r_grid[-1]).
+    numeric_radius marks where integrated data ends and the tail model takes
+    over, match_radius where the profile falls below 1e-8 max|R|
+    (numeric_radius <= match_radius <= r_grid[-1]).
     """
 
     r_grid: np.ndarray
     values: np.ndarray
     derivative: np.ndarray
-    tail: TailFit
     node_count: int
     shoot_param: float
     numeric_radius: float
+    prefactor: float
+    match_radius: float
 
     @property
     def h_r(self) -> float:
@@ -207,15 +193,15 @@ def _rhs(spec: PotentialSpec, omega: float, n: int, k: int):
 def _shoot(spec, omega, n, k, s, rtol=1e-10, dense=False):
     """One outward shot with datum s to SHOT_RANGE / delta, classified per step.
 
-    Returns (outcome, miss), or (outcome, trajectory) with dense=True.
+    Returns the signed miss, or the trajectory alone with dense=True.
     Conditions are checked per step (steps resolve 1/delta many times over),
     not located as events.  The miss is the growing-mode amplitude
     |R' + (delta + (n-1)/(2r)) R| e^{-delta r} at the terminating step, signed
-    + for Undershot and - for Overshot: it is linear in s near the separatrix,
-    and its sign is the shot's classification.  The trajectory is the
-    OdeSolution of the steps before the terminating one, so it never reaches
-    past the event that ended the shot (a shot ending on its first step keeps
-    that step).
+    + for Undershot and - for Overshot (a zero miss keeps its sign bit): it is
+    linear in s near the separatrix, and its sign is the shot's outcome.  The
+    trajectory is the OdeSolution of the steps before the terminating one, so
+    it never reaches past the event that ended the shot (a shot ending on its
+    first step keeps that step).
     """
     delta = math.sqrt(spec.mass_sq - omega**2)
     guard = DIVERGENCE_FACTOR * spec.amplitude_cap
@@ -226,8 +212,8 @@ def _shoot(spec, omega, n, k, s, rtol=1e-10, dense=False):
     ts, pieces = [r0], []
     sign_prev = math.copysign(1.0, y0[0]) if y0[0] != 0 else 1.0
     dR_prev = y0[1]
-    outcome = None
-    while outcome is None and solver.status == "running":
+    undershot = None
+    while undershot is None and solver.status == "running":
         message = solver.step()
         if solver.status == "failed":
             raise StepFailure(f"integrator failed at s={s}: {message}")
@@ -236,20 +222,20 @@ def _shoot(spec, omega, n, k, s, rtol=1e-10, dense=False):
             pieces.append(solver.dense_output())
         R, dR = solver.y
         if R == 0.0 or math.copysign(1.0, R) != sign_prev or abs(R) > guard:
-            outcome = ShootOutcome.OVERSHOT
+            undershot = False
         elif dR_prev < 0.0 <= dR and R > 0.0:
-            outcome = ShootOutcome.UNDERSHOT
+            undershot = True
         dR_prev = dR
-    if outcome is None:  # reached the end of the range without a terminating step
+    if undershot is None:  # reached the end of the range without a terminating step
         # monotone runaway below the guard
-        outcome = ShootOutcome.OVERSHOT if R > 0 and dR > 0 else ShootOutcome.UNDERSHOT
+        undershot = not (R > 0 and dR > 0)
     if not dense:
         r = solver.t
         miss = abs(dR + (delta + (n - 1) / (2.0 * r)) * R) * math.exp(-delta * r)
-        return outcome, (miss if outcome is ShootOutcome.UNDERSHOT else -miss)
+        return miss if undershot else -miss
     if len(pieces) > 1:
         del ts[-1], pieces[-1]
-    return outcome, OdeSolution(ts, pieces)
+    return OdeSolution(ts, pieces)
 
 
 def _sample(sol: OdeSolution, k: int, s: float, m: int, h: float):
@@ -284,19 +270,20 @@ def _scan_pairs(spec, omega, n, k):
     solver's tolerance; the caller then asks for the next."""
     cap = spec.amplitude_cap
     ss = np.logspace(math.log10(cap) - 6.0, math.log10(cap), 64)
-    outcomes: dict[int, ShootOutcome] = {}
+    undershot: dict[int, bool] = {}
 
-    def classify(i):
-        if i not in outcomes:
-            outcomes[i], _ = _shoot(spec, omega, n, k, float(ss[i]), rtol=1e-6)
-        return outcomes[i]
+    def undershoots(i):
+        if i not in undershot:
+            miss = _shoot(spec, omega, n, k, float(ss[i]), rtol=1e-6)
+            undershot[i] = math.copysign(1.0, miss) > 0
+        return undershot[i]
 
     lo, hi = 0, len(ss) - 1
     searched = None
-    if classify(lo) is ShootOutcome.UNDERSHOT and classify(hi) is ShootOutcome.OVERSHOT:
+    if undershoots(lo) and not undershoots(hi):
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if classify(mid) is ShootOutcome.UNDERSHOT:
+            if undershoots(mid):
                 lo = mid
             else:
                 hi = mid
@@ -304,21 +291,8 @@ def _scan_pairs(spec, omega, n, k):
         yield float(ss[lo]), float(ss[hi])
 
     for i in range(1, len(ss)):
-        if (i - 1 != searched and classify(i - 1) is ShootOutcome.UNDERSHOT
-                and classify(i) is ShootOutcome.OVERSHOT):
+        if i - 1 != searched and undershoots(i - 1) and not undershoots(i):
             yield float(ss[i - 1]), float(ss[i])
-
-
-def _converge(spec, omega, n, k, s_lo, s_hi):
-    """Brent's method on the shot's signed miss, from a scan pair down to a
-    bracket of SHOOT_TOL relative width.  The pair is re-shot at the solver's
-    tolerance; None when it is no (Undershot, Overshot) pair there (brentq's
-    same-sign ValueError)."""
-    try:
-        return brentq(lambda s: _shoot(spec, omega, n, k, s)[1], s_lo, s_hi,
-                      xtol=math.ulp(s_lo), rtol=SHOOT_TOL)
-    except ValueError:
-        return None
 
 
 def _assemble_profile(spec, omega, n, k, s, h_r) -> RadialProfile:
@@ -327,7 +301,7 @@ def _assemble_profile(spec, omega, n, k, s, h_r) -> RadialProfile:
     squares over the last clean decade, and extend the grid with the tail
     model down to the splice threshold."""
     delta = math.sqrt(spec.mass_sq - omega**2)
-    _, sol = _shoot(spec, omega, n, k, s, dense=True)
+    sol = _shoot(spec, omega, n, k, s, dense=True)
     r_end = sol.t_max
     m = int(math.floor(r_end / h_r))
     if m < 16:
@@ -411,15 +385,15 @@ def _assemble_profile(spec, omega, n, k, s, h_r) -> RadialProfile:
         raise StepFailure("profile never reaches the tail splice threshold")
     match_radius = float(grid_full[below[0]])
 
-    tail = TailFit(prefactor=float(prefactor), match_radius=match_radius)
     return RadialProfile(
         r_grid=grid_full,
         values=new_vals,
         derivative=new_ders,
-        tail=tail,
         node_count=node_count,
         shoot_param=float(s),
         numeric_radius=float(grid_full[j_a]),
+        prefactor=float(prefactor),
+        match_radius=match_radius,
     )
 
 
@@ -435,9 +409,14 @@ def _solve_wave(spec, omega, n, k) -> SolitaryWave:
     pairs = []
     for s_lo, s_hi in _scan_pairs(spec, omega, n, k):
         pairs.append(f"({s_lo:.3g}, {s_hi:.3g})")
-        s_conv = _converge(spec, omega, n, k, s_lo, s_hi)
-        if s_conv is not None:
+        # Brent's method on the signed miss, re-shot at the solver's tolerance;
+        # a pair that does not hold there has one sign at both ends
+        try:
+            s_conv = brentq(lambda s: _shoot(spec, omega, n, k, s), s_lo, s_hi,
+                            xtol=math.ulp(s_lo), rtol=SHOOT_TOL)
             break
+        except ValueError:
+            continue
     else:
         raise NoBracket(
             f"no Undershot/Overshot bracket for omega={omega}, n={n}, k={k} on "
@@ -551,7 +530,7 @@ class WaveInterpolant:
     def __init__(self, wave: SolitaryWave):
         p = wave.profile
         n, k = wave.n, wave.k
-        self._tail_args = (p.tail.prefactor, wave.delta, n, k)
+        self._tail_args = (p.prefactor, wave.delta, n, k)
         self.r_end = float(p.r_grid[-1])
         h = p.h_r
         self._inv_h = 1.0 / h
@@ -599,8 +578,8 @@ def save_wave(wave: SolitaryWave, csv_path, sidecar_path) -> None:
         "k": wave.k,
         "omega": wave.omega,
         "delta": wave.delta,
-        "prefactor": p.tail.prefactor,
-        "match_radius": p.tail.match_radius,
+        "prefactor": p.prefactor,
+        "match_radius": p.match_radius,
         "shoot_param": p.shoot_param,
         "node_count": p.node_count,
         "numeric_radius": p.numeric_radius,
@@ -628,10 +607,11 @@ def load_wave(csv_path, sidecar_path, spec: PotentialSpec) -> SolitaryWave:
         r_grid=data[:, 0],
         values=data[:, 1],
         derivative=data[:, 2],
-        tail=TailFit(prefactor=meta["prefactor"], match_radius=meta["match_radius"]),
         node_count=int(meta["node_count"]),
         shoot_param=float(meta["shoot_param"]),
         numeric_radius=meta["numeric_radius"],
+        prefactor=meta["prefactor"],
+        match_radius=meta["match_radius"],
     )
     return SolitaryWave(
         n=int(meta["n"]), k=int(meta["k"]), omega=float(meta["omega"]),

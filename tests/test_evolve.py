@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from solwave.boost import FieldSample, GridSpec, grid_for, sample_boosted
-from solwave.evolve import (CflViolation, EvolutionState, NonFinite, ZeroField,
+from solwave.boost import FieldSample, GridSpec, ZeroField, grid_for, sample_boosted
+from solwave.evolve import (CflViolation, EvolutionState, NonFinite,
                             center_of_energy, diagnostics_to_csv, evolve, step,
                             step_count)
 from solwave.potential import PotentialSpec, force_slope

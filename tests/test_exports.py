@@ -2,7 +2,8 @@
 cannot leave a stale export behind; no module reads the environment, so
 configuration comes only through arguments and the CLI config; and no module
 imports another module's private (underscore) names, so what modules share is
-public API."""
+public API; and every name a module imports is used there or re-exported in its
+__all__, so no import outlives its last use."""
 
 import ast
 import importlib
@@ -46,3 +47,18 @@ def test_no_private_cross_imports(name):
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    module = importlib.import_module(f"solwave.{name}")
+    tree = ast.parse(inspect.getsource(module))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used - set(getattr(module, "__all__", []))) == []

@@ -221,3 +221,10 @@ def test_spec_validation():
         PotentialSpec(mass_sq=1.0, terms=((1.0, 2),))
     with pytest.raises(ValueError):
         PotentialSpec(mass_sq=1.0, amplitude_cap=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="mass_sq"):
+            PotentialSpec(mass_sq=bad)
+        with pytest.raises(ValueError, match="amplitude_cap"):
+            PotentialSpec(mass_sq=1.0, amplitude_cap=bad)
+        with pytest.raises(ValueError, match="coupling"):
+            PotentialSpec(mass_sq=1.0, terms=((bad, 4),))

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,17 +8,17 @@ from hypothesis import strategies as st
 
 from solwave import radial
 from solwave.potential import PotentialSpec, evaluate_potential, expected_amplitude
-from solwave.radial import (NoBracket, RadialProfile, ShootOutcome,
-                            SolitaryWave, TailFit, WaveInterpolant,
-                            equation_residual, find_excited_state,
-                            find_ground_state, fit_tail_decay, load_wave,
-                            resample_wave, save_wave)
+from solwave.radial import (NoBracket, RadialProfile, SolitaryWave,
+                            WaveInterpolant, equation_residual,
+                            find_excited_state, find_ground_state,
+                            fit_tail_decay, load_wave, resample_wave, save_wave)
 
 from conftest import AMP, KAPPA
 
 
-def _outcome(spec, n, k, s):
-    return radial._shoot(spec, 0.8, n, k, s)[0]
+def _undershoots(spec, n, k, s):
+    # the sign bit of the shot's miss is its outcome: + Undershot, - Overshot
+    return math.copysign(1.0, radial._shoot(spec, 0.8, n, k, s)) > 0
 
 
 class TestShootClassification:
@@ -25,18 +28,17 @@ class TestShootClassification:
         # where the trajectory tracks the profile far down its tail
         for n, k, s in ((1, 0, AMP), (2, 1, wave_k1.profile.shoot_param)):
             for rel in (1e-7, 1e-9):
-                for factor, expected in ((1 - rel, ShootOutcome.UNDERSHOT),
-                                         (1 + rel, ShootOutcome.OVERSHOT)):
-                    out = _outcome(cubic, n, k, s * factor)
-                    assert out is expected, f"n={n}, k={k}, s*{factor}: {out}"
+                for factor, expected in ((1 - rel, True), (1 + rel, False)):
+                    out = _undershoots(cubic, n, k, s * factor)
+                    assert out is expected, f"n={n}, k={k}, s*{factor}: undershot {out}"
 
     def test_double_amplitude_overshoots(self, cubic, wave_k1):
-        assert _outcome(cubic, 1, 0, 2 * AMP) is ShootOutcome.OVERSHOT
-        assert _outcome(cubic, 2, 1, 2 * wave_k1.profile.shoot_param) is ShootOutcome.OVERSHOT
+        assert not _undershoots(cubic, 1, 0, 2 * AMP)
+        assert not _undershoots(cubic, 2, 1, 2 * wave_k1.profile.shoot_param)
 
     def test_half_amplitude_undershoots(self, cubic, wave_k1):
-        assert _outcome(cubic, 1, 0, 0.5 * AMP) is ShootOutcome.UNDERSHOT
-        assert _outcome(cubic, 2, 1, 0.5 * wave_k1.profile.shoot_param) is ShootOutcome.UNDERSHOT
+        assert _undershoots(cubic, 1, 0, 0.5 * AMP)
+        assert _undershoots(cubic, 2, 1, 0.5 * wave_k1.profile.shoot_param)
 
     @pytest.mark.parametrize("n, k, factor", [
         (1, 0, 1 - 1e-7), (1, 0, 1 + 1e-7), (1, 0, 1 - 1e-9), (1, 0, 1 + 1e-9),
@@ -48,7 +50,7 @@ class TestShootClassification:
         # _assemble_profile cuts and samples never crosses zero, an overshoot's
         # included; checked at every step end and on the profile spacing
         s = factor * (AMP if k == 0 else wave_k1.profile.shoot_param)
-        _, sol = radial._shoot(cubic, 0.8, n, k, s, dense=True)
+        sol = radial._shoot(cubic, 0.8, n, k, s, dense=True)
         h = 1.0 / (radial.GRID_DENSITY * KAPPA)
         r = np.union1d(sol.ts, np.arange(sol.t_min, sol.t_max, h))
         assert radial._count_sign_changes(sol(r)[0]) == 0
@@ -60,9 +62,8 @@ class TestShootClassification:
             if abs(s - AMP) < 0.05:
                 continue
             w_val = 0.8**2 * s**2 / 2 - evaluate_potential(cubic, s)
-            out = _outcome(cubic, 1, 0, float(s))
-            expected = ShootOutcome.UNDERSHOT if w_val < 0 else ShootOutcome.OVERSHOT
-            assert out is expected, f"s={s}: {out} but W={w_val}"
+            out = _undershoots(cubic, 1, 0, float(s))
+            assert out == (w_val < 0), f"s={s}: undershot {out} but W={w_val}"
 
 
 class TestRootFinding:
@@ -97,11 +98,8 @@ class TestRootFinding:
         wave = request.getfixturevalue(fixture)
         s = wave.profile.shoot_param
         for eps in (1e-3, 1e-6, 1e-9):
-            for factor, expected, sign in ((1 - eps, ShootOutcome.UNDERSHOT, 1.0),
-                                           (1 + eps, ShootOutcome.OVERSHOT, -1.0)):
-                out, miss = radial._shoot(wave.spec, wave.omega, wave.n, wave.k,
-                                          s * factor)
-                assert out is expected, f"{fixture}, s*{factor}: {out}"
+            for factor, sign in ((1 - eps, 1.0), (1 + eps, -1.0)):
+                miss = radial._shoot(wave.spec, wave.omega, wave.n, wave.k, s * factor)
                 assert sign * miss > 0, f"{fixture}, s*{factor}: miss {miss}"
 
     @settings(max_examples=20, derandomize=True, deadline=None)
@@ -142,7 +140,7 @@ class TestGroundState:
     def test_tail_bound_pointwise(self, wave_2d):
         # |R(r)| <= C e^{-delta r} past match_radius for a fitted C
         p, delta = wave_2d.profile, wave_2d.delta
-        tail = p.r_grid >= p.tail.match_radius
+        tail = p.r_grid >= p.match_radius
         r, v = p.r_grid[tail], np.abs(p.values[tail])
         c_fit = np.max(v * np.exp(delta * r))
         assert np.all(v <= c_fit * np.exp(-delta * r) * (1 + 1e-12))
@@ -174,6 +172,14 @@ class TestGroundState:
             keep = p.r_grid[:m] <= min(p.numeric_radius, q.numeric_radius)
             diff = p.values[:m][keep] - q.values[:m][keep] / np.sqrt(lam)
             assert np.max(np.abs(diff)) < 1e-6
+
+    def test_n_validation(self, cubic, monkeypatch):
+        # the dimension is checked before the first shot
+        calls = []
+        monkeypatch.setattr(radial, "_shoot", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match="dimension must be 1, 2 or 3"):
+            find_ground_state(cubic, 0.8, 4)
+        assert calls == []
 
     def test_no_bracket_for_defocusing(self):
         spec = PotentialSpec(mass_sq=1.0, terms=((-1.0, 4),), amplitude_cap=10.0)
@@ -231,8 +237,8 @@ class TestEquationResidual:
             ders = -AMP * KAPPA * np.sinh(KAPPA * r) / np.cosh(KAPPA * r) ** 2
             # AMP sech(KAPPA r) ~ 2 AMP e^{-KAPPA r}; the grid is exact data throughout
             prof = RadialProfile(r_grid=r, values=vals, derivative=ders,
-                                 tail=TailFit(prefactor=2 * AMP, match_radius=r[-1]),
-                                 node_count=0, shoot_param=AMP, numeric_radius=r[-1])
+                                 node_count=0, shoot_param=AMP, numeric_radius=r[-1],
+                                 prefactor=2 * AMP, match_radius=r[-1])
             wave = SolitaryWave(n=1, k=0, omega=0.8, profile=prof, spec=cubic)
             residuals.append(equation_residual(wave))
         assert residuals[0] / residuals[1] == pytest.approx(4.0, rel=0.1)
@@ -244,9 +250,9 @@ class TestEquationResidual:
     def test_perturbed_profile_large_residual(self, wave_1d):
         p = wave_1d.profile
         prof = RadialProfile(r_grid=p.r_grid, values=p.values + 0.01,
-                             derivative=p.derivative, tail=p.tail,
-                             node_count=p.node_count, shoot_param=p.shoot_param,
-                             numeric_radius=p.numeric_radius)
+                             derivative=p.derivative, node_count=p.node_count,
+                             shoot_param=p.shoot_param, numeric_radius=p.numeric_radius,
+                             prefactor=p.prefactor, match_radius=p.match_radius)
         wave = SolitaryWave(n=1, k=0, omega=0.8, profile=prof, spec=wave_1d.spec)
         assert equation_residual(wave) > 1e-3
 
@@ -267,7 +273,7 @@ class TestEquationResidual:
 class TestNodeCounting:
     def test_sech_profile(self, wave_1d):
         p = wave_1d.profile
-        assert radial._count_sign_changes(p.values[p.r_grid < p.tail.match_radius]) == 0
+        assert radial._count_sign_changes(p.values[p.r_grid < p.match_radius]) == 0
 
     def test_sign_flip_still_node_free(self, wave_1d):
         assert radial._count_sign_changes(-wave_1d.profile.values) == 0
@@ -301,7 +307,7 @@ class TestInterpolantAndSerialization:
         np.testing.assert_allclose(dR, k * s * r ** (k - 1), rtol=1e-3)
 
     def test_interpolant_tail_region(self, wave_1d):
-        mr = wave_1d.profile.tail.match_radius
+        mr = wave_1d.profile.match_radius
         r = np.linspace(mr + 1, mr + 15, 50)
         exact = 2 * AMP * np.exp(-KAPPA * r)
         np.testing.assert_allclose(WaveInterpolant(wave_1d)(r)[0], exact, rtol=1e-4)
@@ -315,7 +321,8 @@ class TestInterpolantAndSerialization:
         assert back.omega == wave_2d.omega
         np.testing.assert_allclose(back.profile.values, wave_2d.profile.values,
                                    rtol=0, atol=1e-16)
-        assert back.profile.tail == wave_2d.profile.tail
+        assert back.profile.prefactor == wave_2d.profile.prefactor
+        assert back.profile.match_radius == wave_2d.profile.match_radius
         assert back.delta == wave_2d.delta
 
     def test_load_refuses_another_potential(self, wave_2d, tmp_path):
@@ -330,6 +337,20 @@ class TestInterpolantAndSerialization:
         # amplitude_cap only bounds the scan
         wider = PotentialSpec(mass_sq=1.0, terms=((1.0, 4),), amplitude_cap=20.0)
         assert load_wave(csv_path, sidecar, wider).profile.shoot_param == wave_2d.profile.shoot_param
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", 4, "dimension must be 1, 2 or 3"),
+        ("k", -1, "angular index must be >= 0"),
+    ])
+    def test_load_refuses_bad_wave_index(self, wave_2d, cubic, tmp_path, key, value,
+                                         message):
+        csv_path, sidecar = tmp_path / "wave.csv", tmp_path / "wave.json"
+        save_wave(wave_2d, csv_path, sidecar)
+        meta = json.loads(sidecar.read_text())
+        meta[key] = value
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=message):
+            load_wave(csv_path, sidecar, cubic)
 
     def test_serialization_deterministic(self, wave_1d, tmp_path):
         a1, a2 = tmp_path / "a.csv", tmp_path / "a.json"
