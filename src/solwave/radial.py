@@ -4,9 +4,10 @@ Solves the stationary amplitude equation
 
     R'' + (n-1)/r R' - k^2/r^2 R = U'(R) - omega^2 R,
 
-outward from r ~ 0 with series initial data.  Every shot (bracket scan,
-root-finding, converged profile) runs through one stepping DOP853
-integrator that classifies the trajectory after each step; every shot ends
+outward from r ~ 0 with series initial data.  Every shot (the rtol-1e-6
+bracket scan, the rtol-1e-12 root-finding and converged-profile shots) runs
+one scalar DOP853 stepper on the two floats (R, R'), with scipy's tableau and
+step control, and classifies the trajectory after each step; every shot ends
 Undershot (turns back up before reaching zero) or Overshot (sign change, or
 runaway past the divergence guard), and there is no decay outcome.  The
 decaying profile is a separatrix of the ODE: perturbations grow like
@@ -34,11 +35,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution
+from scipy.integrate import DOP853, DenseOutput, OdeSolution
 from scipy.optimize import brentq
 
 from .artifacts import write_csv, write_json
-from .potential import PotentialSpec, check_conditions, force_slope
+from .potential import PotentialSpec, check_conditions
 
 __all__ = [
     "RadialProfile",
@@ -112,10 +113,10 @@ class SolitaryWave:
     spec: PotentialSpec
 
     def __post_init__(self):
-        if self.n not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {self.n}")
-        if self.k < 0:
-            raise ValueError(f"angular index must be >= 0, got {self.k}")
+        if not isinstance(self.n, (int, np.integer)) or self.n not in (1, 2, 3):
+            raise ValueError(f"dimension must be 1, 2 or 3, got {self.n!r}")
+        if not isinstance(self.k, (int, np.integer)) or self.k < 0:
+            raise ValueError(f"angular index must be >= 0 and an integer, got {self.k!r}")
         if self.k >= 1 and self.n != 2:
             raise ValueError("angular excited states require n = 2")
 
@@ -148,11 +149,6 @@ def _tail(r, prefactor, delta, n, k):
     return shape * corr, shape * (dcorr - (delta + 0.5 * (n - 1) * inv_r) * corr)
 
 
-def _curvature(spec: PotentialSpec, omega: float, n: int, k: int, r, R, dR):
-    """R'' from the amplitude equation at r > 0, elementwise over arrays."""
-    return (k * k) * R / r**2 - (n - 1) * dR / r - (force_slope(spec, np.abs(R)) + omega**2) * R
-
-
 def _origin_curvature(spec: PotentialSpec, omega: float, n: int, k: int, s: float) -> float:
     """R''(0) from the origin series: (U'(s) - omega^2 s)/n for R ~ s + R''(0) r^2/2
     (k = 0); for R ~ s r^k, 2s at k = 2 and 0 otherwise."""
@@ -174,28 +170,126 @@ def _series_start(spec: PotentialSpec, omega: float, n: int, k: int, s: float, r
 
 
 def _rhs(spec: PotentialSpec, omega: float, n: int, k: int):
-    """The amplitude equation as a first-order system y = (R, R') in r."""
-    m2, w2 = spec.mass_sq, omega**2
+    """The amplitude equation as R''(r, R, R') at r > 0, on floats or
+    elementwise on arrays."""
+    lin = spec.mass_sq - omega**2
     k2 = float(k * k)
     nm1 = float(n - 1)
-    terms = spec.terms
+    powers = tuple((coupling, exponent - 2) for coupling, exponent in spec.terms)
 
-    def rhs(r, y):
-        R, dR = y
+    def rhs(r, R, dR):
         nl = 0.0
-        for coupling, exponent in terms:
-            nl += coupling * abs(R) ** (exponent - 2) * R
-        return (dR, (k2 / (r * r)) * R - (nm1 / r) * dR + (m2 - w2) * R - nl)
+        for coupling, power in powers:
+            nl += coupling * abs(R) ** power * R
+        return (k2 / (r * r)) * R - (nm1 / r) * dR + lin * R - nl
 
     return rhs
 
 
-def _shoot(spec, omega, n, k, s, rtol=1e-10, dense=False):
-    """One outward shot with datum s to SHOT_RANGE / delta, classified per step.
+def _nonzero(row):
+    return tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0)
 
-    Returns the signed miss, or the trajectory alone with dense=True.
-    Conditions are checked per step (steps resolve 1/delta many times over),
-    not located as events.  The miss is the growing-mode amplitude
+
+# scipy's DOP853 tableau (Hairer's) without zero entries: per stage its node c
+# and weights (j, a_j); the last step stage, c = 1 with weights B, is its end.
+_STAGES = tuple((float(c), _nonzero(a)) for a, c in zip(DOP853.A[1:], DOP853.C[1:]))
+_STAGES += ((1.0, _nonzero(DOP853.B)),)
+_EXTRA = tuple((float(c), _nonzero(a)) for a, c in zip(DOP853.A_EXTRA, DOP853.C_EXTRA))
+_E3, _E5 = _nonzero(DOP853.E3), _nonzero(DOP853.E5)
+_D = tuple(_nonzero(row) for row in DOP853.D)
+
+
+def _weigh(row, kR, kD):
+    """sum_j a_j k_j over one tableau row, for both components."""
+    sR = sD = 0.0
+    for j, a in row:
+        sR += a * kR[j]
+        sD += a * kD[j]
+    return sR, sD
+
+
+class _StepInterpolant(DenseOutput):
+    """(R, R') inside one accepted step: DOP853's 7th-order interpolant."""
+
+    def __init__(self, r_old, r, y_old, F):
+        super().__init__(r_old, r)
+        self.h, self.y_old, self.F = r - r_old, np.array(y_old)[:, None], np.array(F)[:, :, None]
+
+    def _call_impl(self, t):
+        x = np.atleast_1d((t - self.t_old) / self.h)
+        y = np.zeros((2, x.size))
+        for i, f in enumerate(self.F[::-1]):
+            y = (y + f) * (x if i % 2 == 0 else 1.0 - x)
+        return y + self.y_old if t.ndim else (y + self.y_old)[:, 0]
+
+
+def _dop853(f, r, R, dR, r_end, rtol, atol, dense):
+    """Accepted steps (r, R, R', piece) of (R, R')' = (R', f(r, R, R')) from r to
+    r_end: DOP853 on two floats with scipy's step control (Hairer's initial step,
+    safety 0.9, factor in [0.2, 10], exponent -1/8); piece is the step's
+    interpolant with dense=True, else None.  Raises StepFailure on an
+    underflowing or non-finite step or a non-finite error."""
+    ddR = f(r, R, dR)
+    scale_R, scale_D = atol + abs(R) * rtol, atol + abs(dR) * rtol
+
+    def norm(x, y):
+        return math.hypot(x / scale_R, y / scale_D) / math.sqrt(2.0)
+
+    d0, d1 = norm(R, dR), norm(dR, ddR)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, r_end - r)
+    d2 = norm(h0 * ddR, f(r + h0, R + h0 * dR, dR + h0 * ddR) - ddR) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+    h_abs = min(100.0 * h0, h1, r_end - r)
+    while r < r_end:
+        min_step = 10.0 * (math.nextafter(r, math.inf) - r)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise StepFailure(f"step size {h_abs:.3g} at r={r:.6g} underflowed")
+            r_new = min(r + h_abs, r_end)
+            h = r_new - r
+            kR, kD = [dR], [ddR]
+            for c, row in _STAGES:
+                sR, sD = _weigh(row, kR, kD)
+                R_new, dR_new = R + h * sR, dR + h * sD
+                kR.append(dR_new)
+                kD.append(f(r + c * h, R_new, dR_new))
+            scale_R = atol + max(abs(R), abs(R_new)) * rtol
+            scale_D = atol + max(abs(dR), abs(dR_new)) * rtol
+            err5, err3 = norm(*_weigh(_E5, kR, kD)) ** 2, norm(*_weigh(_E3, kR, kD)) ** 2
+            error = 0.0 if err5 == err3 == 0.0 else h * err5 / math.sqrt(err5 + 0.01 * err3)
+            if not math.isfinite(error):
+                raise StepFailure(f"error estimate {error} at r={r:.6g}")
+            if error < 1.0:
+                factor = 10.0 if error == 0.0 else min(10.0, 0.9 * error**-0.125)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error**-0.125)
+            rejected = True
+        piece = None
+        if dense:
+            for c, row in _EXTRA:
+                sR, sD = _weigh(row, kR, kD)
+                kR.append(dR + h * sD)
+                kD.append(f(r + c * h, R + h * sR, kR[-1]))
+            jump_R, jump_D = R_new - R, dR_new - dR
+            F = [(jump_R, jump_D), (h * kR[0] - jump_R, h * kD[0] - jump_D),
+                 (2.0 * jump_R - h * (kR[12] + kR[0]), 2.0 * jump_D - h * (kD[12] + kD[0]))]
+            F += [(h * sR, h * sD) for sR, sD in (_weigh(row, kR, kD) for row in _D)]
+            piece = _StepInterpolant(r, r_new, (R, dR), F)
+        r, R, dR, ddR = r_new, R_new, dR_new, kD[12]
+        yield r, R, dR, piece
+
+
+def _shoot(spec, omega, n, k, s, rtol=1e-12, dense=False):
+    """One outward shot with datum s to SHOT_RANGE / delta by the scalar DOP853
+    stepper at rtol (the bracket scan passes 1e-6), classified per step.
+
+    Returns the signed miss, or the trajectory alone with dense=True; a datum
+    that is zero or not finite raises ValueError.  Conditions are checked per
+    step (steps resolve 1/delta many times over), not located as events.  The
+    miss is the growing-mode amplitude
     |R' + (delta + (n-1)/(2r)) R| e^{-delta r} at the terminating step, signed
     + for Undershot and - for Overshot (a zero miss keeps its sign bit): it is
     linear in s near the separatrix, and its sign is the shot's outcome.  The
@@ -203,34 +297,30 @@ def _shoot(spec, omega, n, k, s, rtol=1e-10, dense=False):
     it never reaches past the event that ended the shot (a shot ending on its
     first step keeps that step).
     """
+    if not math.isfinite(s) or s == 0:
+        raise ValueError(f"shot datum must be finite and nonzero, got {s}")
     delta = math.sqrt(spec.mass_sq - omega**2)
     guard = DIVERGENCE_FACTOR * spec.amplitude_cap
     r0 = 1e-6 / delta
-    y0 = _series_start(spec, omega, n, k, s, r0)
-    solver = DOP853(_rhs(spec, omega, n, k), r0, np.array(y0), SHOT_RANGE / delta,
-                    rtol=rtol, atol=1e-14 * abs(s))
+    R, dR = _series_start(spec, omega, n, k, float(s), r0)
     ts, pieces = [r0], []
-    sign_prev = math.copysign(1.0, y0[0]) if y0[0] != 0 else 1.0
-    dR_prev = y0[1]
-    undershot = None
-    while undershot is None and solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise StepFailure(f"integrator failed at s={s}: {message}")
-        if dense:
-            ts.append(solver.t)
-            pieces.append(solver.dense_output())
-        R, dR = solver.y
-        if R == 0.0 or math.copysign(1.0, R) != sign_prev or abs(R) > guard:
+    sign = math.copysign(1.0, s)
+    dR_prev = dR
+    for r, R, dR, piece in _dop853(_rhs(spec, omega, n, k), r0, R, dR, SHOT_RANGE / delta,
+                                   rtol, 1e-14 * abs(s), dense):
+        ts.append(r)
+        pieces.append(piece)
+        if R == 0.0 or math.copysign(1.0, R) != sign or abs(R) > guard:
             undershot = False
-        elif dR_prev < 0.0 <= dR and R > 0.0:
+            break
+        if dR_prev < 0.0 <= dR and R > 0.0:
             undershot = True
+            break
         dR_prev = dR
-    if undershot is None:  # reached the end of the range without a terminating step
+    else:  # reached the end of the range without a terminating step
         # monotone runaway below the guard
         undershot = not (R > 0 and dR > 0)
     if not dense:
-        r = solver.t
         miss = abs(dR + (delta + (n - 1) / (2.0 * r)) * R) * math.exp(-delta * r)
         return miss if undershot else -miss
     if len(pieces) > 1:
@@ -450,8 +540,8 @@ def find_ground_state(spec: PotentialSpec, omega: float, n: int) -> SolitaryWave
     Raises NoBracket if no pair of the 64-point scan holds at the solver's
     tolerance, NodeCountMismatch if the converged profile has interior nodes.
     """
-    if n not in (1, 2, 3):
-        raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
+    if not isinstance(n, (int, np.integer)) or n not in (1, 2, 3):
+        raise ValueError(f"dimension must be 1, 2 or 3, got {n!r}")
     return _solve_wave(spec, omega, n, 0)
 
 
@@ -461,8 +551,8 @@ def find_excited_state(spec: PotentialSpec, omega: float, k: int) -> SolitaryWav
     Same root-finding and grid spacing as the ground state, on the r^k series
     coefficient; resample_wave rebuilds it on any other spacing.
     """
-    if k < 1:
-        raise ValueError(f"excited states need angular index k >= 1, got {k}")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"excited states need an integer angular index k >= 1, got {k!r}")
     return _solve_wave(spec, omega, 2, k)
 
 
@@ -487,7 +577,7 @@ def equation_residual(wave: SolitaryWave) -> float:
     h = p.h_r
     d2 = (R[2:] - 2.0 * R[1:-1] + R[:-2]) / h**2
     d1 = (R[2:] - R[:-2]) / (2.0 * h)
-    res = d2 - _curvature(wave.spec, wave.omega, wave.n, wave.k, r[1:-1], R[1:-1], d1)
+    res = d2 - _rhs(wave.spec, wave.omega, wave.n, wave.k)(r[1:-1], R[1:-1], d1)
     return float(np.max(np.abs(res)) / (np.max(np.abs(R)) * wave.spec.mass_sq))
 
 
@@ -523,7 +613,7 @@ class WaveInterpolant:
     R is the quintic Hermite interpolant of (R, R', R'') at the cell's two
     nodes and R' the cubic Hermite interpolant of (R', R''); R'' comes from
     the amplitude equation, at r = 0 from the origin series.  R' is not the
-    quintic's own derivative, which would turn the nodes' ~2e-10 noise into
+    quintic's own derivative, which would turn the nodes' ~1e-11 noise into
     about noise/h.  Past r_end the analytic tail takes over.
     """
 
@@ -537,7 +627,7 @@ class WaveInterpolant:
         R, dR = p.values, p.derivative
         dd = np.empty_like(R)
         dd[0] = _origin_curvature(wave.spec, wave.omega, n, k, p.shoot_param)
-        dd[1:] = _curvature(wave.spec, wave.omega, n, k, p.r_grid[1:], R[1:], dR[1:])
+        dd[1:] = _rhs(wave.spec, wave.omega, n, k)(p.r_grid[1:], R[1:], dR[1:])
         # per cell j, the power-series coefficients in t = r/h - j of the
         # quintic (rows 0-5) and the cubic (rows 6-9), from the node data in
         # units of t: d = h R', e = h^2 R'' and g = h R''
@@ -574,8 +664,8 @@ def save_wave(wave: SolitaryWave, csv_path, sidecar_path) -> None:
     p = wave.profile
     write_csv(csv_path, ["r", "R", "dR"], zip(p.r_grid, p.values, p.derivative))
     sidecar = {
-        "n": wave.n,
-        "k": wave.k,
+        "n": int(wave.n),
+        "k": int(wave.k),
         "omega": wave.omega,
         "delta": wave.delta,
         "prefactor": p.prefactor,

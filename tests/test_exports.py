@@ -2,7 +2,8 @@
 cannot leave a stale export behind; no module reads the environment, so
 configuration comes only through arguments and the CLI config; and no module
 imports another module's private (underscore) names, so what modules share is
-public API; and every name a module imports is used there or re-exported in its
+public API; no module imports from a private third-party module or a private
+third-party name, so solwave rests on its dependencies' public API; and every name a module imports is used there or re-exported in its
 __all__, so no import outlives its last use."""
 
 import ast
@@ -47,6 +48,22 @@ def test_no_private_cross_imports(name):
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_private_third_party_imports(name):
+    # e.g. scipy.integrate._ivp or `from scipy.integrate import _ivp`
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"solwave.{name}")))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+        and node.module != "__future__" and node.module.split(".")[0] != "solwave"
+        for alias in node.names
+    ]
+    assert [d for d in imported if any(part.startswith("_") for part in d.split("."))] == []
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from solwave import radial
 from solwave.potential import PotentialSpec, evaluate_potential, expected_amplitude
-from solwave.radial import (NoBracket, RadialProfile, SolitaryWave,
+from solwave.radial import (NoBracket, RadialProfile, SolitaryWave, StepFailure,
                             WaveInterpolant, equation_residual,
                             find_excited_state, find_ground_state,
                             fit_tail_decay, load_wave, resample_wave, save_wave)
 
 from conftest import AMP, KAPPA
+
+# the cubic-quintic potential of test_cubic_quintic.py
+CQ = PotentialSpec(mass_sq=1.0, terms=((1.0, 4), (-0.1, 6)), amplitude_cap=10.0)
 
 
 def _undershoots(spec, n, k, s):
@@ -66,6 +69,40 @@ class TestShootClassification:
             assert out == (w_val < 0), f"s={s}: undershot {out} but W={w_val}"
 
 
+class TestStepper:
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, 0.0])
+    def test_degenerate_datum_raises(self, cubic, s):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            radial._shoot(cubic, 0.8, 1, 0, s)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_non_finite_equation_fails_typed(self, cubic, monkeypatch, dense):
+        # a NaN R'' past r = 1 gives a NaN error estimate, which must end the
+        # shot in StepFailure rather than shrink a NaN step forever
+        rhs = radial._rhs
+
+        def broken(*args):
+            f = rhs(*args)
+            return lambda r, R, dR: f(r, R, dR) if r <= 1.0 else math.nan
+
+        monkeypatch.setattr(radial, "_rhs", broken)
+        with pytest.raises(StepFailure):
+            radial._shoot(cubic, 0.8, 1, 0, AMP, dense=dense)
+
+    @pytest.mark.parametrize("factor", [0.5, 1 - 1e-3, 1 + 1e-3])
+    def test_first_integral_along_dense_shot(self, cubic, factor):
+        # in 1D R'^2 - 2U(R) + omega^2 R^2 is conserved; checked at every step
+        # end and step midpoint of the dense shot, whose interpolant is built
+        # from the three extra stages and the D rows
+        s = factor * AMP
+        sol = radial._shoot(cubic, 0.8, 1, 0, s, dense=True)
+        ts = np.asarray(sol.ts)
+        R, dR = sol(np.concatenate([ts, 0.5 * (ts[1:] + ts[:-1])]))
+        first = dR**2 - 2.0 * evaluate_potential(cubic, R) + 0.8**2 * R**2
+        origin = -2.0 * evaluate_potential(cubic, s) + 0.8**2 * s**2
+        assert np.max(np.abs(first - origin)) < 1e-12 * AMP**2
+
+
 class TestRootFinding:
     @pytest.mark.parametrize("n, k", [(1, 0), (2, 0), (3, 0), (2, 1), (2, 2)])
     def test_solve_shot_count(self, cubic, monkeypatch, n, k):
@@ -83,6 +120,24 @@ class TestRootFinding:
         else:
             find_excited_state(cubic, 0.8, k)
         assert len(calls) <= 32
+
+    @pytest.mark.parametrize("potential, omega", [("cubic", 0.8), ("cq", 0.7)])
+    @pytest.mark.parametrize("n, k", [(2, 0), (3, 0), (2, 1), (2, 2)])
+    def test_self_convergence(self, cubic, monkeypatch, potential, omega, n, k):
+        # no closed form beyond n = 1: the root must hold against a solve
+        # whose root-finding and dense shots run at rtol 1e-13 (the scan's
+        # rtol-1e-6 shots pass their rtol and keep it)
+        spec = cubic if potential == "cubic" else CQ
+
+        def solve():
+            wave = find_ground_state(spec, omega, n) if k == 0 else find_excited_state(spec, omega, k)
+            return wave.profile.shoot_param
+
+        s = solve()
+        shoot = radial._shoot
+        monkeypatch.setattr(radial, "_shoot",
+                            lambda *args, rtol=1e-13, **kwargs: shoot(*args, rtol=rtol, **kwargs))
+        assert s == pytest.approx(solve(), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("omega", [0.80, 0.825, 0.85])
     def test_sech_oracle_shoot_param_tight(self, cubic, omega):
@@ -227,6 +282,23 @@ class TestExcitedStates:
         with pytest.raises(ValueError):
             find_excited_state(cubic, 0.8, 0)
 
+    def test_non_integral_indices(self, cubic, wave_k1, monkeypatch):
+        # a wave index must be an integer (numpy's included), checked before the first shot
+        calls = []
+        monkeypatch.setattr(radial, "_shoot", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match="dimension must be 1, 2 or 3, got 2.0"):
+            find_ground_state(cubic, 0.8, 2.0)
+        with pytest.raises(ValueError, match="integer angular index"):
+            find_excited_state(cubic, 0.8, 1.5)
+        with pytest.raises(ValueError, match="dimension must be 1, 2 or 3"):
+            SolitaryWave(n=2.0, k=0, omega=0.8, profile=wave_k1.profile, spec=cubic)
+        with pytest.raises(ValueError, match="angular index must be >= 0 and an integer"):
+            SolitaryWave(n=2, k=1.0, omega=0.8, profile=wave_k1.profile, spec=cubic)
+        assert calls == []
+        wave = SolitaryWave(n=np.int64(2), k=np.int64(1), omega=0.8,
+                            profile=wave_k1.profile, spec=cubic)
+        assert (wave.n, wave.k) == (2, 1)
+
 
 class TestEquationResidual:
     def test_exact_sech_converges_quadratically(self, cubic):
@@ -324,6 +396,15 @@ class TestInterpolantAndSerialization:
         assert back.profile.prefactor == wave_2d.profile.prefactor
         assert back.profile.match_radius == wave_2d.profile.match_radius
         assert back.delta == wave_2d.delta
+
+    def test_save_numpy_integer_indices(self, wave_2d, cubic, tmp_path):
+        # numpy integers are valid wave indices, so the sidecar must take them
+        wave = SolitaryWave(n=np.int64(2), k=np.int64(0), omega=0.8,
+                            profile=wave_2d.profile, spec=cubic)
+        csv_path, sidecar = tmp_path / "wave.csv", tmp_path / "wave.json"
+        save_wave(wave, csv_path, sidecar)
+        back = load_wave(csv_path, sidecar, cubic)
+        assert (back.n, back.k) == (2, 0)
 
     def test_load_refuses_another_potential(self, wave_2d, tmp_path):
         csv_path, sidecar = tmp_path / "wave.csv", tmp_path / "wave.json"
