@@ -42,8 +42,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
+from .numerics import simpson
 from .potential import evaluate_potential
 from .radial import SolitaryWave
 
@@ -146,10 +146,11 @@ def compute_functionals(wave: SolitaryWave) -> FunctionalReport:
     # R^2 r^{n-3}: 0 at the origin when k >= 1 (R ~ r^k), and weighted by k^2 = 0 otherwise
     cent = np.zeros_like(r)
     cent[1:] = R[1:] ** 2 * r[1:] ** (n - 3)
-    grad = float(simpson(dR**2 * rn, x=r)) + k * k * float(simpson(cent, x=r))
-    i0 = 0.5 * measure * float(simpson(R**2 * rn, x=r))
+    h = profile.h_r
+    grad = simpson(dR**2 * rn, h) + k * k * simpson(cent, h)
+    i0 = 0.5 * measure * simpson(R**2 * rn, h)
     i_k = np.full(n, measure * grad / (2.0 * n))
-    v0 = measure * float(simpson(evaluate_potential(wave.spec, R) * rn, x=r))
+    v0 = measure * simpson(evaluate_potential(wave.spec, R) * rn, h)
 
     report = FunctionalReport(i0, i_k, v0, omega, n, k)
 

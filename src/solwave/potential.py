@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from .numerics import brentq
 from .stencil import abs_sq
 
 __all__ = [
@@ -182,11 +182,11 @@ def expected_amplitude(spec: PotentialSpec, omega: float) -> float | None:
     eigenvalues of its companion matrix, which lose a zero near 1 beside a
     coupling ~1e-115.
     """
-    zeros = _sign_change_zeros(_poly_coeffs(spec, -omega**2))
+    zeros = _sign_change_zeros(_poly_coeffs(spec, -omega**2), {})
     return zeros[0] if zeros else None
 
 
-def _sign_change_zeros(coeffs: np.ndarray) -> list[float]:
+def _sign_change_zeros(coeffs: np.ndarray, found: dict) -> list[float]:
     """Ascending positive zeros at which the polynomial (highest degree first)
     changes sign.
 
@@ -195,12 +195,17 @@ def _sign_change_zeros(coeffs: np.ndarray) -> list[float]:
     the zeros holds at most one, bracketed by its ends and polished by brentq.
     Dividing out a^k (trailing zero coefficients) keeps the sign on a > 0,
     and above a = 1 the polynomial is evaluated over a^degree, in 1/a, so
-    nothing overflows.
+    nothing overflows.  found maps each polynomial so divided (as a tuple) to
+    its zeros, and is filled in; calls that share it solve a polynomial they
+    have in common once.
     """
     c = np.trim_zeros(np.trim_zeros(np.asarray(coeffs, dtype=float), "f"), "b")
     degree = c.size - 1
     if degree < 1:
         return []
+    key = tuple(c.tolist())
+    if key in found:
+        return found[key]
     reverse = c[::-1]
 
     def sign_poly(a):  # p(a) / max(1, a)^degree
@@ -209,19 +214,20 @@ def _sign_change_zeros(coeffs: np.ndarray) -> list[float]:
     with np.errstate(over="ignore"):
         bound = 2.0 * max(abs(c[k] / c[0]) ** (1.0 / k) for k in range(1, degree + 1))
     bound = min(float(bound), np.finfo(float).max)
-    extrema = [z for z in _sign_change_zeros(np.polyder(c)) if z < bound]
+    extrema = [z for z in _sign_change_zeros(np.polyder(c), found) if z < bound]
     edges = [0.0, *extrema, bound]
     # bisecting from the whole float range to 4 eps relative takes < 2200 steps
-    return [float(brentq(sign_poly, lo, hi, xtol=np.finfo(float).tiny, maxiter=2200))
-            for lo, hi in zip(edges, edges[1:])
-            if np.sign(sign_poly(lo)) * np.sign(sign_poly(hi)) < 0]
+    found[key] = [float(brentq(sign_poly, lo, hi, xtol=np.finfo(float).tiny, maxiter=2200))
+                  for lo, hi in zip(edges, edges[1:])
+                  if np.sign(sign_poly(lo)) * np.sign(sign_poly(hi)) < 0]
+    return found[key]
 
 
-def _scan_negative(coeffs: np.ndarray, cap: float):
+def _scan_negative(coeffs: np.ndarray, cap: float, found: dict):
     """First point in (0, cap] where the polynomial dips negative, on a
     10^4-step grid refined by its stationary points; None if nonnegative on
-    the range."""
-    crit = [z for z in _sign_change_zeros(np.polyder(coeffs)) if z <= cap]
+    the range.  found is _sign_change_zeros' table."""
+    crit = [z for z in _sign_change_zeros(np.polyder(coeffs), found) if z <= cap]
     points = np.sort(np.concatenate([np.linspace(0.0, cap, 10_001), crit]))
     bad = points[np.polyval(coeffs, points) < 0]
     return float(bad[0]) if bad.size else None
@@ -234,18 +240,21 @@ def check_conditions(spec: PotentialSpec, omega: float, n: int) -> ConditionRepo
     augmented with the stationary points of the scanned polynomial; if the
     grid shows no S2 witness but the polynomial's leading coefficient is
     negative, the witness is 1.01 times its last sign-changing zero, past
-    which it stays negative.  Every zero comes from _sign_change_zeros.
+    which it stays negative.  Every zero comes from _sign_change_zeros, once
+    per distinct polynomial: the S2 and S4 scans both need the zeros of the
+    derivative of (U'(a) -+ omega^2 a)/a, which does not depend on omega.
     """
     cap = spec.amplitude_cap
     s1_value = omega**2 - spec.mass_sq
     s1_holds = s1_value < 0
 
     # S2: U(a) - omega^2 a^2 / 2 < 0 somewhere
+    found: dict = {}
     g2 = _poly_coeffs(spec, -omega**2)
-    witness = _scan_negative(g2, cap)
+    witness = _scan_negative(g2, cap, found)
     if witness is None and g2[0] < 0:
         # nonnegative up to the cap, negative at infinity: it changes sign
-        witness = 1.01 * _sign_change_zeros(g2)[-1]
+        witness = 1.01 * _sign_change_zeros(g2, found)[-1]
     s2_holds = witness is not None
 
     # S3: growth of f at infinity against the critical power (n+2)/(n-2);
@@ -259,7 +268,7 @@ def check_conditions(spec: PotentialSpec, omega: float, n: int) -> ConditionRepo
         s3_holds = bool(power < l_crit or (power == l_crit and u[0] >= 0))
 
     # S4: U(a) + omega^2 a^2 / 2 >= 0 on [0, cap]
-    violation = _scan_negative(_poly_coeffs(spec, omega**2), cap)
+    violation = _scan_negative(_poly_coeffs(spec, omega**2), cap, found)
 
     return ConditionReport(
         s1_holds=s1_holds,

@@ -6,14 +6,15 @@ Solves the stationary amplitude equation
 
 outward from r ~ 0 with series initial data.  Every shot (the rtol-1e-6
 bracket scan, the rtol-1e-12 root-finding and converged-profile shots) runs
-one scalar DOP853 stepper on the two floats (R, R'), with scipy's tableau and
-step control, and classifies the trajectory after each step; every shot ends
-Undershot (turns back up before reaching zero) or Overshot (sign change, or
-runaway past the divergence guard), and there is no decay outcome.  The
-decaying profile is a separatrix of the ODE: perturbations grow like
-e^{+delta r} with delta = sqrt(mass_sq - omega^2), so a shot with initial
-datum known to relative accuracy eps tracks the true profile only down to
-|R| ~ sqrt(eps) before it veers to one side.  Brent's method on the shot's
+one scalar DOP853 stepper on the two floats (R, R'), with Hairer's tableau
+(written out below) and the step control of scipy's DOP853, and classifies the
+trajectory after each step; every shot ends Undershot (turns back up before
+reaching zero) or Overshot (sign change, or runaway past the divergence
+guard), and there is no decay outcome.  The decaying profile is a separatrix
+of the ODE: perturbations grow like e^{+delta r} with
+delta = sqrt(mass_sq - omega^2), so a shot with initial datum known to
+relative accuracy eps tracks the true profile only down to |R| ~ sqrt(eps)
+before it veers to one side.  Brent's method on the shot's
 signed miss (the growing-mode amplitude, whose sign is the outcome) therefore
 refines the initial datum to near machine precision, the trajectory is cut at
 its deepest trusted point, and the profile is continued with the analytic
@@ -35,10 +36,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853, DenseOutput, OdeSolution
-from scipy.optimize import brentq
 
 from .artifacts import write_csv, write_json
+from .numerics import brentq
 from .potential import PotentialSpec, check_conditions
 
 __all__ = [
@@ -186,17 +186,77 @@ def _rhs(spec: PotentialSpec, omega: float, n: int, k: int):
     return rhs
 
 
-def _nonzero(row):
-    return tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0)
-
-
-# scipy's DOP853 tableau (Hairer's) without zero entries: per stage its node c
-# and weights (j, a_j); the last step stage, c = 1 with weights B, is its end.
-_STAGES = tuple((float(c), _nonzero(a)) for a, c in zip(DOP853.A[1:], DOP853.C[1:]))
-_STAGES += ((1.0, _nonzero(DOP853.B)),)
-_EXTRA = tuple((float(c), _nonzero(a)) for a, c in zip(DOP853.A_EXTRA, DOP853.C_EXTRA))
-_E3, _E5 = _nonzero(DOP853.E3), _nonzero(DOP853.E5)
-_D = tuple(_nonzero(row) for row in DOP853.D)
+# Hairer's DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, 1993), the
+# coefficients scipy.integrate.DOP853 ships, without zero entries: per stage its
+# node c and weights (j, a_j); the last step stage, c = 1 with weights B, is the
+# step's end.  _EXTRA holds the three stages of the dense output, _E3 and _E5
+# the error weights and _D the interpolant's four upper rows.
+_STAGES = (
+    (0.05260015195876773, ((0, 0.05260015195876773),)),
+    (0.0789002279381516, ((0, 0.0197250569845379), (1, 0.0591751709536137))),
+    (0.1183503419072274, ((0, 0.02958758547680685), (2, 0.08876275643042054))),
+    (0.2816496580927726, ((0, 0.2413651341592667), (2, -0.8845494793282861),
+                          (3, 0.924834003261792))),
+    (0.3333333333333333, ((0, 0.037037037037037035), (3, 0.17082860872947386),
+                          (4, 0.12546768756682242))),
+    (0.25, ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596),
+            (5, -0.017578125))),
+    (0.3076923076923077, ((0, 0.03709200011850479), (3, 0.17038392571223998),
+                          (4, 0.10726203044637328), (5, -0.015319437748624402),
+                          (6, 0.008273789163814023))),
+    (0.6512820512820513, ((0, 0.6241109587160757), (3, -3.3608926294469414),
+                          (4, -0.868219346841726), (5, 27.59209969944671), (6, 20.154067550477894),
+                          (7, -43.48988418106996))),
+    (0.6, ((0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
+           (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
+           (8, -0.020331201708508627))),
+    (0.8571428571428571, ((0, -0.9371424300859873), (3, 5.186372428844064),
+                          (4, 1.0914373489967295), (5, -8.149787010746927),
+                          (6, -18.52006565999696), (7, 22.739487099350505),
+                          (8, 2.4936055526796523), (9, -3.0467644718982196))),
+    (1.0, ((0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
+           (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
+           (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636))),
+    (1.0, ((0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
+           (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
+           (10, 0.20136540080403034), (11, 0.04471061572777259))),
+)
+_EXTRA = (
+    (0.1, ((0, 0.056167502283047954), (6, 0.25350021021662483), (7, -0.2462390374708025),
+           (8, -0.12419142326381637), (9, 0.15329179827876568), (10, 0.00820105229563469),
+           (11, 0.007567897660545699), (12, -0.008298))),
+    (0.2, ((0, 0.03183464816350214), (5, 0.028300909672366776), (6, 0.053541988307438566),
+           (7, -0.05492374857139099), (10, -0.00010834732869724932), (11, 0.0003825710908356584),
+           (12, -0.00034046500868740456), (13, 0.1413124436746325))),
+    (0.7777777777777778, ((0, -0.42889630158379194), (5, -4.697621415361164),
+                          (6, 7.683421196062599), (7, 4.06898981839711), (8, 0.3567271874552811),
+                          (12, -0.0013990241651590145), (13, 2.9475147891527724),
+                          (14, -9.15095847217987))),
+)
+_E3 = ((0, -0.18980075407240762), (5, 4.450312892752409), (6, 1.8915178993145003),
+       (7, -5.801203960010585), (8, -0.4226823213237919), (9, -0.1521609496625161),
+       (10, 0.20136540080403034), (11, 0.02265179219836082))
+_E5 = ((0, 0.01312004499419488), (5, -1.2251564463762044), (6, -0.4957589496572502),
+       (7, 1.6643771824549864), (8, -0.35032884874997366), (9, 0.3341791187130175),
+       (10, 0.08192320648511571), (11, -0.022355307863886294))
+_D = (
+    ((0, -8.428938276109013), (5, 0.5667149535193777), (6, -3.0689499459498917),
+     (7, 2.38466765651207), (8, 2.117034582445028), (9, -0.871391583777973),
+     (10, 2.2404374302607883), (11, 0.6315787787694688), (12, -0.08899033645133331),
+     (13, 18.148505520854727), (14, -9.194632392478356), (15, -4.436036387594894)),
+    ((0, 10.427508642579134), (5, 242.28349177525817), (6, 165.20045171727028),
+     (7, -374.5467547226902), (8, -22.113666853125306), (9, 7.733432668472264),
+     (10, -30.674084731089398), (11, -9.332130526430229), (12, 15.697238121770845),
+     (13, -31.139403219565178), (14, -9.35292435884448), (15, 35.81684148639408)),
+    ((0, 19.985053242002433), (5, -387.0373087493518), (6, -189.17813819516758),
+     (7, 527.8081592054236), (8, -11.57390253995963), (9, 6.8812326946963),
+     (10, -1.0006050966910838), (11, 0.7777137798053443), (12, -2.778205752353508),
+     (13, -60.19669523126412), (14, 84.32040550667716), (15, 11.99229113618279)),
+    ((0, -25.69393346270375), (5, -154.18974869023643), (6, -231.5293791760455),
+     (7, 357.6391179106141), (8, 93.40532418362432), (9, -37.45832313645163),
+     (10, 104.0996495089623), (11, 29.8402934266605), (12, -43.53345659001114),
+     (13, 96.32455395918828), (14, -39.17726167561544), (15, -149.72683625798564)),
+)
 
 
 def _weigh(row, kR, kD):
@@ -208,27 +268,40 @@ def _weigh(row, kR, kD):
     return sR, sD
 
 
-class _StepInterpolant(DenseOutput):
-    """(R, R') inside one accepted step: DOP853's 7th-order interpolant."""
+class _Trajectory:
+    """(R, R') along a dense shot, called on a 1-D array of radii -> (2, m).
 
-    def __init__(self, r_old, r, y_old, F):
-        super().__init__(r_old, r)
-        self.h, self.y_old, self.F = r - r_old, np.array(y_old)[:, None], np.array(F)[:, :, None]
+    ts are the accepted steps' bounds; per step, pieces holds its start (R, R')
+    and the seven rows F of DOP853's 7th-order interpolant.  A radius takes
+    the step whose interval holds it, a step end the step that ends there,
+    and points outside [t_min, t_max] the nearest step, as scipy's
+    OdeSolution picks them; the Horner order is scipy's, to the bit.
+    """
 
-    def _call_impl(self, t):
-        x = np.atleast_1d((t - self.t_old) / self.h)
-        y = np.zeros((2, x.size))
-        for i, f in enumerate(self.F[::-1]):
+    def __init__(self, ts, pieces):
+        self.ts = np.asarray(ts, dtype=float)
+        self.t_min, self.t_max = self.ts[0], self.ts[-1]
+        self._h = np.diff(self.ts)
+        self._rows = np.transpose(np.asarray(pieces, dtype=float), (1, 2, 0))
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        j = np.clip(np.searchsorted(self.ts, t) - 1, 0, self._h.size - 1)
+        x = (t - self.ts[j]) / self._h[j]
+        y_old, *F = self._rows[:, :, j]
+        y = np.zeros((2, t.size))
+        for i, f in enumerate(F[::-1]):
             y = (y + f) * (x if i % 2 == 0 else 1.0 - x)
-        return y + self.y_old if t.ndim else (y + self.y_old)[:, 0]
+        return y + y_old
 
 
 def _dop853(f, r, R, dR, r_end, rtol, atol, dense):
     """Accepted steps (r, R, R', piece) of (R, R')' = (R', f(r, R, R')) from r to
     r_end: DOP853 on two floats with scipy's step control (Hairer's initial step,
     safety 0.9, factor in [0.2, 10], exponent -1/8); piece is the step's
-    interpolant with dense=True, else None.  Raises StepFailure on an
-    underflowing or non-finite step or a non-finite error."""
+    start and interpolant rows with dense=True (see _Trajectory), else None.
+    Raises StepFailure on an underflowing or non-finite step or a non-finite
+    error."""
     ddR = f(r, R, dR)
     scale_R, scale_D = atol + abs(R) * rtol, atol + abs(dR) * rtol
 
@@ -274,10 +347,9 @@ def _dop853(f, r, R, dR, r_end, rtol, atol, dense):
                 kR.append(dR + h * sD)
                 kD.append(f(r + c * h, R + h * sR, kR[-1]))
             jump_R, jump_D = R_new - R, dR_new - dR
-            F = [(jump_R, jump_D), (h * kR[0] - jump_R, h * kD[0] - jump_D),
-                 (2.0 * jump_R - h * (kR[12] + kR[0]), 2.0 * jump_D - h * (kD[12] + kD[0]))]
-            F += [(h * sR, h * sD) for sR, sD in (_weigh(row, kR, kD) for row in _D)]
-            piece = _StepInterpolant(r, r_new, (R, dR), F)
+            piece = [(R, dR), (jump_R, jump_D), (h * kR[0] - jump_R, h * kD[0] - jump_D),
+                     (2.0 * jump_R - h * (kR[12] + kR[0]), 2.0 * jump_D - h * (kD[12] + kD[0]))]
+            piece += [(h * sR, h * sD) for sR, sD in (_weigh(row, kR, kD) for row in _D)]
         r, R, dR, ddR = r_new, R_new, dR_new, kD[12]
         yield r, R, dR, piece
 
@@ -293,7 +365,7 @@ def _shoot(spec, omega, n, k, s, rtol=1e-12, dense=False):
     |R' + (delta + (n-1)/(2r)) R| e^{-delta r} at the terminating step, signed
     + for Undershot and - for Overshot (a zero miss keeps its sign bit): it is
     linear in s near the separatrix, and its sign is the shot's outcome.  The
-    trajectory is the OdeSolution of the steps before the terminating one, so
+    trajectory is the _Trajectory of the steps before the terminating one, so
     it never reaches past the event that ended the shot (a shot ending on its
     first step keeps that step).
     """
@@ -325,10 +397,10 @@ def _shoot(spec, omega, n, k, s, rtol=1e-12, dense=False):
         return miss if undershot else -miss
     if len(pieces) > 1:
         del ts[-1], pieces[-1]
-    return OdeSolution(ts, pieces)
+    return _Trajectory(ts, pieces)
 
 
-def _sample(sol: OdeSolution, k: int, s: float, m: int, h: float):
+def _sample(sol: _Trajectory, k: int, s: float, m: int, h: float):
     """Grid j*h (j = 0..m) with R, R' of a dense shot; the origin takes the
     exact series data and points past the trajectory clamp to its end."""
     grid = np.arange(m + 1) * h

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -373,3 +375,17 @@ class TestManifestOwnership:
         cfg = _write_config(tmp_path, tolerances={"quadrature_tol": 0.0})
         assert main(["check", "--config", str(cfg)]) == 2
         assert self._artifacts(out) == ["report_n1k0.json"]
+
+
+def test_demo_runs_without_scipy(tmp_path):
+    # a fresh interpreter imports the CLI and runs the demo with no scipy
+    # module loaded: numpy is the one runtime dependency
+    script = ("import sys\n"
+              "import solwave.cli\n"
+              "code = solwave.cli.main(['demo', '--set', 'output_dir=' + sys.argv[1]])\n"
+              "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(solwave.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "demo")], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.split("\n")[-2] == "0 []"

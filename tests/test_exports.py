@@ -3,8 +3,10 @@ cannot leave a stale export behind; no module reads the environment, so
 configuration comes only through arguments and the CLI config; and no module
 imports another module's private (underscore) names, so what modules share is
 public API; no module imports from a private third-party module or a private
-third-party name, so solwave rests on its dependencies' public API; and every name a module imports is used there or re-exported in its
-__all__, so no import outlives its last use."""
+third-party name, so solwave rests on its dependencies' public API; no module
+imports scipy, so numpy is the one runtime dependency; and every name a module
+imports is used there or re-exported in its __all__, so no import outlives its
+last use."""
 
 import ast
 import importlib
@@ -79,3 +81,14 @@ def test_no_unused_imports(name):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used - set(getattr(module, "__all__", []))) == []
+
+
+@pytest.mark.parametrize("name", ["solwave", *(f"solwave.{m}" for m in MODULES)])
+def test_no_scipy_imports(name):
+    # scipy is a test-only oracle
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0]
+    assert [m for m in imported if m.split(".")[0] == "scipy"] == []
