@@ -7,8 +7,9 @@ four stages.  Each command returns its exit status and the names of the files
 it wrote under output_dir, and main alone writes output_dir/manifest.json: the
 normalized config and exactly those names, whatever the status.  Exit codes:
 0 success, 1 config or validation error (a potential that cannot be built
-included), 2 numerical failure (a failure raised before the command returns
-writes no manifest).
+included, and a grid whose fields would not fit in physical memory, refused
+before it is allocated), 2 numerical failure (a failure raised before the
+command returns writes no manifest).
 """
 
 from __future__ import annotations
@@ -229,12 +230,24 @@ def _boost_axis_velocity(speed: float, n: int) -> np.ndarray:
     return v
 
 
-def _grid_from_config(cfg: dict, wave, v_max: float, t_max: float) -> GridSpec:
+def _grid_from_config(cfg: dict, wave, v_max: float, t_max: float,
+                      fields: int) -> GridSpec:
+    """The config's grid, or grid_for's; ConfigError when fields complex
+    arrays of its size would exceed physical memory."""
     grid = cfg["grid"]
     if "extent" in grid:
-        return GridSpec(n=cfg["n"], extent=tuple(grid["extent"]),
+        spec = GridSpec(n=cfg["n"], extent=tuple(grid["extent"]),
                         points=tuple(grid["points"]))
-    return grid_for(wave, _boost_axis_velocity(v_max, cfg["n"]), t_max, grid["h"])
+    else:
+        spec = grid_for(wave, _boost_axis_velocity(v_max, cfg["n"]), t_max, grid["h"])
+    need = fields * 16 * math.prod(spec.points)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise ConfigError(
+            f"a {'x'.join(map(str, spec.points))} grid needs {need / 2**30:.3g} GiB "
+            f"for {fields} complex fields, more than the {memory / 2**30:.3g} GiB "
+            "of physical memory; raise grid.h")
+    return spec
 
 
 def cmd_solve(cfg: dict, wave, report) -> tuple[int, list[str]]:
@@ -266,7 +279,8 @@ def cmd_check(cfg: dict, wave, report) -> tuple[int, list[str]]:
 def cmd_boost_scan(cfg: dict, wave, report) -> tuple[int, list[str]]:
     out = cfg["output_dir"]
     speeds = cfg["velocities"]
-    grid = _grid_from_config(cfg, wave, 0.0, 0.0)  # sized for the uncontracted case
+    # sized for the uncontracted case; a sample holds psi and psi_dot
+    grid = _grid_from_config(cfg, wave, 0.0, 0.0, fields=2)
     rows = boost_scan(wave, wave.spec,
                       [_boost_axis_velocity(v, cfg["n"]) for v in speeds],
                       grid, report=report)
@@ -288,7 +302,9 @@ def cmd_evolve(cfg: dict, wave, report) -> tuple[int, list[str]]:
     out = cfg["output_dir"]
     speed = cfg["velocities"][0] if cfg["velocities"] else 0.0
     ev = cfg["evolve"]
-    grid = _grid_from_config(cfg, wave, abs(speed), ev["t_final"])
+    # the stepping holds psi, psi_dot and the next level, and the initial
+    # sample's two fields stay alive next to them
+    grid = _grid_from_config(cfg, wave, abs(speed), ev["t_final"], fields=5)
     initial = sample_boosted(wave, _boost_axis_velocity(speed, cfg["n"]), grid, t=0.0)
     state = evolve(initial, wave.spec, ev["t_final"], ev["dt"], ev["diag_stride"],
                    snapshot_stride=ev.get("snapshot_stride"), snapshot_dir=out)
@@ -382,6 +398,9 @@ def main(argv=None) -> int:
         wave = _solve_from_config(cfg, spec)
         report = compute_functionals(wave)
         status, artifacts = COMMANDS[args.command](cfg, wave, report)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (NoBracket, NodeCountMismatch, StepFailure, GridTooSmall,
             CflViolation, NonFinite, SuperluminalVelocity) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -1,3 +1,4 @@
+import math
 import struct
 import tracemalloc
 
@@ -8,6 +9,7 @@ from solwave.boost import (BOUNDARY_DECAY, FieldSample, GridSpec, GridTooSmall,
                            boost_scan, grid_for, load_sample, measure_energy,
                            measure_momentum, sample_boosted, save_sample,
                            scan_to_csv)
+from solwave.evolve import evolve
 from solwave.functionals import (SuperluminalVelocity, compute_functionals,
                                  lorentz_boost, predict_energy_momentum)
 from solwave.radial import WaveInterpolant
@@ -71,8 +73,10 @@ class TestSampling:
         g = grid_for(wave_1d, [speed], t, h)
         s0 = sample_boosted(wave_1d, [speed], g, t=0.0)
         st = sample_boosted(wave_1d, [speed], g, t=t)
-        rolled = np.roll(np.abs(s0.psi), shift_cells)
-        assert np.max(np.abs(np.abs(st.psi) - rolled)) < 1e-10
+        # only the cells np.roll does not wrap: the wrapped ones hold the
+        # periodic image, about 4e-9 with grid_for's 1/delta pad
+        moved = np.abs(st.psi)[shift_cells:] - np.abs(s0.psi)[:-shift_cells]
+        assert np.max(np.abs(moved)) < 1e-10
 
     def test_grid_too_small(self, wave_1d):
         tiny = GridSpec(n=1, extent=(10.0,), points=(500,))
@@ -133,8 +137,8 @@ def reference_sample(wave, v, grid, t):
 class TestBlockedSampler:
     # (wave fixture, v, t, h); the 1D and 2D grids end in a ragged row block
     CASES = [
-        ("wave_1d", [0.6], 1.3, 0.005),
-        ("wave_1d", [-0.3], 0.0, 0.005),
+        ("wave_1d", [0.6], 1.3, 0.003),
+        ("wave_1d", [-0.3], 0.0, 0.003),
         ("wave_2d", [0.6, 0.0], 0.7, 0.25),
         ("wave_2d", [0.3, -0.4], 0.7, 0.25),
         ("wave_3d", [0.0, 0.5, 0.0], 0.7, 1.2),
@@ -164,7 +168,7 @@ class TestBlockedSampler:
         # about 1M cells; the vortex factor and an oblique boost take the
         # most block temporaries
         v = [0.3, -0.4]
-        grid = grid_for(wave_k1, v, 0.0, 0.09)
+        grid = grid_for(wave_k1, v, 0.0, 0.065)
         field_bytes = 16 * int(np.prod(grid.points))
         assert 0.9e6 < np.prod(grid.points) < 1.2e6
         tracemalloc.start()
@@ -298,6 +302,72 @@ class TestBoostScan:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "v,E_meas,P1_meas,E_pred,P1_pred,relE,relP"
         assert len(lines) == 3
+
+
+class TestBoxSize:
+    """grid_for pads the support by 1/delta: the box is as small as the
+    boundary-decay invariant allows, and widening it changes no answer."""
+
+    H = 0.2
+
+    @staticmethod
+    def _widened(grid, cells):
+        """grid with cells more cells on every side; the cell centres it
+        shares with grid stay where they are."""
+        return GridSpec(n=grid.n,
+                        extent=tuple(L + cells * h for L, h in zip(grid.extent, grid.spacing)),
+                        points=tuple(N + 2 * cells for N in grid.points))
+
+    @classmethod
+    def _pad_cells(cls, wave, pad):
+        return math.ceil(pad / (wave.delta * cls.H))
+
+    @pytest.mark.parametrize("name", ["wave_2d", "wave_k1"])
+    def test_wider_box_same_scan(self, request, cubic, name):
+        wave = request.getfixturevalue(name)
+        report = compute_functionals(wave)
+        velocities = [[0.3, 0.0], [0.6, 0.0]]
+        grid = grid_for(wave, [0.0, 0.0], 0.0, self.H)
+        wide = self._widened(grid, self._pad_cells(wave, 9.0))
+        for row, ref in zip(boost_scan(wave, cubic, velocities, grid, report),
+                            boost_scan(wave, cubic, velocities, wide, report)):
+            assert row.e_measured == pytest.approx(ref.e_measured, rel=1e-12, abs=0)
+            np.testing.assert_allclose(row.p_measured, ref.p_measured, rtol=0,
+                                       atol=1e-12 * np.linalg.norm(ref.p_measured))
+
+    def test_wider_box_same_flight(self, wave_2d, cubic):
+        v, t_final = [0.6, 0.0], 1.0
+        grid = grid_for(wave_2d, v, t_final, self.H)
+        wide = self._widened(grid, self._pad_cells(wave_2d, 9.0))
+        runs = [evolve(sample_boosted(wave_2d, v, g), cubic, t_final, 0.05, 5).diagnostics
+                for g in (grid, wide)]
+        assert len(runs[0]) == len(runs[1]) == 5
+        for point, ref in zip(*runs):
+            assert point.energy == pytest.approx(ref.energy, rel=1e-12, abs=0)
+            # the centre starts at the origin, so it is compared in length units
+            np.testing.assert_allclose(point.center_of_energy, ref.center_of_energy,
+                                       rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("v", [[0.0, 0.0], [0.6, 0.0]])
+    def test_box_inside_support_raises(self, wave_2d, v):
+        grid = grid_for(wave_2d, v, 0.0, self.H)
+        with pytest.raises(GridTooSmall):
+            sample_boosted(wave_2d, v, self._widened(grid, -self._pad_cells(wave_2d, 2.0)))
+
+    @pytest.mark.parametrize("name", ["wave_1d", "wave_2d", "wave_k1", "wave_3d"])
+    def test_extent_is_support_plus_pad(self, request, name):
+        wave = request.getfixturevalue(name)
+        n, mr = wave.n, wave.profile.match_radius
+        velocities = [[0.0] * n, [0.6] + [0.0] * (n - 1)]
+        if n > 1:
+            velocities.append([0.3, -0.4] + [0.0] * (n - 2))
+        for v in velocities:
+            _, speed, gamma = lorentz_boost(v, n)
+            for t_max, h in ((0.0, 0.2), (5.0, 0.07)):
+                grid = grid_for(wave, v, t_max, h)
+                for L, vj in zip(grid.extent, v):
+                    support = mr / gamma if speed > 0 and abs(vj) == speed else mr
+                    assert L <= support + 1.0 / wave.delta + abs(vj) * t_max + h
 
 
 class TestVelocityRejection:

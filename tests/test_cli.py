@@ -188,6 +188,40 @@ class TestExitCodes:
         assert main(["boost-scan", "--config", str(cfg)]) == 2
         assert "GridTooSmall" in capsys.readouterr().err
 
+    @staticmethod
+    def _forbid_allocation(monkeypatch):
+        def reached(*args, **kwargs):
+            raise AssertionError("an oversized grid reached the sampler")
+        monkeypatch.setattr(solwave.cli, "boost_scan", reached)
+        monkeypatch.setattr(solwave.cli, "sample_boosted", reached)
+
+    @pytest.mark.parametrize("command,n,h", [("boost-scan", 3, 0.01), ("evolve", 2, 1e-4)])
+    def test_oversized_grid_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                            command, n, h):
+        # terabytes of fields; refused after the solve, before any allocation
+        self._forbid_allocation(monkeypatch)
+        cfg = _write_config(tmp_path, n=n, velocities=[0.5], grid={"h": h})
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "physical memory" in err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_grid_budget_counts_the_fields_each_command_holds(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # a grid whose cells fit 3.5 complex fields in physical memory: a
+        # scan holds two, a flight five
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        side = 2 * int((memory / (16 * 3.5)) ** 0.5 / 2)
+        self._forbid_allocation(monkeypatch)
+        # the scan fits, so it is let through to a stub that samples nothing
+        monkeypatch.setattr(solwave.cli, "boost_scan", lambda *args, **kwargs: [])
+        cfg = _write_config(tmp_path, n=2, velocities=[0.5],
+                            grid={"h": 0.1, "extent": [side * 0.05] * 2,
+                                  "points": [side] * 2})
+        assert main(["boost-scan", "--config", str(cfg)]) == 0
+        assert main(["evolve", "--config", str(cfg)]) == 1
+        assert "physical memory" in capsys.readouterr().err
+
     def test_evolve_3d_is_config_error(self, tmp_path, capsys, monkeypatch):
         # rejected before the solve: the leapfrog scheme has no 3D grid
         solves = []
