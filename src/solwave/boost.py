@@ -16,7 +16,10 @@ arrays it allocates.  Within a block the phase is the constant
 e^{-i omega gamma t} times the outer product of one 1D factor
 e^{i omega gamma v_j x_j} per axis, the vortex factor e^{i k phi} of a k >= 1
 wave is ((y_0 + i y_1)/r)^k, and R, R' come from one radial.WaveInterpolant
-call on the block's r.
+call on the block's r.  At t = 0, y(-x) = -y(x): R and R' are even, the
+psi_dot terms in y/r odd and e^{i k phi} picks up (-1)^k, so each block of
+axis 0's first half also writes its mirror (every axis reversed), and the
+radial part runs on half the grid.
 The boundary-decay check compares |psi| on the boundary faces with the
 largest |R|.
 
@@ -27,8 +30,10 @@ differences under periodic wrap (immaterial given the exponential decay,
 which the grid-sizing rule keeps below 1e-8 of the peak at the boundary).
 The differences are solwave.stencil's unscaled neighbour differences, with
 the 1/(2h) folded into the sums.  Each sum walks the field in the stencil's
-row blocks and squares moduli as re^2 + im^2, so no temporary is larger
-than one block.
+row blocks.  E and P take sum |psi_dot|^2, sum |D_j psi|^2 and
+Re sum psi_dot conj(D_j psi) per block as one einsum over the float views,
+with no squared temporary and no BLAS dot, whose last bits follow its thread
+count; the center of energy builds each block's density for its marginals.
 """
 
 from __future__ import annotations
@@ -98,11 +103,9 @@ class GridSpec:
         return tuple(2.0 * L / N for L, N in zip(self.extent, self.points))
 
     def axes(self) -> list[np.ndarray]:
-        """Cell-center coordinates per axis."""
-        return [
-            -L + (np.arange(N) + 0.5) * h
-            for L, N, h in zip(self.extent, self.points, self.spacing)
-        ]
+        """Cell-center coordinates per axis, (i - (N - 1)/2) h: one rounding
+        per cell, so cell N - 1 - i sits exactly at minus cell i."""
+        return [(np.arange(N) - (N - 1) / 2) * h for N, h in zip(self.points, self.spacing)]
 
     @property
     def cell_volume(self) -> float:
@@ -164,7 +167,9 @@ def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> Fie
     psi_dot = -gamma (dR (v.y)/r + i k R (v_1 y_0 - v_0 y_1)/r^2 + i omega R) * u,
     u = e^{i k phi} * phase.  The phase is the constant e^{-i omega gamma t}
     times one 1D factor e^{i omega gamma v_j x_j} per axis, and
-    e^{i k phi} = ((y_0 + i y_1)/r)^k.
+    e^{i k phi} = ((y_0 + i y_1)/r)^k.  At t = 0 each block of axis 0's first
+    half also fills its mirror, the cells N_j - 1 - i_j, with the y/r terms
+    negated and e^{i k phi} times (-1)^k.
 
     Raises GridTooSmall when the boundary cells carry more than 1e-8 of the
     peak amplitude, max |R|.
@@ -182,8 +187,15 @@ def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> Fie
 
     psi = np.empty(grid.points, dtype=complex)
     psi_dot = np.empty(grid.points, dtype=complex)
+    # (psi, psi_dot, phase factors, sign of y-odd terms); at t = 0 the blocks walk
+    # axis 0's first half and also fill the flipped arrays, (-1)^k in their factors
+    targets = [(psi, psi_dot, factors, 1.0)]
+    if t == 0:
+        mirror = [np.flip(f) for f in factors]
+        mirror[0] = mirror[0] * (-1.0) ** k
+        targets.append((np.flip(psi), np.flip(psi_dot), mirror, -1.0))
     peak = 0.0
-    for rows in row_blocks(psi):
+    for rows in row_blocks(psi[:grid.points[0] // len(targets)]):
         x = [mesh[0][rows], *mesh[1:]]
         x_dot_e = sum(xj * ej for xj, ej in zip(x, e) if ej)
         y = [xj + (gamma - 1.0) * x_dot_e * ej - gamma * vj * t if ej else xj
@@ -191,28 +203,30 @@ def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> Fie
         r = np.sqrt(sum(yj**2 for yj in y))
         safe_r = np.where(r > 0, r, 1.0)  # y = 0 where r = 0, so every y/r term is 0 there
         R, dR = interp(r)
-        u = factors[0][rows]
-        for vj, f in zip(v[1:], factors[1:]):
-            if vj:
-                u = u * f
         if k:
             ang = np.empty(r.shape, dtype=complex)
             np.divide(y[0], safe_r, out=ang.real)
             np.divide(y[1], safe_r, out=ang.imag)
-            u = u * ang**k
-        np.multiply(R, u, out=psi[rows])
-
-        out = psi_dot[rows]
-        np.multiply(R, -gamma * omega, out=out.imag)
+            ang = ang**k
+        # psi_dot / u = -gamma (odd + i omega R), odd = dR (v.y)/r + i k R (v_1 y_0 - v_0 y_1)/r^2
+        odd = np.zeros(r.shape, dtype=complex)
         if speed > 0:
-            v_dot_y = sum(vj * yj for vj, yj in zip(v, y) if vj)
-            np.multiply(dR, v_dot_y / safe_r, out=out.real)
-            out.real *= -gamma
+            np.multiply(dR, sum(vj * yj for vj, yj in zip(v, y) if vj) / safe_r, out=odd.real)
             if k:
-                out.imag -= (gamma * k) * R * (v[1] * y[0] - v[0] * y[1]) / safe_r**2
-        else:
-            out.real = 0.0
-        out *= u
+                np.multiply(R, (k * v[1] * y[0] - k * v[0] * y[1]) / safe_r**2, out=odd.imag)
+        even = (gamma * omega) * R
+        for field, field_dot, fs, sign in targets:
+            u = fs[0][rows]
+            for vj, f in zip(v[1:], fs[1:]):
+                if vj:
+                    u = u * f
+            if k:
+                u = u * ang
+            np.multiply(R, u, out=field[rows])
+            out = field_dot[rows]
+            np.multiply(odd, -gamma * sign, out=out)
+            out.imag -= even
+            out *= u
 
         peak = max(peak, float(np.max(np.abs(R))))
 
@@ -248,28 +262,44 @@ def _density_blocks(sample: FieldSample, spec: PotentialSpec):
         yield rows, density
 
 
+def _re_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re sum a conj(b), one einsum over the float views: no squared temporary,
+    and no BLAS dot, whose summation order follows its thread count."""
+    return float(np.einsum("i,i->", np.ravel(a).view(float), np.ravel(b).view(float)))
+
+
 def measure_energy(sample: FieldSample, spec: PotentialSpec) -> float:
-    """Grid sum of |psi_dot|^2/2 + |grad psi|^2/2 + U(|psi|)."""
-    total = sum(float(np.sum(density)) for _, density in _density_blocks(sample, spec))
+    """Grid sum of |psi_dot|^2/2 + |grad psi|^2/2 + U(|psi|): per row block,
+    einsum sums of |psi_dot|^2 and |D_j psi|^2 (weight 1/(8 h_j^2)) and one
+    evaluate_potential call."""
+    psi, psi_dot = sample.psi, sample.psi_dot
+    blocks = row_blocks(psi)
+    d = np.empty(psi[blocks[0]].shape, dtype=complex)
+    weights = [0.125 / (h * h) for h in sample.grid.spacing]
+    total = 0.0
+    for rows in blocks:
+        diff = d[:rows.stop - rows.start]
+        total += 0.5 * _re_dot(psi_dot[rows], psi_dot[rows])
+        for axis, w in enumerate(weights):
+            neighbour_difference(psi, axis, rows, out=diff)
+            total += w * _re_dot(diff, diff)
+        total += float(np.sum(evaluate_potential(spec, psi[rows])))
     return total * sample.grid.cell_volume
 
 
 def measure_momentum(sample: FieldSample) -> np.ndarray:
     """-Re int psi_dot conj(grad psi) dx, per component.  Each component
-    sums Re(psi_dot conj(D_j psi)) over the unscaled neighbour difference
-    and takes the 1/(2 h_j) once, on the sum."""
+    sums Re(psi_dot conj(D_j psi)) over the unscaled neighbour difference,
+    one einsum per row block, and takes the 1/(2 h_j) once, on the sum."""
     psi, psi_dot = sample.psi, sample.psi_dot
     blocks = row_blocks(psi)
     d = np.empty(psi[blocks[0]].shape, dtype=complex)
     sums = np.zeros(sample.grid.n)
     for rows in blocks:
         diff = d[:rows.stop - rows.start]
-        pd = psi_dot[rows]
         for axis in range(sample.grid.n):
             neighbour_difference(psi, axis, rows, out=diff)
-            dot = pd.real * diff.real
-            dot += pd.imag * diff.imag
-            sums[axis] += float(np.sum(dot))
+            sums[axis] += _re_dot(psi_dot[rows], diff)
     scale = [0.5 / h for h in sample.grid.spacing]
     return -sums * scale * sample.grid.cell_volume
 

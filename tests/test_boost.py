@@ -12,6 +12,7 @@ from solwave.boost import (BOUNDARY_DECAY, FieldSample, GridSpec, GridTooSmall,
 from solwave.evolve import evolve
 from solwave.functionals import (SuperluminalVelocity, compute_functionals,
                                  lorentz_boost, predict_energy_momentum)
+from solwave.potential import evaluate_potential
 from solwave.radial import WaveInterpolant
 from solwave.stencil import row_blocks
 
@@ -43,6 +44,13 @@ class TestGridSpec:
             GridSpec(n=2, extent=(4.0,), points=(8, 8))
         with pytest.raises(ValueError):
             GridSpec(n=1, extent=(-1.0,), points=(8,))
+
+    @pytest.mark.parametrize("L,N", [(31.15, 1246), (38.1, 1524), (9.3, 186)])
+    def test_axes_are_point_symmetric(self, L, N):
+        # the t = 0 sampler writes cell N - 1 - i from cell i's values, so
+        # the coordinates must mirror exactly, not to within an ulp
+        (x,) = GridSpec(n=1, extent=(L,), points=(N,)).axes()
+        assert np.array_equal(x[::-1], -x)
 
 
 class TestSampling:
@@ -164,6 +172,18 @@ class TestBlockedSampler:
             assert blocks[-1].stop - blocks[-1].start < blocks[0].stop
         assert sample.time == t
 
+    # CASES' t = 0 row is its own twin
+    @pytest.mark.parametrize("name,v,t,h", [case for case in CASES if case[2]])
+    def test_mirrored_half_matches_full_array_formula(self, request, name, v, t, h):
+        # at t = 0 each row block of axis 0's first half also fills its
+        # mirror, with the y-odd psi_dot terms negated and (-1)^k on e^{ik phi}
+        wave = request.getfixturevalue(name)
+        grid = grid_for(wave, v, t, h)
+        sample = sample_boosted(wave, v, grid, t=0.0)
+        psi, psi_dot = reference_sample(wave, v, grid, 0.0)
+        assert np.max(np.abs(sample.psi - psi)) <= 1e-13 * np.max(np.abs(psi))
+        assert np.max(np.abs(sample.psi_dot - psi_dot)) <= 1e-13 * np.max(np.abs(psi_dot))
+
     def test_memory_is_two_fields(self, wave_k1):
         # about 1M cells; the vortex factor and an oblique boost take the
         # most block temporaries
@@ -226,6 +246,28 @@ class TestMeasurement:
         sample = sample_boosted(wave_1d, [0.6], grid_1d, t=0.0)
         assert measure_energy(sample, cubic) == pytest.approx(2.28, rel=1e-3)
         assert measure_momentum(sample)[0] == pytest.approx(1.368, rel=1e-3)
+
+    @pytest.mark.parametrize("name,v,h", [
+        ("wave_1d", [0.6], 0.003),
+        ("wave_2d", [0.3, -0.4], 0.25),
+        ("wave_3d", [0.3, -0.4, 0.2], 1.2),
+        ("wave_k1", [0.3, -0.4], 0.25),
+    ])
+    def test_sums_match_full_array_formula(self, request, cubic, name, v, h):
+        # E = sum(|psi_dot|^2/2 + sum_j |D_j psi|^2/(8 h_j^2) + U) dV and
+        # P_j = -Re sum(psi_dot conj(D_j psi)) / (2 h_j) dV, D_j psi = psi[i+1] - psi[i-1]
+        wave = request.getfixturevalue(name)
+        grid = grid_for(wave, v, 0.0, h)
+        sample = sample_boosted(wave, v, grid, t=0.0)
+        psi, psi_dot = sample.psi, sample.psi_dot
+        diffs = [np.roll(psi, -1, axis) - np.roll(psi, 1, axis) for axis in range(grid.n)]
+        density = (0.5 * np.abs(psi_dot) ** 2 + evaluate_potential(cubic, psi)
+                   + sum(np.abs(d) ** 2 / (8 * hj**2) for d, hj in zip(diffs, grid.spacing)))
+        e_ref = np.sum(density) * grid.cell_volume
+        p_ref = np.array([-np.sum((psi_dot * np.conj(d)).real) / (2 * hj)
+                          for d, hj in zip(diffs, grid.spacing)]) * grid.cell_volume
+        assert abs(measure_energy(sample, cubic) - e_ref) <= 1e-13 * abs(e_ref)
+        assert np.linalg.norm(measure_momentum(sample) - p_ref) <= 1e-13 * np.linalg.norm(p_ref)
 
     def test_rest_energy_converges_quadratically(self, wave_1d, cubic):
         errors = []

@@ -304,6 +304,32 @@ class TestDeterminism:
         second = {f: (outdir / f).read_bytes() for f in os.listdir(outdir)}
         assert first == second
 
+    def test_boost_scan_and_evolve_byte_identical(self, tmp_path):
+        # a 2D grid whose row blocks hold about 16k cells, where a BLAS dot in
+        # the E/P sums would split over threads and change the last bits; at
+        # h = 0.2 the scan misses E_v = gamma E_0 by about 1e-2
+        cfg = _write_config(tmp_path, n=2, velocities=[0.3, 0.6], grid={"h": 0.2},
+                            evolve={"t_final": 0.2, "dt": 0.05, "diag_stride": 2},
+                            tolerances={"scan_rel_err": 0.05})
+        outdir = tmp_path / "out"
+        runs = []
+        for _ in range(2):
+            for command in ("boost-scan", "evolve"):
+                assert main([command, "--config", str(cfg)]) == 0
+            runs.append({f: (outdir / f).read_bytes() for f in os.listdir(outdir)})
+        assert runs[0] == runs[1]
+        assert {"boost_scan.json", "evolution.csv"} <= set(runs[0])
+
+        # the same scan in a fresh interpreter with one OpenBLAS thread
+        single = tmp_path / "single"
+        script = "import sys, solwave.cli; sys.exit(solwave.cli.main(sys.argv[1:]))"
+        src = os.path.dirname(os.path.dirname(solwave.cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        subprocess.run([sys.executable, "-c", script, "boost-scan", "--config", str(cfg),
+                        "--set", f"output_dir={single}"],
+                       env=env, capture_output=True, timeout=120, check=True)
+        assert (single / "boost_scan.json").read_bytes() == runs[0]["boost_scan.json"]
+
     def test_set_overrides(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         code = main(["solve", "--config", str(cfg), "--set", "omega=0.6",
