@@ -33,13 +33,18 @@ def atomic_write(path, write, binary: bool = False) -> None:
 
 
 def write_csv(path, header, records) -> None:
-    """A header row, then one row per record of floats at full precision."""
+    """The header row, then one row per record of len(header) floats.
+
+    Each float is written "%.17g" (17 significant digits, enough to read back
+    the same float), fields are separated by "," and every row, the header's
+    too, ends in "\r\n": the bytes csv.writer's default dialect gives, with
+    the float rows formatted in one %-operation each.
+    """
+    row = ",".join(["%.17g"] * len(header)) + "\r\n"
 
     def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for record in records:
-            writer.writerow([f"{x:.17g}" for x in record])
+        csv.writer(fh).writerow(header)
+        fh.writelines(row % tuple(record) for record in records)
 
     atomic_write(path, write)
 

@@ -8,8 +8,11 @@ outward from r ~ 0 with series initial data.  Every shot (the rtol-1e-6
 bracket scan, the rtol-1e-12 root-finding and converged-profile shots) runs
 one scalar DOP853 stepper on the two floats (R, R'), with Hairer's tableau
 (written out below) and the step control of scipy's DOP853, and classifies the
-trajectory after each step; every shot ends Undershot (turns back up before
-reaching zero) or Overshot (sign change, or runaway past the divergence
+trajectory after each step.  The stepper's stage, error and dense-output sums
+are straight-line code generated at import from the tableau literals, each
+sum adding its terms in the row's order, so every shot is bit-identical to
+one that weighs the rows in a loop.  Every shot ends Undershot (turns back up
+before reaching zero) or Overshot (sign change, or runaway past the divergence
 guard), and there is no decay outcome.  The decaying profile is a separatrix
 of the ODE: perturbations grow like e^{+delta r} with
 delta = sqrt(mass_sq - omega^2), so a shot with initial datum known to
@@ -259,13 +262,62 @@ _D = (
 )
 
 
-def _weigh(row, kR, kD):
-    """sum_j a_j k_j over one tableau row, for both components."""
-    sR = sD = 0.0
-    for j, a in row:
-        sR += a * kR[j]
-        sD += a * kD[j]
-    return sR, sD
+def _row_sum(row, k):
+    """sum_j a_j k_j over one tableau row as source, 0.0 + a_0 * k_0 + ... in
+    the row's order; a negative a_j is written as a subtraction, which is the
+    same float (x - a*k is x + (-a)*k)."""
+    return "0.0" + "".join(f" {'-' if a < 0.0 else '+'} {abs(a)!r} * {k}{j}" for j, a in row)
+
+
+def _stage_lines(rows, first):
+    """Stages first, first + 1, ... from rows: per stage i its R_i, R' (kR_i)
+    and R'' (kD_i)."""
+    lines = []
+    for i, (c, row) in enumerate(rows, first):
+        lines += [f"R{i} = R + h * ({_row_sum(row, 'kR')})",
+                  f"kR{i} = kR0 + h * ({_row_sum(row, 'kD')})",
+                  f"kD{i} = f(r + {c!r} * h, R{i}, kR{i})"]
+    return lines
+
+
+def _straight_line():
+    """_stages and _dense_piece: the tableau arithmetic of one DOP853 step as
+    straight-line code, generated from the rows above and compiled once.
+
+    _stages(f, r, h, R, kR0, kD0) -> (R_new, R'_new, R''_new, e5R, e5D, e3R, e3D, ks)
+    steps from (R, R' = kR0, R'' = kD0) through the twelve stages, the last
+    (c = 1) being the step's end, and takes the _E5 and _E3 error sums.  ks
+    holds the stage values for _dense_piece(f, r, h, R, kR0, kD0, ks), which
+    adds the three _EXTRA stages and returns the step's piece (see
+    _Trajectory).  Each sum adds its terms in the row's order, so every float
+    is the one a loop over the rows gives.
+    """
+    last = len(_STAGES)
+    ks = ", ".join([f"R{last}"] + [f"{k}{i}" for k in ("kR", "kD") for i in range(1, last + 1)])
+    errors = ", ".join(_row_sum(row, k) for row in (_E5, _E3) for k in ("kR", "kD"))
+    rows = ", ".join(f"(h * ({_row_sum(row, 'kR')}), h * ({_row_sum(row, 'kD')}))" for row in _D)
+    functions = {
+        "_stages(f, r, h, R, kR0, kD0)": [
+            *_stage_lines(_STAGES, 1),
+            f"return R{last}, kR{last}, kD{last}, {errors}, ({ks})",
+        ],
+        "_dense_piece(f, r, h, R, kR0, kD0, ks)": [
+            f"{ks} = ks",
+            *_stage_lines(_EXTRA, last + 1),
+            f"jump_R, jump_D = R{last} - R, kR{last} - kR0",
+            "return [(R, kR0), (jump_R, jump_D), (h * kR0 - jump_R, h * kD0 - jump_D),"
+            f" (2.0 * jump_R - h * (kR{last} + kR0), 2.0 * jump_D - h * (kD{last} + kD0)),"
+            f" {rows}]",
+        ],
+    }
+    source = "".join("\n    ".join([f"def {signature}:", *body]) + "\n"
+                     for signature, body in functions.items())
+    namespace = {}
+    exec(compile(source, "<radial DOP853 stages>", "exec"), namespace)
+    return namespace["_stages"], namespace["_dense_piece"]
+
+
+_stages, _dense_piece = _straight_line()
 
 
 class _Trajectory:
@@ -297,9 +349,10 @@ class _Trajectory:
 
 def _dop853(f, r, R, dR, r_end, rtol, atol, dense):
     """Accepted steps (r, R, R', piece) of (R, R')' = (R', f(r, R, R')) from r to
-    r_end: DOP853 on two floats with scipy's step control (Hairer's initial step,
-    safety 0.9, factor in [0.2, 10], exponent -1/8); piece is the step's
-    start and interpolant rows with dense=True (see _Trajectory), else None.
+    r_end: DOP853 on two floats (the stages of _stages) with scipy's step
+    control (Hairer's initial step, safety 0.9, factor in [0.2, 10], exponent
+    -1/8); piece is the step's start and interpolant rows from _dense_piece
+    with dense=True (see _Trajectory), else None.
     Raises StepFailure on an underflowing or non-finite step or a non-finite
     error."""
     ddR = f(r, R, dR)
@@ -322,15 +375,10 @@ def _dop853(f, r, R, dR, r_end, rtol, atol, dense):
                 raise StepFailure(f"step size {h_abs:.3g} at r={r:.6g} underflowed")
             r_new = min(r + h_abs, r_end)
             h = r_new - r
-            kR, kD = [dR], [ddR]
-            for c, row in _STAGES:
-                sR, sD = _weigh(row, kR, kD)
-                R_new, dR_new = R + h * sR, dR + h * sD
-                kR.append(dR_new)
-                kD.append(f(r + c * h, R_new, dR_new))
+            R_new, dR_new, ddR_new, e5R, e5D, e3R, e3D, ks = _stages(f, r, h, R, dR, ddR)
             scale_R = atol + max(abs(R), abs(R_new)) * rtol
             scale_D = atol + max(abs(dR), abs(dR_new)) * rtol
-            err5, err3 = norm(*_weigh(_E5, kR, kD)) ** 2, norm(*_weigh(_E3, kR, kD)) ** 2
+            err5, err3 = norm(e5R, e5D) ** 2, norm(e3R, e3D) ** 2
             error = 0.0 if err5 == err3 == 0.0 else h * err5 / math.sqrt(err5 + 0.01 * err3)
             if not math.isfinite(error):
                 raise StepFailure(f"error estimate {error} at r={r:.6g}")
@@ -340,17 +388,8 @@ def _dop853(f, r, R, dR, r_end, rtol, atol, dense):
                 break
             h_abs *= max(0.2, 0.9 * error**-0.125)
             rejected = True
-        piece = None
-        if dense:
-            for c, row in _EXTRA:
-                sR, sD = _weigh(row, kR, kD)
-                kR.append(dR + h * sD)
-                kD.append(f(r + c * h, R + h * sR, kR[-1]))
-            jump_R, jump_D = R_new - R, dR_new - dR
-            piece = [(R, dR), (jump_R, jump_D), (h * kR[0] - jump_R, h * kD[0] - jump_D),
-                     (2.0 * jump_R - h * (kR[12] + kR[0]), 2.0 * jump_D - h * (kD[12] + kD[0]))]
-            piece += [(h * sR, h * sD) for sR, sD in (_weigh(row, kR, kD) for row in _D)]
-        r, R, dR, ddR = r_new, R_new, dR_new, kD[12]
+        piece = _dense_piece(f, r, h, R, dR, ddR, ks) if dense else None
+        r, R, dR, ddR = r_new, R_new, dR_new, ddR_new
         yield r, R, dR, piece
 
 
@@ -755,7 +794,9 @@ def load_wave(csv_path, sidecar_path, spec: PotentialSpec) -> SolitaryWave:
     """Reconstruct a wave from save_wave output plus its potential spec.
 
     Raises ValueError when spec's mass_sq or terms differ from the potential
-    the sidecar records (amplitude_cap only bounds the scan and may differ).
+    the sidecar records (amplitude_cap only bounds the scan and may differ),
+    and, naming the CSV, on a field that is not a number, a row without three
+    columns or a value that is not finite.
     """
     with open(sidecar_path) as fh:
         meta = json.load(fh)
@@ -764,7 +805,16 @@ def load_wave(csv_path, sidecar_path, spec: PotentialSpec) -> SolitaryWave:
     if saved != given:
         raise ValueError(f"{sidecar_path}: the wave was solved for mass_sq={saved[0]}, "
                          f"terms={saved[1]}, not for mass_sq={given[0]}, terms={given[1]}")
-    data = np.genfromtxt(csv_path, delimiter=",", skip_header=1)
+    try:
+        data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{csv_path}: {exc}") from exc
+    if data.shape[0] == 0 or data.shape[1] != 3:
+        raise ValueError(f"{csv_path}: expected rows of the three columns r, R, dR, "
+                         f"read an array of shape {data.shape}")
+    bad = np.nonzero(~np.isfinite(data))[0]
+    if bad.size:
+        raise ValueError(f"{csv_path}: non-finite value on line {int(bad[0]) + 2}")
     profile = RadialProfile(
         r_grid=data[:, 0],
         values=data[:, 1],

@@ -1,8 +1,12 @@
+import csv
+import io
+import math
 import stat
 
+import numpy as np
 import pytest
 
-from solwave.artifacts import atomic_write
+from solwave.artifacts import atomic_write, write_csv
 
 
 class Interrupted(RuntimeError):
@@ -44,3 +48,20 @@ def test_new_file_gets_default_permissions(tmp_path):
     target = tmp_path / "artifact.out"
     atomic_write(target, lambda fh: fh.write("x"))
     assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+
+def test_write_csv_bytes(tmp_path):
+    # the bytes of csv.writer with every float formatted f"{x:.17g}": float,
+    # numpy and int fields, signed zeros, subnormals and non-finite values
+    header = ["r", "R", "dR"]
+    records = [(0.1, -0.0, 1), (np.float64(2.5e-320), -1.0 / 3.0, math.inf),
+               (np.nextafter(1.0, 2.0), math.nan, -1e300)]
+    target = tmp_path / "table.csv"
+    write_csv(target, header, iter(records))
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    for record in records:
+        writer.writerow([f"{x:.17g}" for x in record])
+    assert target.read_bytes() == expected.getvalue().encode()
+    assert target.read_bytes().startswith(b"r,R,dR\r\n0.10000000000000001,-0,1\r\n")

@@ -1,6 +1,7 @@
 """scipy, a test-only dependency, as the oracle of the numerics solwave carries
 itself: the DOP853 tableau, the dense trajectory of a shot, Brent's method
-and Simpson's rule."""
+and Simpson's rule; and the loop form of the DOP853 step as the oracle of its
+generated straight-line stages."""
 
 import math
 
@@ -68,6 +69,95 @@ def test_trajectory_matches_ode_solution(cubic, wave_k1, wave_k2, n, k, factor):
     r = np.concatenate([ts, 0.5 * (ts[1:] + ts[:-1]), np.linspace(-1.0, ts[-1] + 1.0, 2001)])
     assert np.array_equal(sol(r), oracle(r))
     assert (sol.t_min, sol.t_max) == (oracle.t_min, oracle.t_max)
+
+
+def _weigh(row, kR, kD):
+    """sum_j a_j k_j over one tableau row, for both components, in a loop."""
+    sR = sD = 0.0
+    for j, a in row:
+        sR += a * kR[j]
+        sD += a * kD[j]
+    return sR, sD
+
+
+def _loop_dop853(f, r, R, dR, r_end, rtol, atol):
+    """radial._dop853 with dense=True and the tableau rows weighed in loops:
+    the accepted steps (r, R, R', piece), and per step tried, accepted or
+    rejected, its start (r, h, R, R', R'') and its end (R, R', R'') with the
+    _E5 and _E3 sums."""
+    ddR = f(r, R, dR)
+    scale_R, scale_D = atol + abs(R) * rtol, atol + abs(dR) * rtol
+
+    def norm(x, y):
+        return math.hypot(x / scale_R, y / scale_D) / math.sqrt(2.0)
+
+    d0, d1 = norm(R, dR), norm(dR, ddR)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, r_end - r)
+    d2 = norm(h0 * ddR, f(r + h0, R + h0 * dR, dR + h0 * ddR) - ddR) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+    h_abs = min(100.0 * h0, h1, r_end - r)
+    steps, tries = [], []
+    while r < r_end:
+        h_abs = max(h_abs, 10.0 * (math.nextafter(r, math.inf) - r))
+        rejected = False
+        while True:
+            r_new = min(r + h_abs, r_end)
+            h = r_new - r
+            kR, kD = [dR], [ddR]
+            for c, row in radial._STAGES:
+                sR, sD = _weigh(row, kR, kD)
+                R_new, dR_new = R + h * sR, dR + h * sD
+                kR.append(dR_new)
+                kD.append(f(r + c * h, R_new, dR_new))
+            scale_R = atol + max(abs(R), abs(R_new)) * rtol
+            scale_D = atol + max(abs(dR), abs(dR_new)) * rtol
+            e5, e3 = _weigh(radial._E5, kR, kD), _weigh(radial._E3, kR, kD)
+            tries.append(((r, h, R, dR, ddR), (R_new, dR_new, kD[12], *e5, *e3)))
+            err5, err3 = norm(*e5) ** 2, norm(*e3) ** 2
+            error = 0.0 if err5 == err3 == 0.0 else h * err5 / math.sqrt(err5 + 0.01 * err3)
+            if error < 1.0:
+                factor = 10.0 if error == 0.0 else min(10.0, 0.9 * error**-0.125)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error**-0.125)
+            rejected = True
+        for c, row in radial._EXTRA:
+            sR, sD = _weigh(row, kR, kD)
+            kR.append(dR + h * sD)
+            kD.append(f(r + c * h, R + h * sR, kR[-1]))
+        jump_R, jump_D = R_new - R, dR_new - dR
+        piece = [(R, dR), (jump_R, jump_D), (h * kR[0] - jump_R, h * kD[0] - jump_D),
+                 (2.0 * jump_R - h * (kR[12] + kR[0]), 2.0 * jump_D - h * (kD[12] + kD[0]))]
+        piece += [(h * sR, h * sD) for sR, sD in (_weigh(row, kR, kD) for row in radial._D)]
+        r, R, dR, ddR = r_new, R_new, dR_new, kD[12]
+        steps.append((r, R, dR, piece))
+    return steps, tries
+
+
+def _bits(rows):
+    return np.array([np.ravel(row) for row in rows]).view(np.int64)
+
+
+@pytest.mark.parametrize("rtol", [1e-6, 1e-12])
+def test_stepper_matches_the_loop_form(cubic, wave_1d, wave_2d, wave_3d, wave_k1, wave_k2,
+                                       rtol):
+    # the generated straight-line stages against the tableau rows weighed in
+    # loops, bit for bit, over a shot's whole range at each wave's converged
+    # datum: every step tried (its end and error sums), and every accepted
+    # step with its dense piece
+    for wave in (wave_1d, wave_2d, wave_3d, wave_k1, wave_k2):
+        n, k, omega, s = wave.n, wave.k, wave.omega, wave.profile.shoot_param
+        f, r0 = radial._rhs(cubic, omega, n, k), 1e-6 / wave.delta
+        args = (f, r0, *radial._series_start(cubic, omega, n, k, s, r0),
+                radial.SHOT_RANGE / wave.delta, rtol, 1e-14 * abs(s))
+        steps, tries = _loop_dop853(*args)
+        assert len(tries) > len(steps)  # some step was rejected
+        got = [radial._stages(f, *start)[:7] for start, _ in tries]
+        assert np.array_equal(_bits(got), _bits([end for _, end in tries]))
+        got = [(r, R, dR, *np.ravel(piece)) for r, R, dR, piece in
+               radial._dop853(*args, dense=True)]
+        assert np.array_equal(_bits(got), _bits([(r, R, dR, *np.ravel(piece))
+                                                 for r, R, dR, piece in steps]))
 
 
 def _outcome(solve):

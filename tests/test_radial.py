@@ -398,6 +398,36 @@ class TestInterpolantAndSerialization:
         assert back.profile.match_radius == wave_2d.profile.match_radius
         assert back.delta == wave_2d.delta
 
+    def test_save_load_bit_exact(self, wave_2d, cubic, tmp_path):
+        csv_path, sidecar = tmp_path / "wave.csv", tmp_path / "wave.json"
+        save_wave(wave_2d, csv_path, sidecar)
+        back = load_wave(csv_path, sidecar, cubic).profile
+        for name in ("r_grid", "values", "derivative"):
+            saved = getattr(wave_2d.profile, name)
+            assert getattr(back, name).tobytes() == saved.tobytes()
+
+    @pytest.mark.parametrize("field", ["", "abc", "nan", "-inf"])
+    def test_load_refuses_a_bad_field(self, wave_2d, cubic, tmp_path, field):
+        # one R value on line 6 replaced: an empty or non-numeric field once
+        # loaded silently as NaN
+        csv_path, sidecar = tmp_path / "wave.csv", tmp_path / "wave.json"
+        save_wave(wave_2d, csv_path, sidecar)
+        lines = csv_path.read_text().split("\n")
+        r, _, dR = lines[5].split(",")
+        lines[5] = ",".join([r, field, dR])
+        csv_path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match="wave.csv"):
+            load_wave(csv_path, sidecar, cubic)
+
+    @pytest.mark.parametrize("keep", [2, 4])
+    def test_load_refuses_rows_without_three_columns(self, wave_2d, cubic, tmp_path, keep):
+        csv_path, sidecar = tmp_path / "wave.csv", tmp_path / "wave.json"
+        save_wave(wave_2d, csv_path, sidecar)
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+        csv_path.write_text("".join(",".join((row * 2)[:keep]) + "\n" for row in rows))
+        with pytest.raises(ValueError, match="wave.csv"):
+            load_wave(csv_path, sidecar, cubic)
+
     def test_save_numpy_integer_indices(self, wave_2d, cubic, tmp_path):
         # numpy integers are valid wave indices, so the sidecar must take them
         wave = SolitaryWave(n=np.int64(2), k=np.int64(0), omega=0.8,
