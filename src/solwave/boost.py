@@ -131,9 +131,12 @@ def grid_for(wave: SolitaryWave, v, t_max: float, h: float) -> GridSpec:
     of an axis-aligned boost), and sample_boosted checks the invariant on
     every sample.  A trapezoid sum of the decaying densities loses only the
     mass left outside the box, about 1e-16 of E, so a wider pad changes no
-    measured E or P.  Raises ValueError when h <= 0."""
-    if h <= 0:
-        raise ValueError(f"grid spacing must be positive, got {h}")
+    measured E or P.  Raises ValueError unless h and t_max are finite and
+    h > 0."""
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"grid spacing must be finite and positive, got {h}")
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
     v, speed, gamma = lorentz_boost(v, wave.n)
     mr = wave.profile.match_radius
     margin = 1.0 / wave.delta
@@ -172,8 +175,10 @@ def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> Fie
     negated and e^{i k phi} times (-1)^k.
 
     Raises GridTooSmall when the boundary cells carry more than 1e-8 of the
-    peak amplitude, max |R|.
+    peak amplitude, max |R|, and ValueError when t is not finite.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"sample time must be finite, got {t}")
     if wave.n != grid.n:
         raise ValueError(f"wave dimension {wave.n} != grid dimension {grid.n}")
     v, speed, gamma = lorentz_boost(v, wave.n)

@@ -152,23 +152,26 @@ def _tail(r, prefactor, delta, n, k):
     return shape * corr, shape * (dcorr - (delta + 0.5 * (n - 1) * inv_r) * corr)
 
 
-def _origin_curvature(spec: PotentialSpec, omega: float, n: int, k: int, s: float) -> float:
-    """R''(0) from the origin series: (U'(s) - omega^2 s)/n for R ~ s + R''(0) r^2/2
-    (k = 0); for R ~ s r^k, 2s at k = 2 and 0 otherwise."""
+def _origin_series(spec: PotentialSpec, omega: float, n: int, k: int, s: float):
+    """(s, c) of the origin series R ~ s r^k + c r^{k+2}, which regularizes the
+    (n-1)/r and k^2/r^2 terms at r = 0: c = R''(0)/2 from the equation at r = 0
+    for k = 0, at the linear level otherwise."""
     if k == 0:
         # this order fixes the shot's initial slope, and the converged datum, to the bit
         nonlinear = sum(coupling * s ** (exponent - 2) * s for coupling, exponent in spec.terms)
-        return (spec.mass_sq * s - nonlinear - omega**2 * s) / n
-    return 2.0 * s if k == 2 else 0.0
+        return s, (spec.mass_sq * s - nonlinear - omega**2 * s) / n / 2.0
+    return s, (spec.mass_sq - omega**2) * s / (4.0 * (k + 1))
+
+
+def _origin_jet(spec: PotentialSpec, omega: float, n: int, k: int, s: float):
+    """[R, R', R''] at r = 0: j! times the origin series' r^j coefficient."""
+    s, c = _origin_series(spec, omega, n, k, s)
+    return [math.factorial(j) * (s if j == k else c if j == k + 2 else 0.0) for j in range(3)]
 
 
 def _series_start(spec: PotentialSpec, omega: float, n: int, k: int, s: float, r0: float):
-    """Series initial data R ~ s r^k + c r^{k+2} regularizing the (n-1)/r and
-    k^2/r^2 terms at r = 0: c = R''(0)/2 for k = 0, at the linear level otherwise."""
-    if k == 0:
-        c = _origin_curvature(spec, omega, n, k, s) / 2.0
-    else:
-        c = (spec.mass_sq - omega**2) * s / (4.0 * (k + 1))
+    """(R, R') of the origin series at r0, a shot's initial data."""
+    s, c = _origin_series(spec, omega, n, k, s)
     return s * r0**k + c * r0 ** (k + 2), k * s * r0 ** (k - 1) + (k + 2) * c * r0 ** (k + 1)
 
 
@@ -406,7 +409,7 @@ def _shoot(spec, omega, n, k, s, rtol=1e-12, dense=False):
     linear in s near the separatrix, and its sign is the shot's outcome.  The
     trajectory is the _Trajectory of the steps before the terminating one, so
     it never reaches past the event that ended the shot (a shot ending on its
-    first step keeps that step).
+    first step keeps that step); a miss shot records no steps.
     """
     if not math.isfinite(s) or s == 0:
         raise ValueError(f"shot datum must be finite and nonzero, got {s}")
@@ -419,8 +422,9 @@ def _shoot(spec, omega, n, k, s, rtol=1e-12, dense=False):
     dR_prev = dR
     for r, R, dR, piece in _dop853(_rhs(spec, omega, n, k), r0, R, dR, SHOT_RANGE / delta,
                                    rtol, 1e-14 * abs(s), dense):
-        ts.append(r)
-        pieces.append(piece)
+        if dense:
+            ts.append(r)
+            pieces.append(piece)
         if R == 0.0 or math.copysign(1.0, R) != sign or abs(R) > guard:
             undershot = False
             break
@@ -437,19 +441,6 @@ def _shoot(spec, omega, n, k, s, rtol=1e-12, dense=False):
     if len(pieces) > 1:
         del ts[-1], pieces[-1]
     return _Trajectory(ts, pieces)
-
-
-def _sample(sol: _Trajectory, k: int, s: float, m: int, h: float):
-    """Grid j*h (j = 0..m) with R, R' of a dense shot; the origin takes the
-    exact series data and points past the trajectory clamp to its end."""
-    grid = np.arange(m + 1) * h
-    vals = np.empty(m + 1)
-    ders = np.empty(m + 1)
-    vals[0], ders[0] = (s, 0.0) if k == 0 else (0.0, s if k == 1 else 0.0)
-    y = sol(np.clip(grid[1:], sol.t_min, sol.t_max))
-    vals[1:] = y[0]
-    ders[1:] = y[1]
-    return grid, vals, ders
 
 
 def _count_sign_changes(values) -> int:
@@ -497,17 +488,22 @@ def _scan_pairs(spec, omega, n, k):
 
 
 def _assemble_profile(spec, omega, n, k, s, h_r) -> RadialProfile:
-    """Shoot at the converged datum s keeping the step interpolants, cut the
-    trajectory at its deepest trusted point, fit the tail prefactor by least
-    squares over the last clean decade, and extend the grid with the tail
-    model down to the splice threshold."""
+    """Shoot at the datum s keeping the step interpolants, cut the trajectory
+    at its deepest trusted point, fit the tail prefactor by least squares over
+    the last clean decade, and extend the grid with the tail model down to the
+    splice threshold.  Every profile, solved or resampled, is checked here:
+    interior nodes raise NodeCountMismatch, and a peak above amplitude_cap
+    warns that the condition scans did not cover it."""
     delta = math.sqrt(spec.mass_sq - omega**2)
     sol = _shoot(spec, omega, n, k, s, dense=True)
     r_end = sol.t_max
     m = int(math.floor(r_end / h_r))
     if m < 16:
         raise StepFailure(f"trajectory too short to assemble (r_end={r_end:.3g})")
-    grid, vals, ders = _sample(sol, k, s, m, h_r)
+    grid = np.arange(m + 1) * h_r
+    # past the trajectory the points clamp to its end; the origin takes the series
+    vals, ders = sol(np.clip(grid, sol.t_min, sol.t_max))
+    vals[0], ders[0], _ = _origin_jet(spec, omega, n, k, s)
 
     absv = np.abs(vals)
     max_R = float(np.max(absv))
@@ -521,19 +517,19 @@ def _assemble_profile(spec, omega, n, k, s, h_r) -> RadialProfile:
             "of the peak before veering; tail fit may be degraded",
             RuntimeWarning,
         )
-
-    node_count = _count_sign_changes(vals[: j_cut + 1])
+    # the numeric data trusted as tail: past the peak, up to the cut
+    trusted = slice(j_peak + 1, j_cut + 1)
+    r_tail, a_tail = grid[trusted], absv[trusted]
 
     # least-squares prefactor over the last clean decade of numeric data
     r_opt = math.sqrt(max(q_min, 1e-12 * max_R) * max_R)
     lo, hi = r_opt / math.sqrt(10.0), r_opt * math.sqrt(10.0)
-    mask = (absv >= lo) & (absv <= hi) & (np.arange(m + 1) > j_peak) & (np.arange(m + 1) <= j_cut)
-    if np.count_nonzero(mask) < 8:
-        mask = (absv >= lo / 10) & (absv <= hi * 10) & (np.arange(m + 1) > j_peak) & (np.arange(m + 1) <= j_cut)
+    window = (a_tail >= lo) & (a_tail <= hi)
+    if np.count_nonzero(window) < 8:
+        window = (a_tail >= lo / 10) & (a_tail <= hi * 10)
     sign = 1.0 if vals[j_cut] >= 0 else -1.0
-    if np.count_nonzero(mask) >= 4:
-        rw = grid[mask]
-        z = np.log(absv[mask]) - np.log(np.abs(_tail(rw, 1.0, delta, n, k)[0]))
+    if np.count_nonzero(window) >= 4:
+        z = np.log(a_tail[window]) - np.log(np.abs(_tail(r_tail[window], 1.0, delta, n, k)[0]))
         prefactor = sign * float(np.exp(np.mean(z)))
     else:  # anchor at the cut point
         prefactor = vals[j_cut] / float(_tail(grid[j_cut], 1.0, delta, n, k)[0])
@@ -543,13 +539,12 @@ def _assemble_profile(spec, omega, n, k, s, h_r) -> RadialProfile:
     # finite-difference residual of the stored values.
     threshold = MATCH_THRESHOLD * max_R
     level_a = max(min(1000.0 * q_min, 1e-2 * max_R), 20.0 * threshold)
-    level_b = level_a / 10.0
-    after_peak = np.arange(m + 1) > j_peak
-    below_a = np.nonzero(after_peak & (absv < level_a))[0]
-    j_a = int(below_a[0]) if below_a.size else j_cut
-    below_b = np.nonzero(after_peak & (absv < level_b))[0]
-    j_b = int(below_b[0]) if below_b.size else j_cut
-    j_a, j_b = min(j_a, j_cut), min(j_b, j_cut)
+
+    def first_below(level):
+        below = np.flatnonzero(a_tail < level)
+        return trusted.start + int(below[0]) if below.size else j_cut
+
+    j_a, j_b = first_below(level_a), first_below(level_a / 10.0)
     if j_b <= j_a:
         j_a = j_b = j_cut
 
@@ -580,12 +575,20 @@ def _assemble_profile(spec, omega, n, k, s, h_r) -> RadialProfile:
                                    + dphi * (mv - vals[j_a + 1 : j_b]))
     new_vals[j_b:], new_ders[j_b:] = _tail(grid_full[j_b:], prefactor, delta, n, k)
 
-    below = np.nonzero(np.abs(new_vals) < threshold)[0]
-    below = below[below > j_peak]
+    below = np.flatnonzero(np.abs(new_vals[trusted.start :]) < threshold)
     if below.size == 0:
         raise StepFailure("profile never reaches the tail splice threshold")
-    match_radius = float(grid_full[below[0]])
+    match_radius = float(grid_full[trusted.start + below[0]])
 
+    node_count = _count_sign_changes(vals[: j_cut + 1])
+    if node_count != 0:
+        raise NodeCountMismatch(f"converged profile has {node_count} interior nodes")
+    if max_R > spec.amplitude_cap:
+        warnings.warn(
+            f"profile peak {max_R:.4g} exceeds amplitude_cap {spec.amplitude_cap:g}; "
+            "condition scans did not cover the attained range",
+            RuntimeWarning,
+        )
     return RadialProfile(
         r_grid=grid_full,
         values=new_vals,
@@ -626,18 +629,6 @@ def _solve_wave(spec, omega, n, k) -> SolitaryWave:
                if pairs else "conditions may fail or amplitude_cap may be too small")
         )
     profile = _assemble_profile(spec, omega, n, k, s_conv, 1.0 / (GRID_DENSITY * delta))
-    if profile.node_count != 0:
-        raise NodeCountMismatch(
-            f"converged profile has {profile.node_count} interior nodes"
-        )
-    peak = float(np.max(np.abs(profile.values)))
-    if peak > spec.amplitude_cap:
-        warnings.warn(
-            f"profile peak {peak:.4g} exceeds amplitude_cap "
-            f"{spec.amplitude_cap:g}; condition scans did not cover the "
-            "attained range",
-            RuntimeWarning,
-        )
     return SolitaryWave(n=n, k=k, omega=float(omega), profile=profile, spec=spec)
 
 
@@ -671,8 +662,13 @@ def resample_wave(wave: SolitaryWave, h_r: float) -> SolitaryWave:
     """Rebuild the profile on a different uniform spacing.
 
     Re-integrates once at the stored shoot parameter (no root-finding), so grid
-    refinement studies cost one ODE solve per spacing.
+    refinement studies cost one ODE solve per spacing.  The profile is
+    assembled and checked by the same path as a solved one: NodeCountMismatch
+    on interior nodes, a RuntimeWarning when its peak exceeds the spec's
+    amplitude_cap.  Raises ValueError unless h_r is finite and positive.
     """
+    if not (math.isfinite(h_r) and h_r > 0):
+        raise ValueError(f"h_r must be finite and positive, got {h_r}")
     spec, omega, n, k = wave.spec, wave.omega, wave.n, wave.k
     profile = _assemble_profile(spec, omega, n, k, wave.profile.shoot_param, h_r)
     return SolitaryWave(n=n, k=k, omega=omega, profile=profile, spec=spec)
@@ -737,7 +733,7 @@ class WaveInterpolant:
         self._inv_h = 1.0 / h
         R, dR = p.values, p.derivative
         dd = np.empty_like(R)
-        dd[0] = _origin_curvature(wave.spec, wave.omega, n, k, p.shoot_param)
+        dd[0] = _origin_jet(wave.spec, wave.omega, n, k, p.shoot_param)[2]
         dd[1:] = _rhs(wave.spec, wave.omega, n, k)(p.r_grid[1:], R[1:], dR[1:])
         # per cell j, the power-series coefficients in t = r/h - j of the
         # quintic (rows 0-5) and the cubic (rows 6-9), from the node data in
@@ -796,10 +792,26 @@ def load_wave(csv_path, sidecar_path, spec: PotentialSpec) -> SolitaryWave:
     Raises ValueError when spec's mass_sq or terms differ from the potential
     the sidecar records (amplitude_cap only bounds the scan and may differ),
     and, naming the CSV, on a field that is not a number, a row without three
-    columns or a value that is not finite.
+    columns or a value that is not finite; naming the sidecar, on a sidecar
+    that is not a JSON object and, with the key, on a missing key or a value
+    that is not a finite number.
     """
     with open(sidecar_path) as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{sidecar_path}: expected a JSON object, read a {type(meta).__name__}")
+
+    def field(key, convert=float):
+        try:
+            value = convert(meta[key])
+        except KeyError:
+            raise ValueError(f"{sidecar_path}: no {key!r} key") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{sidecar_path}: {key!r} is not a number: {exc}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{sidecar_path}: {key!r} is not finite: {value}")
+        return value
+
     saved = (meta.get("mass_sq"), meta.get("terms"))
     given = (spec.mass_sq, [list(term) for term in spec.terms])
     if saved != given:
@@ -819,13 +831,11 @@ def load_wave(csv_path, sidecar_path, spec: PotentialSpec) -> SolitaryWave:
         r_grid=data[:, 0],
         values=data[:, 1],
         derivative=data[:, 2],
-        node_count=int(meta["node_count"]),
-        shoot_param=float(meta["shoot_param"]),
-        numeric_radius=meta["numeric_radius"],
-        prefactor=meta["prefactor"],
-        match_radius=meta["match_radius"],
+        node_count=field("node_count", int),
+        shoot_param=field("shoot_param"),
+        numeric_radius=field("numeric_radius"),
+        prefactor=field("prefactor"),
+        match_radius=field("match_radius"),
     )
-    return SolitaryWave(
-        n=int(meta["n"]), k=int(meta["k"]), omega=float(meta["omega"]),
-        profile=profile, spec=spec,
-    )
+    return SolitaryWave(n=field("n", int), k=field("k", int), omega=field("omega"),
+                        profile=profile, spec=spec)

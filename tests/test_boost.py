@@ -103,6 +103,22 @@ class TestSampling:
             with pytest.raises(ValueError, match="spacing"):
                 grid_for(wave_1d, [0.0], 0.0, h)
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_nonfinite_spacing_rejected(self, wave_1d, h):
+        with pytest.raises(ValueError, match="spacing must be finite and positive"):
+            grid_for(wave_1d, [0.0], 0.0, h)
+
+    @pytest.mark.parametrize("t_max", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_t_max_rejected(self, wave_1d, t_max):
+        with pytest.raises(ValueError, match="t_max must be finite"):
+            grid_for(wave_1d, [0.3], t_max, 0.02)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_time_rejected(self, wave_1d, grid_1d, t):
+        # a NaN time once gave an all-NaN field and skipped the boundary check
+        with pytest.raises(ValueError, match="sample time must be finite"):
+            sample_boosted(wave_1d, [0.3], grid_1d, t=t)
+
     def test_dimension_mismatch(self, wave_1d):
         g2 = GridSpec(n=2, extent=(30.0, 30.0), points=(64, 64))
         with pytest.raises(ValueError):

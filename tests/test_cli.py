@@ -73,6 +73,12 @@ class TestExitCodes:
         assert main(["solve", "--config", str(cfg)]) == 2
         assert "NoBracket" in capsys.readouterr().err
 
+    def test_node_count_mismatch_is_numerical_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solwave.radial, "_count_sign_changes", lambda values: 1)
+        cfg = _write_config(tmp_path)
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert "NodeCountMismatch" in capsys.readouterr().err
+
     @pytest.mark.parametrize("term", [
         {"coupling": -1.0, "exponent": 4},  # no cap and no expected amplitude
         {"coupling": 1.0, "exponent": 2},   # exponent below 3

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from solwave import radial
 from solwave.potential import PotentialSpec, evaluate_potential, expected_amplitude
-from solwave.radial import (NoBracket, RadialProfile, SolitaryWave, StepFailure,
+from solwave.radial import (NoBracket, NodeCountMismatch, RadialProfile,
+                            SolitaryWave, StepFailure,
                             WaveInterpolant, equation_residual,
                             find_excited_state, find_ground_state,
                             fit_tail_decay, load_wave, resample_wave, save_wave)
@@ -342,6 +344,29 @@ class TestEquationResidual:
         assert r1 / r2 > 1.8
 
 
+class TestCertification:
+    """Solved and resampled profiles are assembled and checked by one path."""
+
+    def test_interior_node_raises(self, cubic, wave_1d, monkeypatch):
+        monkeypatch.setattr(radial, "_count_sign_changes", lambda values: 1)
+        with pytest.raises(NodeCountMismatch, match="1 interior nodes"):
+            find_ground_state(cubic, 0.8, 1)
+        with pytest.raises(NodeCountMismatch, match="1 interior nodes"):
+            resample_wave(wave_1d, 0.02)
+
+    def test_resampled_peak_above_cap_warns(self, wave_1d):
+        # the peak is AMP = 0.8485; a cap below it is flagged on resampling too
+        spec = dataclasses.replace(wave_1d.spec, amplitude_cap=0.5)
+        wave = dataclasses.replace(wave_1d, spec=spec)
+        with pytest.warns(RuntimeWarning, match="exceeds amplitude_cap 0.5"):
+            resample_wave(wave, 0.02)
+
+    @pytest.mark.parametrize("h_r", [0.0, -0.01, math.nan, math.inf])
+    def test_resample_refuses_a_bad_spacing(self, wave_1d, h_r):
+        with pytest.raises(ValueError, match="h_r must be finite and positive"):
+            resample_wave(wave_1d, h_r)
+
+
 class TestNodeCounting:
     def test_sech_profile(self, wave_1d):
         p = wave_1d.profile
@@ -463,6 +488,41 @@ class TestInterpolantAndSerialization:
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=message):
             load_wave(csv_path, sidecar, cubic)
+
+    @pytest.mark.parametrize("key", ["n", "k", "omega", "node_count", "shoot_param",
+                                     "numeric_radius", "prefactor", "match_radius"])
+    @pytest.mark.parametrize("value", [None, "abc", [1.0], math.nan],
+                             ids=["missing", "text", "list", "nan"])
+    def test_load_refuses_a_bad_sidecar(self, wave_2d, cubic, tmp_path, key, value):
+        # value None drops the key
+        csv_path, sidecar = tmp_path / "wave.csv", tmp_path / "wave.json"
+        save_wave(wave_2d, csv_path, sidecar)
+        meta = json.loads(sidecar.read_text())
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"wave.json: .*'{key}'"):
+            load_wave(csv_path, sidecar, cubic)
+
+    def test_load_refuses_a_sidecar_that_is_not_an_object(self, wave_2d, cubic, tmp_path):
+        csv_path, sidecar = tmp_path / "wave.csv", tmp_path / "wave.json"
+        save_wave(wave_2d, csv_path, sidecar)
+        sidecar.write_text(json.dumps([json.loads(sidecar.read_text())]))
+        with pytest.raises(ValueError, match="wave.json: expected a JSON object"):
+            load_wave(csv_path, sidecar, cubic)
+
+    def test_load_coerces_sidecar_numbers(self, wave_2d, cubic, tmp_path):
+        csv_path, sidecar = tmp_path / "wave.csv", tmp_path / "wave.json"
+        save_wave(wave_2d, csv_path, sidecar)
+        meta = json.loads(sidecar.read_text())
+        for key in ("shoot_param", "numeric_radius", "prefactor", "match_radius"):
+            meta[key] = round(meta[key])
+        sidecar.write_text(json.dumps(meta))
+        p = load_wave(csv_path, sidecar, cubic).profile
+        for key in ("shoot_param", "numeric_radius", "prefactor", "match_radius"):
+            assert type(getattr(p, key)) is float
 
     def test_serialization_deterministic(self, wave_1d, tmp_path):
         a1, a2 = tmp_path / "a.csv", tmp_path / "a.json"
