@@ -17,9 +17,10 @@ guard), and there is no decay outcome.  The decaying profile is a separatrix
 of the ODE: perturbations grow like e^{+delta r} with
 delta = sqrt(mass_sq - omega^2), so a shot with initial datum known to
 relative accuracy eps tracks the true profile only down to |R| ~ sqrt(eps)
-before it veers to one side.  Brent's method on the shot's
-signed miss (the growing-mode amplitude, whose sign is the outcome) therefore
-refines the initial datum to near machine precision, the trajectory is cut at
+before it veers to one side.  Brent's method on the shot's signed miss (the
+growing-mode amplitude, read as a Wronskian against the decaying solution so
+that it is linear in the datum; its sign is the outcome) therefore refines
+the initial datum to near machine precision, the trajectory is cut at
 its deepest trusted point, and the profile is continued with the analytic
 linear-regime tail
 
@@ -170,7 +171,8 @@ def _origin_jet(spec: PotentialSpec, omega: float, n: int, k: int, s: float):
 
 
 def _series_start(spec: PotentialSpec, omega: float, n: int, k: int, s: float, r0: float):
-    """(R, R') of the origin series at r0, a shot's initial data."""
+    """(R, R') of the origin series at r0 > 0 (a float or an array): a shot's
+    initial data, and a profile's points before the shot's start."""
     s, c = _origin_series(spec, omega, n, k, s)
     return s * r0**k + c * r0 ** (k + 2), k * s * r0 ** (k - 1) + (k + 2) * c * r0 ** (k + 1)
 
@@ -402,11 +404,20 @@ def _shoot(spec, omega, n, k, s, rtol=1e-12, dense=False):
 
     Returns the signed miss, or the trajectory alone with dense=True; a datum
     that is zero or not finite raises ValueError.  Conditions are checked per
-    step (steps resolve 1/delta many times over), not located as events.  The
-    miss is the growing-mode amplitude
-    |R' + (delta + (n-1)/(2r)) R| e^{-delta r} at the terminating step, signed
-    + for Undershot and - for Overshot (a zero miss keeps its sign bit): it is
-    linear in s near the separatrix, and its sign is the shot's outcome.  The
+    step (steps resolve 1/delta many times over), not located as events.
+    Shots start from the origin series R ~ s r^k + c r^{k+2} at
+    r0 = 1e-6/delta for k = 0 and 1e-3/delta for k >= 1, past the radii where
+    the k^2/r^2 term would keep the steps short; against a 1e-6/delta start, the
+    series' missing r^{k+4} terms move the cubic and cubic-quintic k >= 1
+    roots by under 1e-12 relative.  The miss is the growing-mode amplitude
+    |r^{n-1} (R' D - R D')| at the terminating step, the Wronskian of the shot
+    against the unit-prefactor decaying solution (D, D') = _tail(r, 1, ...),
+    signed + for Undershot and - for Overshot (a zero miss keeps its sign
+    bit).  For the linearized equation r^{n-1} W(R, D) does not depend on r
+    (Abel), so the decaying part of the shot drops out and the miss is the
+    growing mode's coefficient times a constant: linear in s - s* near the
+    root whatever radius the shot ends at, which keeps Brent's secant steps
+    close to Newton's.  For n = 1 it is |R' + delta R| e^{-delta r}.  The
     trajectory is the _Trajectory of the steps before the terminating one, so
     it never reaches past the event that ended the shot (a shot ending on its
     first step keeps that step); a miss shot records no steps.
@@ -415,7 +426,7 @@ def _shoot(spec, omega, n, k, s, rtol=1e-12, dense=False):
         raise ValueError(f"shot datum must be finite and nonzero, got {s}")
     delta = math.sqrt(spec.mass_sq - omega**2)
     guard = DIVERGENCE_FACTOR * spec.amplitude_cap
-    r0 = 1e-6 / delta
+    r0 = (1e-6 if k == 0 else 1e-3) / delta
     R, dR = _series_start(spec, omega, n, k, float(s), r0)
     ts, pieces = [r0], []
     sign = math.copysign(1.0, s)
@@ -436,7 +447,8 @@ def _shoot(spec, omega, n, k, s, rtol=1e-12, dense=False):
         # monotone runaway below the guard
         undershot = not (R > 0 and dR > 0)
     if not dense:
-        miss = abs(dR + (delta + (n - 1) / (2.0 * r)) * R) * math.exp(-delta * r)
+        D, dD = _tail(r, 1.0, delta, n, k)
+        miss = abs(r ** (n - 1) * float(dR * D - R * dD))
         return miss if undershot else -miss
     if len(pieces) > 1:
         del ts[-1], pieces[-1]
@@ -501,8 +513,11 @@ def _assemble_profile(spec, omega, n, k, s, h_r) -> RadialProfile:
     if m < 16:
         raise StepFailure(f"trajectory too short to assemble (r_end={r_end:.3g})")
     grid = np.arange(m + 1) * h_r
-    # past the trajectory the points clamp to its end; the origin takes the series
+    # past the trajectory the points clamp to its end; before the shot's start
+    # the origin series holds, and r = 0 takes its jet
     vals, ders = sol(np.clip(grid, sol.t_min, sol.t_max))
+    inner = slice(1, int(np.searchsorted(grid, sol.t_min)))
+    vals[inner], ders[inner] = _series_start(spec, omega, n, k, s, grid[inner])
     vals[0], ders[0], _ = _origin_jet(spec, omega, n, k, s)
 
     absv = np.abs(vals)
@@ -793,8 +808,9 @@ def load_wave(csv_path, sidecar_path, spec: PotentialSpec) -> SolitaryWave:
     the sidecar records (amplitude_cap only bounds the scan and may differ),
     and, naming the CSV, on a field that is not a number, a row without three
     columns or a value that is not finite; naming the sidecar, on a sidecar
-    that is not a JSON object and, with the key, on a missing key or a value
-    that is not a finite number.
+    that is not a JSON object and, with the key, on a missing key, a value
+    that is not a finite number, or radii that break
+    r_grid[0] <= numeric_radius <= match_radius <= r_grid[-1].
     """
     with open(sidecar_path) as fh:
         meta = json.load(fh)
@@ -827,15 +843,21 @@ def load_wave(csv_path, sidecar_path, spec: PotentialSpec) -> SolitaryWave:
     bad = np.nonzero(~np.isfinite(data))[0]
     if bad.size:
         raise ValueError(f"{csv_path}: non-finite value on line {int(bad[0]) + 2}")
+    r_first, r_last = float(data[0, 0]), float(data[-1, 0])
+    numeric_radius, match_radius = field("numeric_radius"), field("match_radius")
+    if not r_first <= numeric_radius <= match_radius <= r_last:
+        raise ValueError(f"{sidecar_path}: 'numeric_radius' {numeric_radius} and 'match_radius' "
+                         f"{match_radius} break r_grid[0] <= numeric_radius <= match_radius "
+                         f"<= r_grid[-1] on the CSV grid [{r_first}, {r_last}]")
     profile = RadialProfile(
         r_grid=data[:, 0],
         values=data[:, 1],
         derivative=data[:, 2],
         node_count=field("node_count", int),
         shoot_param=field("shoot_param"),
-        numeric_radius=field("numeric_radius"),
+        numeric_radius=numeric_radius,
         prefactor=field("prefactor"),
-        match_radius=field("match_radius"),
+        match_radius=match_radius,
     )
     return SolitaryWave(n=field("n", int), k=field("k", int), omega=field("omega"),
                         profile=profile, spec=spec)

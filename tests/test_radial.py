@@ -123,6 +123,29 @@ class TestRootFinding:
             find_excited_state(cubic, 0.8, k)
         assert len(calls) <= 32
 
+    @pytest.mark.parametrize("potential, omega", [("cubic", 0.8), ("cubic", 0.85), ("cq", 0.7)])
+    @pytest.mark.parametrize("n, k", [(1, 0), (2, 0), (3, 0), (2, 1), (2, 2)])
+    def test_root_phase_shot_count(self, cubic, monkeypatch, potential, omega, n, k):
+        # a miss linear in s keeps Brent's secant steps near Newton's: the
+        # rtol-1e-12 root-finding shots (the ones passing no rtol and not
+        # dense) number 7-10 per solve; a miss that drifts with the radius
+        # where the shot ends took 12-18 for n >= 2 or k >= 1
+        spec = cubic if potential == "cubic" else CQ
+        root_shots = []
+        shoot_once = radial._shoot
+
+        def counted(*args, **kwargs):
+            if not kwargs:
+                root_shots.append(args)
+            return shoot_once(*args, **kwargs)
+
+        monkeypatch.setattr(radial, "_shoot", counted)
+        if k == 0:
+            find_ground_state(spec, omega, n)
+        else:
+            find_excited_state(spec, omega, k)
+        assert len(root_shots) <= 11
+
     @pytest.mark.parametrize("potential, omega", [("cubic", 0.8), ("cq", 0.7)])
     @pytest.mark.parametrize("n, k", [(2, 0), (3, 0), (2, 1), (2, 2)])
     def test_self_convergence(self, cubic, monkeypatch, potential, omega, n, k):
@@ -158,6 +181,20 @@ class TestRootFinding:
             for factor, sign in ((1 - eps, 1.0), (1 + eps, -1.0)):
                 miss = radial._shoot(wave.spec, wave.omega, wave.n, wave.k, s * factor)
                 assert sign * miss > 0, f"{fixture}, s*{factor}: miss {miss}"
+
+    @pytest.mark.parametrize("fixture", ["wave_1d", "wave_2d", "wave_3d",
+                                         "wave_k1", "wave_k2"])
+    def test_miss_is_linear_in_the_datum(self, request, fixture):
+        # the miss is the growing mode's coefficient, so miss / (s - s*) is one
+        # slope from |s/s* - 1| = 1e-3 down to 1e-9, although the shots end at
+        # radii several 1/delta apart (a miss read off the terminating step's
+        # R' + (delta + (n-1)/(2r)) R drifts 1.2-2.6x over this range)
+        wave = request.getfixturevalue(fixture)
+        s = wave.profile.shoot_param
+        slopes = [abs(radial._shoot(wave.spec, wave.omega, wave.n, wave.k, s * factor)
+                      / (s * factor - s))
+                  for eps in (1e-3, 1e-6, 1e-9) for factor in (1 - eps, 1 + eps)]
+        assert max(slopes) / min(slopes) < 1.05, f"{fixture}: slopes {slopes}"
 
     @settings(max_examples=20, derandomize=True, deadline=None)
     @given(terms=st.lists(st.tuples(st.integers(-100, 200).map(lambda c: c / 100),
@@ -361,6 +398,20 @@ class TestCertification:
         with pytest.warns(RuntimeWarning, match="exceeds amplitude_cap 0.5"):
             resample_wave(wave, 0.02)
 
+    @pytest.mark.parametrize("fixture", ["wave_k1", "wave_k2"])
+    def test_resample_finer_than_the_shot_start(self, request, fixture):
+        # k >= 1 shots start at 1e-3/delta; a finer grid takes the origin
+        # series s r^k + c r^{k+2} before that radius and the trajectory
+        # after it, and both agree with the series up to its r^{k+4} terms
+        wave = request.getfixturevalue(fixture)
+        s, k = wave.profile.shoot_param, wave.k
+        p = resample_wave(wave, 0.25e-3 / wave.delta).profile
+        r = p.r_grid[1:12]
+        c = (wave.spec.mass_sq - wave.omega**2) * s / (4.0 * (k + 1))
+        np.testing.assert_allclose(p.values[1:12], s * r**k + c * r ** (k + 2), rtol=1e-9)
+        np.testing.assert_allclose(p.derivative[1:12],
+                                   k * s * r ** (k - 1) + (k + 2) * c * r ** (k + 1), rtol=1e-9)
+
     @pytest.mark.parametrize("h_r", [0.0, -0.01, math.nan, math.inf])
     def test_resample_refuses_a_bad_spacing(self, wave_1d, h_r):
         with pytest.raises(ValueError, match="h_r must be finite and positive"):
@@ -504,6 +555,25 @@ class TestInterpolantAndSerialization:
             meta[key] = value
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=f"wave.json: .*'{key}'"):
+            load_wave(csv_path, sidecar, cubic)
+
+    @pytest.mark.parametrize("edit", ["negative match", "match past the grid",
+                                      "numeric past match"])
+    def test_load_refuses_radii_off_the_grid(self, wave_2d, cubic, tmp_path, edit):
+        # RadialProfile promises r_grid[0] <= numeric_radius <= match_radius
+        # <= r_grid[-1], and boost.grid_for sizes its box from match_radius
+        csv_path, sidecar = tmp_path / "wave.csv", tmp_path / "wave.json"
+        save_wave(wave_2d, csv_path, sidecar)
+        meta = json.loads(sidecar.read_text())
+        p = wave_2d.profile
+        if edit == "negative match":
+            meta["match_radius"] = -5.0
+        elif edit == "match past the grid":
+            meta["match_radius"] = float(p.r_grid[-1]) + 1.0
+        else:
+            meta["numeric_radius"], meta["match_radius"] = p.match_radius, p.numeric_radius
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="wave.json: 'numeric_radius' .* and 'match_radius'"):
             load_wave(csv_path, sidecar, cubic)
 
     def test_load_refuses_a_sidecar_that_is_not_an_object(self, wave_2d, cubic, tmp_path):
