@@ -44,6 +44,15 @@ class TestGridSpec:
             GridSpec(n=2, extent=(4.0,), points=(8, 8))
         with pytest.raises(ValueError):
             GridSpec(n=1, extent=(-1.0,), points=(8,))
+        # a NaN extent fails every comparison: its grid would sample an
+        # all-NaN field that passes the boundary check
+        for L in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                GridSpec(n=2, extent=(4.0, L), points=(8, 8))
+        for N in (100.0, "100", 0, -8):
+            with pytest.raises(ValueError, match="positive even integers"):
+                GridSpec(n=1, extent=(4.0,), points=(N,))
+        assert GridSpec(n=1, extent=(4.0,), points=(np.int64(8),)).spacing == (1.0,)
 
     @pytest.mark.parametrize("L,N", [(31.15, 1246), (38.1, 1524), (9.3, 186)])
     def test_axes_are_point_symmetric(self, L, N):
@@ -172,6 +181,9 @@ class TestBlockedSampler:
         ("wave_k1", [0.3, -0.4], 0.7, 0.25),
         ("wave_k2", [0.0, 0.6], 0.7, 0.25),
         ("wave_k2", [-0.3, 0.4], 0.7, 0.25),
+        ("wave_3d", [0.5, 0.0, 0.0], 0.7, 1.2),
+        ("wave_k1", [-0.6, 0.0], 0.7, 0.25),
+        ("wave_k2", [0.0, 0.0], 0.7, 0.25),
     ]
 
     @pytest.mark.parametrize("name,v,t,h", CASES)
@@ -200,6 +212,40 @@ class TestBlockedSampler:
         assert np.max(np.abs(sample.psi - psi)) <= 1e-13 * np.max(np.abs(psi))
         assert np.max(np.abs(sample.psi_dot - psi_dot)) <= 1e-13 * np.max(np.abs(psi_dot))
 
+    @pytest.mark.parametrize("name,v,t,share", [
+        ("wave_2d", [0.6, 0.0], 0.0, 1 / 4),
+        ("wave_2d", [0.6, 0.0], 0.7, 1 / 2),
+        ("wave_2d", [0.3, -0.4], 0.0, 1 / 2),
+        ("wave_3d", [0.5, 0.0, 0.0], 0.0, 1 / 8),
+        ("wave_k1", [0.6, 0.0], 0.0, 1 / 4),
+    ])
+    def test_radial_part_runs_once_per_reflection_image(self, request, monkeypatch,
+                                                        name, v, t, share):
+        # the interpolant sees one cell of each set of reflection images: the
+        # t = 0 inversion halves axis 0, and every axis j >= 1 with v_j = 0 is
+        # halved at any t
+        wave = request.getfixturevalue(name)
+        grid = grid_for(wave, v, t, 1.2 if wave.n == 3 else 0.25)
+        cells = []
+        call = WaveInterpolant.__call__
+
+        def counting(self, r):
+            cells.append(np.size(r))
+            return call(self, r)
+
+        monkeypatch.setattr(WaveInterpolant, "__call__", counting)
+        sample_boosted(wave, v, grid, t=t)
+        assert sum(cells) == share * np.prod(grid.points)
+
+    @staticmethod
+    def _peak_bytes(wave, v, grid):
+        tracemalloc.start()
+        try:
+            sample_boosted(wave, v, grid, t=0.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_memory_is_two_fields(self, wave_k1):
         # about 1M cells; the vortex factor and an oblique boost take the
         # most block temporaries
@@ -207,13 +253,15 @@ class TestBlockedSampler:
         grid = grid_for(wave_k1, v, 0.0, 0.065)
         field_bytes = 16 * int(np.prod(grid.points))
         assert 0.9e6 < np.prod(grid.points) < 1.2e6
-        tracemalloc.start()
-        try:
-            sample_boosted(wave_k1, v, grid, t=0.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * field_bytes
+        assert self._peak_bytes(wave_k1, v, grid) <= 2.5 * field_bytes
+
+    def test_memory_is_two_fields_when_mirrored(self, wave_k1):
+        # an axis-aligned vortex boost writes the most reflection images per block
+        v = [0.6, 0.0]
+        grid = grid_for(wave_k1, v, 0.0, 0.058)
+        field_bytes = 16 * int(np.prod(grid.points))
+        assert 0.9e6 < np.prod(grid.points) < 1.2e6
+        assert self._peak_bytes(wave_k1, v, grid) <= 2.5 * field_bytes
 
     def test_grid_too_small_at_threshold(self, wave_2d):
         # A cell-centred grid cropped by c cells on every side keeps its cell
@@ -478,6 +526,12 @@ class TestBinaryFormat:
         full = path.read_bytes()
         path.write_bytes(full[:-8])
         with pytest.raises(ValueError, match=rf"s\.bin.*{len(full) - 8}.*{len(full)}"):
+            load_sample(path)
+
+    def test_non_finite_extent_rejected(self, tmp_path):
+        path = tmp_path / "nan.bin"
+        path.write_bytes(struct.pack("<qqdd", 1, 2, math.nan, 0.0) + bytes(2 * 2 * 16))
+        with pytest.raises(ValueError, match="finite and positive"):
             load_sample(path)
 
     def test_short_header_rejected(self, tmp_path):
