@@ -30,16 +30,17 @@ The boundary-decay check compares |psi| on the boundary faces with the
 largest |R|.
 
 Energy, momentum and the center of energy are then measured by plain grid
-sums of the Hamiltonian density (for the center, its marginals against the
-coordinates) and -Re(psi_dot conj(grad psi)) with 2nd-order centered
-differences under periodic wrap (immaterial given the exponential decay,
-which the grid-sizing rule keeps below 1e-8 of the peak at the boundary).
-The differences are solwave.stencil's unscaled neighbour differences, with
-the 1/(2h) folded into the sums.  Each sum walks the field in the stencil's
-row blocks.  E and P take sum |psi_dot|^2, sum |D_j psi|^2 and
-Re sum psi_dot conj(D_j psi) per block as one einsum over the float views,
-with no squared temporary and no BLAS dot, whose last bits follow its thread
-count; the center of energy builds each block's density for its marginals.
+sums of the Hamiltonian density and of -Re(psi_dot conj(grad psi)) with
+2nd-order centered differences under periodic wrap (immaterial given the
+exponential decay, which the grid-sizing rule keeps below 1e-8 of the peak
+at the boundary).  The differences are solwave.stencil's unscaled neighbour
+differences, with the 1/(2h) folded into the sums.  Each sum walks the field
+in the stencil's row blocks and takes every Re sum a conj(b) (|psi_dot|^2,
+|D_j psi|^2, psi_dot conj(D_j psi)) as one einsum over the float views, with
+no squared temporary and no BLAS dot, whose last bits follow its thread
+count.  The density is written once, in one reduction that yields its total
+(E) or its marginal along each axis (the center of energy, which dots each
+marginal with that axis's coordinates).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .artifacts import atomic_write, write_csv, write_json
 from .functionals import FunctionalReport, lorentz_boost, predict_energy_momentum
 from .potential import PotentialSpec, evaluate_potential
 from .radial import SolitaryWave, WaveInterpolant
-from .stencil import abs_sq, neighbour_difference, row_blocks
+from .stencil import neighbour_difference, row_blocks
 
 __all__ = [
     "GridSpec",
@@ -274,51 +275,56 @@ def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> Fie
     return FieldSample(grid=grid, time=float(t), psi=psi, psi_dot=psi_dot)
 
 
-def _density_blocks(sample: FieldSample, spec: PotentialSpec):
-    """(rows, Hamiltonian density over those rows) for each row block.
+def _re_dot(a: np.ndarray, b: np.ndarray, axis: int | None = None):
+    """Re sum a conj(b) over every axis but axis (all when None): one einsum
+    over the float views of C-contiguous copies (numpy refuses that view of
+    other layouts), with no squared temporary and no BLAS dot, whose order
+    follows its thread count.  The views interleave each cell's re/im pair
+    along the last axis, so a sum kept along it adds the pairs."""
+    if axis is None:
+        return float(np.einsum("i,i->", np.ravel(a).view(float), np.ravel(b).view(float)))
+    subs = "abc"[:a.ndim]
+    a, b = (np.ascontiguousarray(x).view(float) for x in (a, b))
+    out = np.einsum(f"{subs},{subs}->{subs[axis]}", a, b)
+    return out[0::2] + out[1::2] if axis == a.ndim - 1 else out
 
-    The gradient term sum_j |D_j psi|^2 / (8 h_j^2) takes the unscaled
-    neighbour difference D_j psi = psi[i + 1] - psi[i - 1], so the 1/(2 h_j)
-    of the centered difference is paid on one real block per axis."""
-    psi = sample.psi
+
+def _energy_sums(sample: FieldSample, spec: PotentialSpec, axes) -> list[np.ndarray]:
+    """Grid sums of the Hamiltonian density
+    |psi_dot|^2/2 + sum_j |D_j psi|^2 / (8 h_j^2) + U(|psi|), one per entry of
+    axes: the total (a 0-d array) for None, the density's marginal along axis
+    j (its sum over every other axis) for j.  One walk of the row blocks adds
+    each block's terms, in that order, into every sum.  D_j psi is the
+    unscaled neighbour difference psi[i + 1] - psi[i - 1], so the 1/(2 h_j) of
+    the centered difference is paid in the weight."""
+    psi, psi_dot = sample.psi, sample.psi_dot
+    n = sample.grid.n
     blocks = row_blocks(psi)
     d = np.empty(psi[blocks[0]].shape, dtype=complex)
     weights = [0.125 / (h * h) for h in sample.grid.spacing]
+    sums = [np.zeros(() if axis is None else sample.grid.points[axis]) for axis in axes]
+    others = [None if axis is None else tuple(b for b in range(n) if b != axis) for axis in axes]
     for rows in blocks:
         diff = d[:rows.stop - rows.start]
-        density = abs_sq(sample.psi_dot[rows])
-        density *= 0.5
-        for axis, w in enumerate(weights):
-            grad_sq = abs_sq(neighbour_difference(psi, axis, rows, out=diff))
-            grad_sq *= w
-            density += grad_sq
-        density += evaluate_potential(spec, psi[rows])
-        yield rows, density
-
-
-def _re_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Re sum a conj(b), one einsum over the float views: no squared temporary,
-    and no BLAS dot, whose summation order follows its thread count."""
-    return float(np.einsum("i,i->", np.ravel(a).view(float), np.ravel(b).view(float)))
+        # a marginal along axis 0 takes the block's sums on the block's rows
+        parts = [s[rows] if axis == 0 else s[...] for s, axis in zip(sums, axes)]
+        for part, axis in zip(parts, axes):
+            part += 0.5 * _re_dot(psi_dot[rows], psi_dot[rows], axis)
+        for j, w in enumerate(weights):
+            neighbour_difference(psi, j, rows, out=diff)
+            for part, axis in zip(parts, axes):
+                part += w * _re_dot(diff, diff, axis)
+        potential = evaluate_potential(spec, psi[rows])
+        for part, other in zip(parts, others):
+            part += np.sum(potential, axis=other)
+    return sums
 
 
 def measure_energy(sample: FieldSample, spec: PotentialSpec) -> float:
-    """Grid sum of |psi_dot|^2/2 + |grad psi|^2/2 + U(|psi|): per row block,
-    einsum sums of |psi_dot|^2 and |D_j psi|^2 (weight 1/(8 h_j^2)) and one
-    evaluate_potential call."""
-    psi, psi_dot = sample.psi, sample.psi_dot
-    blocks = row_blocks(psi)
-    d = np.empty(psi[blocks[0]].shape, dtype=complex)
-    weights = [0.125 / (h * h) for h in sample.grid.spacing]
-    total = 0.0
-    for rows in blocks:
-        diff = d[:rows.stop - rows.start]
-        total += 0.5 * _re_dot(psi_dot[rows], psi_dot[rows])
-        for axis, w in enumerate(weights):
-            neighbour_difference(psi, axis, rows, out=diff)
-            total += w * _re_dot(diff, diff)
-        total += float(np.sum(evaluate_potential(spec, psi[rows])))
-    return total * sample.grid.cell_volume
+    """Grid sum of |psi_dot|^2/2 + |grad psi|^2/2 + U(|psi|), the total of
+    _energy_sums times the cell volume."""
+    (total,) = _energy_sums(sample, spec, [None])
+    return float(total * sample.grid.cell_volume)
 
 
 def measure_momentum(sample: FieldSample) -> np.ndarray:
@@ -339,21 +345,14 @@ def measure_momentum(sample: FieldSample) -> np.ndarray:
 
 
 def center_of_energy(sample: FieldSample, spec: PotentialSpec) -> np.ndarray:
-    """Energy-density-weighted mean position, by grid sums: the moment along
-    axis j is the density's marginal over the other axes (its row sums for
-    axis 0, its column sums for axis 1) against the axis-j coordinates."""
-    n = sample.grid.n
-    axes = sample.grid.axes()
-    weight = 0.0
-    moments = np.zeros(n)
-    for rows, density in _density_blocks(sample, spec):
-        for axis, x in enumerate(axes):
-            marginal = np.sum(density, axis=tuple(b for b in range(n) if b != axis))
-            moments[axis] += float(marginal @ (x[rows] if axis == 0 else x))
-        weight += float(np.sum(marginal))  # every marginal sums to the block's total
-    total = weight * sample.grid.cell_volume
+    """Energy-density-weighted mean position: one walk of _energy_sums gives
+    the density's marginal along every axis, and the center's component j is
+    the axis-j marginal against the axis-j coordinates over the total."""
+    marginals = _energy_sums(sample, spec, range(sample.grid.n))
+    total = float(np.sum(marginals[0])) * sample.grid.cell_volume  # every marginal sums to it
     if total < 1e-20:
         raise ZeroField(f"total energy {total:.3e} below 1e-20")
+    moments = np.array([float(m @ x) for m, x in zip(marginals, sample.grid.axes())])
     return moments * sample.grid.cell_volume / total
 
 

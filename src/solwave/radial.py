@@ -807,10 +807,12 @@ def load_wave(csv_path, sidecar_path, spec: PotentialSpec) -> SolitaryWave:
     Raises ValueError when spec's mass_sq or terms differ from the potential
     the sidecar records (amplitude_cap only bounds the scan and may differ),
     and, naming the CSV, on a field that is not a number, a row without three
-    columns or a value that is not finite; naming the sidecar, on a sidecar
-    that is not a JSON object and, with the key, on a missing key, a value
-    that is not a finite number, or radii that break
-    r_grid[0] <= numeric_radius <= match_radius <= r_grid[-1].
+    columns, a value that is not finite or an r column that is not the grid
+    r_j = j h from r = 0 (to 1e-9 h) that WaveInterpolant and
+    compute_functionals assume; naming the sidecar, on a sidecar that is not
+    a JSON object and, with the key, on a missing key, a value that is not a
+    finite number, an omega with omega^2 >= mass_sq (no decaying tail), or
+    radii that break r_grid[0] <= numeric_radius <= match_radius <= r_grid[-1].
     """
     with open(sidecar_path) as fh:
         meta = json.load(fh)
@@ -843,14 +845,21 @@ def load_wave(csv_path, sidecar_path, spec: PotentialSpec) -> SolitaryWave:
     bad = np.nonzero(~np.isfinite(data))[0]
     if bad.size:
         raise ValueError(f"{csv_path}: non-finite value on line {int(bad[0]) + 2}")
-    r_first, r_last = float(data[0, 0]), float(data[-1, 0])
+    r = data[:, 0]
+    if (r.size < 2 or r[0] != 0 or not r[1] > 0
+            or np.max(np.abs(r - np.arange(r.size) * r[1])) > 1e-9 * r[1]):
+        raise ValueError(f"{csv_path}: the r column is not a uniform grid r_j = j h from r = 0")
+    omega = field("omega")
+    if not omega**2 < spec.mass_sq:
+        raise ValueError(f"{sidecar_path}: 'omega' {omega} has omega^2 >= mass_sq "
+                         f"{spec.mass_sq}, so the wave has no decaying tail")
     numeric_radius, match_radius = field("numeric_radius"), field("match_radius")
-    if not r_first <= numeric_radius <= match_radius <= r_last:
+    if not 0 <= numeric_radius <= match_radius <= r[-1]:
         raise ValueError(f"{sidecar_path}: 'numeric_radius' {numeric_radius} and 'match_radius' "
                          f"{match_radius} break r_grid[0] <= numeric_radius <= match_radius "
-                         f"<= r_grid[-1] on the CSV grid [{r_first}, {r_last}]")
+                         f"<= r_grid[-1] on the CSV grid [0, {r[-1]}]")
     profile = RadialProfile(
-        r_grid=data[:, 0],
+        r_grid=r,
         values=data[:, 1],
         derivative=data[:, 2],
         node_count=field("node_count", int),
@@ -859,5 +868,5 @@ def load_wave(csv_path, sidecar_path, spec: PotentialSpec) -> SolitaryWave:
         prefactor=field("prefactor"),
         match_radius=match_radius,
     )
-    return SolitaryWave(n=field("n", int), k=field("k", int), omega=field("omega"),
+    return SolitaryWave(n=field("n", int), k=field("k", int), omega=omega,
                         profile=profile, spec=spec)

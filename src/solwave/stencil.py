@@ -19,7 +19,6 @@ __all__ = [
     "row_blocks",
     "neighbour_sum",
     "neighbour_difference",
-    "abs_sq",
 ]
 
 BLOCK_BYTES = 256 * 1024
@@ -74,14 +73,3 @@ def neighbour_difference(psi: np.ndarray, axis: int, rows: slice, out: np.ndarra
     their sums."""
     return _shifted_pair(np.subtract, psi, axis, rows, out)
 
-
-def abs_sq(z) -> np.ndarray:
-    """|z|^2 as re^2 + im^2, without the hypot (and its square root) that
-    np.abs(z)**2 takes first.  np.square of a strided real or imaginary part
-    is faster than multiplying it by itself."""
-    z = np.asarray(z)
-    if not np.iscomplexobj(z):
-        return np.square(z)
-    out = np.square(z.real)
-    out += np.square(z.imag)
-    return out

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from solwave.boost import (BOUNDARY_DECAY, FieldSample, GridSpec, GridTooSmall,
-                           boost_scan, grid_for, load_sample, measure_energy,
-                           measure_momentum, sample_boosted, save_sample,
-                           scan_to_csv)
+                           boost_scan, center_of_energy, grid_for, load_sample,
+                           measure_energy, measure_momentum, sample_boosted,
+                           save_sample, scan_to_csv)
 from solwave.evolve import evolve
 from solwave.functionals import (SuperluminalVelocity, compute_functionals,
                                  lorentz_boost, predict_energy_momentum)
@@ -332,6 +332,30 @@ class TestMeasurement:
                           for d, hj in zip(diffs, grid.spacing)]) * grid.cell_volume
         assert abs(measure_energy(sample, cubic) - e_ref) <= 1e-13 * abs(e_ref)
         assert np.linalg.norm(measure_momentum(sample) - p_ref) <= 1e-13 * np.linalg.norm(p_ref)
+
+    @pytest.mark.parametrize("name,v,t,h", [
+        ("wave_1d", [0.5], 1.0, 0.05),
+        ("wave_2d", [0.0, 0.6], 1.5, 0.1),
+        ("wave_k1", [0.3, 0.4], 1.0, 0.1),
+        ("wave_3d", [0.0, 0.0, 0.5], 1.0, 0.8),
+    ])
+    def test_center_matches_full_array_formula(self, request, cubic, name, v, t, h):
+        # the density as one array from np.roll differences, and its weighted
+        # mean position on every axis; a Fortran-ordered copy of the fields
+        # gives the same center
+        wave = request.getfixturevalue(name)
+        grid = grid_for(wave, v, t, h)
+        sample = sample_boosted(wave, v, grid, t=t)
+        psi = sample.psi
+        density = 0.5 * np.abs(sample.psi_dot) ** 2 + evaluate_potential(cubic, psi)
+        for axis, hj in enumerate(grid.spacing):
+            density += np.abs(np.roll(psi, -1, axis) - np.roll(psi, 1, axis)) ** 2 / (8 * hj**2)
+        mesh = np.meshgrid(*grid.axes(), indexing="ij", sparse=True)
+        ref = np.array([np.sum(density * x) for x in mesh]) / np.sum(density)
+        fortran = FieldSample(grid=grid, time=t, psi=np.asfortranarray(psi),
+                              psi_dot=np.asfortranarray(sample.psi_dot))
+        for s in (sample, fortran):
+            assert np.max(np.abs(center_of_energy(s, cubic) - ref)) <= 1e-12
 
     def test_rest_energy_converges_quadratically(self, wave_1d, cubic):
         errors = []

@@ -169,26 +169,11 @@ def test_omega_zero_contradiction(cubic):
     assert rep.s4_first_violation <= rep.s2_witness
 
 
-@pytest.mark.parametrize("terms, polished", [
-    # (U' -+ omega^2 a)/a, scanned for S2 and S4, have one zero each and
-    # their derivatives none
-    (((1.0, 4),), 2),
-    # (U' -+ omega^2 a)/a = 0.1 a^4 - a^2 + 1 -+ 0.49 have two zeros each, and
-    # their common derivative 0.4 a^3 - 2a, divided by a, one: 2 + 2 + 1
-    (((1.0, 4), (-0.1, 6)), 5),
-])
-def test_check_conditions_polishes_each_zero_once(monkeypatch, terms, polished):
-    calls = []
-    polish = potential.brentq
-
-    def counting(f, lo, hi, **kwargs):
-        calls.append((lo, hi, polish(f, lo, hi, **kwargs)))
-        return calls[-1][-1]
-
-    monkeypatch.setattr(potential, "brentq", counting)
-    check_conditions(PotentialSpec(mass_sq=1.0, terms=terms), 0.7, 3)
-    assert len(calls) == polished
-    assert len(set(calls)) == len(calls)
+def test_abs_sq():
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
+    np.testing.assert_allclose(potential._abs_sq(z), np.abs(z) ** 2, rtol=1e-15)
+    assert potential._abs_sq(np.array([-2.0, 3.0])).tolist() == [4.0, 9.0]
 
 
 def test_expected_amplitude(cubic):

@@ -576,6 +576,34 @@ class TestInterpolantAndSerialization:
         with pytest.raises(ValueError, match="wave.json: 'numeric_radius' .* and 'match_radius'"):
             load_wave(csv_path, sidecar, cubic)
 
+    @pytest.mark.parametrize("edit", ["shifted", "one radius off", "one row"])
+    def test_load_refuses_an_r_column_off_the_uniform_grid(self, wave_2d, cubic, tmp_path,
+                                                           edit):
+        # WaveInterpolant and compute_functionals read the profile on r_j = j h
+        # from r = 0: radii shifted by +0.5 once loaded, with E_0 13.91, not 9.595
+        csv_path, sidecar = tmp_path / "wave.csv", tmp_path / "wave.json"
+        save_wave(wave_2d, csv_path, sidecar)
+        data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+        if edit == "shifted":
+            data[:, 0] += 0.5
+        elif edit == "one radius off":
+            data[100, 0] += 1e-6 * wave_2d.profile.h_r
+        else:
+            data = data[:1]
+        np.savetxt(csv_path, data, fmt="%.17g", delimiter=",", header="r,R,dR", comments="")
+        with pytest.raises(ValueError, match="wave.csv: the r column"):
+            load_wave(csv_path, sidecar, cubic)
+
+    def test_load_refuses_omega_without_a_decaying_tail(self, wave_2d, cubic, tmp_path):
+        # omega^2 >= mass_sq once loaded and failed on first use, in delta's sqrt
+        csv_path, sidecar = tmp_path / "wave.csv", tmp_path / "wave.json"
+        save_wave(wave_2d, csv_path, sidecar)
+        meta = json.loads(sidecar.read_text())
+        meta["omega"] = 1.5
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="wave.json: 'omega' 1.5"):
+            load_wave(csv_path, sidecar, cubic)
+
     def test_load_refuses_a_sidecar_that_is_not_an_object(self, wave_2d, cubic, tmp_path):
         csv_path, sidecar = tmp_path / "wave.csv", tmp_path / "wave.json"
         save_wave(wave_2d, csv_path, sidecar)

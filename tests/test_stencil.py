@@ -14,8 +14,7 @@ block.  Each output starts as NaN, so a row a stencil leaves unwritten fails.
 import numpy as np
 import pytest
 
-from solwave.stencil import (BLOCK_BYTES, abs_sq, neighbour_difference,
-                             neighbour_sum, row_blocks)
+from solwave.stencil import BLOCK_BYTES, neighbour_difference, neighbour_sum, row_blocks
 
 # shape, spacing, mode numbers
 CASES = {
@@ -98,10 +97,3 @@ def test_out_must_be_a_contiguous_block():
     out = np.empty((6, 8), dtype=complex).T
     with pytest.raises(ValueError):
         neighbour_sum(psi, 1, slice(0, 8), out=out)
-
-
-def test_abs_sq():
-    rng = np.random.default_rng(3)
-    z = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
-    np.testing.assert_allclose(abs_sq(z), np.abs(z) ** 2, rtol=1e-15)
-    assert abs_sq(np.array([-2.0, 3.0])).tolist() == [4.0, 9.0]
