@@ -10,41 +10,53 @@ sampled from the exact chain-rule expression
 
     psi_dot = (-gamma (v . grad a)(y) - i gamma omega a(y)) * phase,
 
-never by numerical time differencing.  Sampling writes psi and psi_dot one
-row block of solwave.stencil at a time, and they are the only full-size
-arrays it allocates.  Within a block the phase is the constant
-e^{-i omega gamma t} times the outer product of one 1D factor
-e^{i omega gamma v_j x_j} per axis, the vortex factor e^{i k phi} of a k >= 1
-wave is ((y_0 + i y_1)/r)^k, and R, R' come from one radial.WaveInterpolant
-call on the block's r.  At t = 0, y(-x) = -y(x): R and R' are even, the
-psi_dot terms in y/r odd and e^{i k phi} picks up (-1)^k, so each block of
-axis 0's first half also writes its mirror (every axis reversed), and the
-radial part runs on half the grid.  On every axis j >= 1 with v_j = 0,
-y_j = x_j at any t, so r is even in x_j: the blocks walk that axis's first
-half as well and fill the other by reflection.  R, R' and the (v.y)/r term
-are even under it; on axis 1 of a vortex, e^{i k phi} and the
-k (v_1 y_0 - v_0 y_1)/r^2 term are conjugated.  An axis-0 boost, the only
-kind the command line makes, thus runs the radial part on 1/2^n of the grid
-at t = 0 and on 1/2^(n-1) at any other t.
-The boundary-decay check compares |psi| on the boundary faces with the
-largest |R|.
+never by numerical time differencing.
+
+A grid may mirror an axis j >= 1 (GridSpec.mirrored): it then stores only
+the cells x_j > 0 of a field that is even in x_j, and the mirror plane
+x_j = 0 lies on a cell face.  grid_for mirrors every axis j >= 1 with
+v_j = 0 of a k = 0 wave: there y_j = x_j at any t, so r, and the field, are
+even in x_j.  An axis-0 boost of a radial wave, the only kind the command
+line makes, so stores, steps and sums 1/2^(n-1) of the grid.
+
+Sampling writes psi and psi_dot one row block of solwave.stencil at a time,
+and they are the only full-size arrays it allocates.  Within a block the
+phase is the constant e^{-i omega gamma t} times the outer product of one 1D
+factor e^{i omega gamma v_j x_j} per axis, the vortex factor e^{i k phi} of
+a k >= 1 wave is ((y_0 + i y_1)/r)^k, and R, R' come from one
+radial.WaveInterpolant call on the block's r.  At t = 0, y(-x) = -y(x): R
+and R' are even, the psi_dot terms in y/r odd and e^{i k phi} picks up
+(-1)^k, so each block of axis 0's first half also writes its mirror (every
+axis that is not mirrored reversed), and the radial part runs on half the
+stored cells.  On a full grid's axes j >= 1 with v_j = 0 (those of a vortex,
+or of a grid given in full) the blocks walk the axis's first half as well
+and fill the other by reflection.  R, R' and the (v.y)/r term are even under
+it; on axis 1 of a vortex, e^{i k phi} and the k (v_1 y_0 - v_0 y_1)/r^2
+term are conjugated.  An axis-0 boost thus runs the radial part on 1/2^n of
+the full grid at t = 0 and on 1/2^(n-1) at any other t, mirrored or not.
+The boundary-decay check compares |psi| on the boundary faces, the mirror
+planes excepted, with the largest |R|.
 
 Energy, momentum and the center of energy are then measured by plain grid
 sums of the Hamiltonian density and of -Re(psi_dot conj(grad psi)) with
 2nd-order centered differences under periodic wrap (immaterial given the
 exponential decay, which the grid-sizing rule keeps below 1e-8 of the peak
-at the boundary).  The differences are solwave.stencil's unscaled neighbour
-differences, with the 1/(2h) folded into the sums.  Each sum walks the field
-in the stencil's row blocks and takes every Re sum a conj(b) (|psi_dot|^2,
-|D_j psi|^2, psi_dot conj(D_j psi)) as one einsum over the float views, with
-no squared temporary and no BLAS dot, whose last bits follow its thread
-count.  The density is written once, in one reduction that yields its total
-(E) or its marginal along each axis (the center of energy, which dots each
-marginal with that axis's coordinates).
+at the boundary), or with the mirrored ends of a mirrored axis.  The
+differences are solwave.stencil's unscaled neighbour differences, with the
+1/(2h) folded into the sums.  Each sum walks the field in the stencil's row
+blocks and takes every Re sum a conj(b) (|psi_dot|^2, |D_j psi|^2,
+psi_dot conj(D_j psi)) as one einsum over the float views, with no squared
+temporary and no BLAS dot, whose last bits follow its thread count.  The
+density is written once, in one reduction that yields its total (E) or its
+marginal along each axis (the center of energy, which dots each marginal
+with that axis's coordinates).  On a mirrored grid E and P_0 are the stored
+cells' sums times 2^(mirrored axes), and P_j and the center's component j
+of a mirrored axis j are 0.0: their integrands are odd in x_j.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -90,12 +102,18 @@ class ZeroField(RuntimeError):
 @dataclass(frozen=True)
 class GridSpec:
     """Cell-centered uniform Cartesian grid covering [-L_j, L_j) per axis.
-    Raises ValueError unless every extent L_j is finite and positive and
-    every point count N_j is a positive, even integer."""
+
+    A mirrored axis j stores only the cells of [0, L_j), the upper half of
+    a field that is even in x_j; points keeps the full, even count N_j and
+    shape gives the stored counts.  Axis 0 is never mirrored.  Raises
+    ValueError unless every extent L_j is finite and positive, every point
+    count N_j is a positive, even integer and mirrored has one bool per
+    axis, False on axis 0."""
 
     n: int
     extent: tuple[float, ...]
     points: tuple[int, ...]
+    mirrored: tuple[bool, ...] | None = None  # None: no axis mirrored
 
     def __post_init__(self):
         if self.n not in (1, 2, 3):
@@ -108,27 +126,62 @@ class GridSpec:
         if not all(isinstance(N, (int, np.integer)) and N > 0 and N % 2 == 0
                    for N in self.points):
             raise ValueError(f"point counts must be positive even integers, got {self.points}")
+        mirrored = (False,) * self.n if self.mirrored is None else tuple(self.mirrored)
+        if len(mirrored) != self.n or not all(isinstance(m, (bool, np.bool_)) for m in mirrored):
+            raise ValueError(f"mirrored must be one bool per axis, got {self.mirrored}")
+        if mirrored[0]:
+            raise ValueError("axis 0 may not be mirrored")
+        object.__setattr__(self, "mirrored", tuple(map(bool, mirrored)))
 
-    @property
+    # the grid is frozen, so its derived values are computed once: a leapfrog
+    # step reads them on every call
+    @functools.cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(2.0 * L / N for L, N in zip(self.extent, self.points))
 
-    def axes(self) -> list[np.ndarray]:
-        """Cell-center coordinates per axis, (i - (N - 1)/2) h: one rounding
-        per cell, so cell N - 1 - i sits exactly at minus cell i."""
-        return [(np.arange(N) - (N - 1) / 2) * h for N, h in zip(self.points, self.spacing)]
+    @functools.cached_property
+    def shape(self) -> tuple[int, ...]:
+        """The stored cell counts: N_j / 2 on a mirrored axis, N_j elsewhere."""
+        return tuple(N // 2 if m else N for N, m in zip(self.points, self.mirrored))
 
-    @property
+    @functools.cached_property
+    def reflections(self) -> int:
+        """2^(mirrored axes): the full grid's cells per stored cell."""
+        return 2 ** sum(self.mirrored)
+
+    def axes(self) -> list[np.ndarray]:
+        """Stored cell-center coordinates per axis, (i - (N - 1)/2) h: one
+        rounding per cell, so cell N - 1 - i sits exactly at minus cell i,
+        and a mirrored axis keeps the upper half, i >= N/2, of those bits."""
+        return [((np.arange(N) - (N - 1) / 2) * h)[N // 2 if m else 0:]
+                for N, h, m in zip(self.points, self.spacing, self.mirrored)]
+
+    @functools.cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
 
 @dataclass(frozen=True)
 class FieldSample:
+    """(psi, psi_dot) at one time on a grid's stored cells.  Raises
+    ValueError unless time is finite and psi and psi_dot are complex arrays
+    of shape grid.shape."""
+
     grid: GridSpec
     time: float
     psi: np.ndarray
     psi_dot: np.ndarray
+
+    def __post_init__(self):
+        if not math.isfinite(self.time):
+            raise ValueError(f"sample time must be finite, got {self.time}")
+        shape = self.grid.shape
+        for name, field in (("psi", self.psi), ("psi_dot", self.psi_dot)):
+            if not (isinstance(field, np.ndarray) and field.dtype.kind == "c"
+                    and field.shape == shape):
+                got = (f"{field.dtype} array of shape {field.shape}"
+                       if isinstance(field, np.ndarray) else type(field).__name__)
+                raise ValueError(f"{name} must be a complex array of shape {shape}, got a {got}")
 
 
 def grid_for(wave: SolitaryWave, v, t_max: float, h: float) -> GridSpec:
@@ -142,8 +195,12 @@ def grid_for(wave: SolitaryWave, v, t_max: float, h: float) -> GridSpec:
     of an axis-aligned boost), and sample_boosted checks the invariant on
     every sample.  A trapezoid sum of the decaying densities loses only the
     mass left outside the box, about 1e-16 of E, so a wider pad changes no
-    measured E or P.  Raises ValueError unless h and t_max are finite and
-    h > 0."""
+    measured E or P.
+
+    For a k = 0 wave every axis j >= 1 with v_j = 0 is mirrored: r is even
+    in x_j there at any t, so the field is too, and the grid stores only the
+    half x_j > 0 (see GridSpec).  Raises ValueError unless h and t_max are
+    finite and h > 0."""
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"grid spacing must be finite and positive, got {h}")
     if not math.isfinite(t_max):
@@ -158,18 +215,18 @@ def grid_for(wave: SolitaryWave, v, t_max: float, h: float) -> GridSpec:
         N = 2 * int(math.ceil(L / h))
         extents.append(N * h / 2.0)
         points.append(N)
-    return GridSpec(n=wave.n, extent=tuple(extents), points=tuple(points))
+    mirrored = tuple(j > 0 and wave.k == 0 and not vj for j, vj in enumerate(v))
+    return GridSpec(n=wave.n, extent=tuple(extents), points=tuple(points), mirrored=mirrored)
 
 
-def _boundary_max(field: np.ndarray) -> float:
+def _boundary_max(field: np.ndarray, mirrored) -> float:
+    """max |field| over the grid's boundary faces; the inner face of a
+    mirrored axis is the mirror plane, not a boundary, and is skipped."""
     worst = 0.0
-    for axis in range(field.ndim):
-        sl0 = [slice(None)] * field.ndim
-        sl0[axis] = 0
-        sl1 = [slice(None)] * field.ndim
-        sl1[axis] = -1
-        worst = max(worst, float(np.max(np.abs(field[tuple(sl0)]))),
-                    float(np.max(np.abs(field[tuple(sl1)]))))
+    for axis, m in enumerate(mirrored):
+        for end in ((-1,) if m else (0, -1)):
+            face = (slice(None),) * axis + (end,)
+            worst = max(worst, float(np.max(np.abs(field[face]))))
     return worst
 
 
@@ -181,17 +238,23 @@ def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> Fie
     psi_dot = -gamma (dR (v.y)/r + i k R (v_1 y_0 - v_0 y_1)/r^2 + i omega R) * u,
     u = e^{i k phi} * phase.  The phase is the constant e^{-i omega gamma t}
     times one 1D factor e^{i omega gamma v_j x_j} per axis, and
-    e^{i k phi} = ((y_0 + i y_1)/r)^k.  At t = 0 each block of axis 0's first
-    half also fills its mirror, the cells N_j - 1 - i_j, with the y/r terms
-    negated and e^{i k phi} times (-1)^k.  On every axis j >= 1 with v_j = 0
-    the blocks compute the first half only and reflect it onto the cells
+    e^{i k phi} = ((y_0 + i y_1)/r)^k.  A mirrored axis of the grid is
+    walked over its stored cells only, the half x_j > 0.  At t = 0 each
+    block of axis 0's first half also fills its mirror, the cells
+    N_j - 1 - i_j on every axis that is not mirrored, with the y/r terms
+    negated and e^{i k phi} times (-1)^k; a mirrored axis needs no flip, as
+    the field is even in it.  On every other axis j >= 1 with v_j = 0 the
+    blocks compute the first half only and reflect it onto the cells
     N_j - 1 - i_j: R, R' and (v.y)/r are even in x_j there, and on axis 1
     a vortex's e^{i k phi} and k (v_1 y_0 - v_0 y_1)/r^2 are conjugated.
     GridSpec.axes mirrors exactly, so the reflected cells get the very bits
     that direct evaluation gives them.
 
     Raises GridTooSmall when the boundary cells carry more than 1e-8 of the
-    peak amplitude, max |R|, and ValueError when t is not finite.
+    peak amplitude, max |R| (the mirror plane of a mirrored axis is not a
+    boundary), and ValueError when t is not finite, or when the grid
+    mirrors an axis and k != 0 or v_j != 0 on it, since that field is not
+    even.
     """
     if not math.isfinite(t):
         raise ValueError(f"sample time must be finite, got {t}")
@@ -199,11 +262,15 @@ def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> Fie
         raise ValueError(f"wave dimension {wave.n} != grid dimension {grid.n}")
     v, speed, gamma = lorentz_boost(v, wave.n)
     omega, k = wave.omega, wave.k
-    # on an axis j >= 1 with v_j = 0, y_j = x_j at any t, so r is even in x_j
-    # and the blocks walk the axis's first half
-    halves = [j for j in range(1, grid.n) if not v[j]]
+    mirrored_axes = [j for j in range(grid.n) if grid.mirrored[j]]
+    if mirrored_axes and (k or any(v[j] for j in mirrored_axes)):
+        raise ValueError(f"a field with k = {k} and v = {v.tolist()} is not even on the "
+                         f"mirrored axes {mirrored_axes}; sample it on a full grid")
+    # on a full grid's axis j >= 1 with v_j = 0, y_j = x_j at any t, so r is
+    # even in x_j and the blocks walk the axis's first half
+    halves = [j for j in range(1, grid.n) if not v[j] and j not in mirrored_axes]
     cols = tuple(slice(N // 2) if j in halves else slice(None)
-                 for j, N in enumerate(grid.points[1:], 1))
+                 for j, N in enumerate(grid.shape[1:], 1))
     mesh = np.meshgrid(*(x[:x.size // 2] if j in halves else x
                          for j, x in enumerate(grid.axes())), indexing="ij", sparse=True)
     e = v / speed if speed > 0 else v
@@ -212,16 +279,18 @@ def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> Fie
     factors[0] *= np.exp(-1j * omega * gamma * t)
     interp = WaveInterpolant(wave)
 
-    psi = np.empty(grid.points, dtype=complex)
-    psi_dot = np.empty(grid.points, dtype=complex)
+    psi = np.empty(grid.shape, dtype=complex)
+    psi_dot = np.empty(grid.shape, dtype=complex)
     # (psi, psi_dot, phase factors, sign of y-odd terms, conjugated?), one per
     # reflection image of the walked cells; at t = 0 the blocks walk axis 0's
-    # first half and also fill the flipped arrays, (-1)^k in their factors
+    # first half and also fill the arrays flipped on every axis that is not
+    # mirrored, (-1)^k in their factors
     targets = [(psi, psi_dot, factors, 1.0, False)]
     if t == 0:
-        mirror = [np.flip(f) for f in factors]
+        flips = tuple(j for j in range(grid.n) if j not in mirrored_axes)
+        mirror = [np.flip(f, flips) for f in factors]
         mirror[0] = mirror[0] * (-1.0) ** k
-        targets.append((np.flip(psi), np.flip(psi_dot), mirror, -1.0, False))
+        targets.append((np.flip(psi, flips), np.flip(psi_dot, flips), mirror, -1.0, False))
     # each halved axis doubles the targets: its flip keeps R, R', (v.y)/r and
     # the phase factors, and on axis 1 conjugates a vortex's e^{ik phi} and odd
     for j in halves:
@@ -265,7 +334,7 @@ def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> Fie
 
         peak = max(peak, float(np.max(np.abs(R))))
 
-    boundary = _boundary_max(psi)
+    boundary = _boundary_max(psi, grid.mirrored)
     if peak > 0 and boundary >= BOUNDARY_DECAY * peak:
         raise GridTooSmall(
             f"boundary amplitude {boundary:.3e} exceeds {BOUNDARY_DECAY:g} of "
@@ -296,13 +365,15 @@ def _energy_sums(sample: FieldSample, spec: PotentialSpec, axes) -> list[np.ndar
     j (its sum over every other axis) for j.  One walk of the row blocks adds
     each block's terms, in that order, into every sum.  D_j psi is the
     unscaled neighbour difference psi[i + 1] - psi[i - 1], so the 1/(2 h_j) of
-    the centered difference is paid in the weight."""
+    the centered difference is paid in the weight.  The sums run over the
+    stored cells only; the full grid's are grid.reflections times them."""
     psi, psi_dot = sample.psi, sample.psi_dot
-    n = sample.grid.n
+    grid = sample.grid
+    n = grid.n
     blocks = row_blocks(psi)
     d = np.empty(psi[blocks[0]].shape, dtype=complex)
-    weights = [0.125 / (h * h) for h in sample.grid.spacing]
-    sums = [np.zeros(() if axis is None else sample.grid.points[axis]) for axis in axes]
+    weights = [0.125 / (h * h) for h in grid.spacing]
+    sums = [np.zeros(() if axis is None else grid.shape[axis]) for axis in axes]
     others = [None if axis is None else tuple(b for b in range(n) if b != axis) for axis in axes]
     for rows in blocks:
         diff = d[:rows.stop - rows.start]
@@ -311,7 +382,7 @@ def _energy_sums(sample: FieldSample, spec: PotentialSpec, axes) -> list[np.ndar
         for part, axis in zip(parts, axes):
             part += 0.5 * _re_dot(psi_dot[rows], psi_dot[rows], axis)
         for j, w in enumerate(weights):
-            neighbour_difference(psi, j, rows, out=diff)
+            neighbour_difference(psi, j, rows, out=diff, mirrored=grid.mirrored[j])
             for part, axis in zip(parts, axes):
                 part += w * _re_dot(diff, diff, axis)
         potential = evaluate_potential(spec, psi[rows])
@@ -322,38 +393,53 @@ def _energy_sums(sample: FieldSample, spec: PotentialSpec, axes) -> list[np.ndar
 
 def measure_energy(sample: FieldSample, spec: PotentialSpec) -> float:
     """Grid sum of |psi_dot|^2/2 + |grad psi|^2/2 + U(|psi|), the total of
-    _energy_sums times the cell volume."""
+    _energy_sums times the cell volume and the grid's reflections."""
     (total,) = _energy_sums(sample, spec, [None])
-    return float(total * sample.grid.cell_volume)
+    return float(total * sample.grid.cell_volume * sample.grid.reflections)
 
 
 def measure_momentum(sample: FieldSample) -> np.ndarray:
     """-Re int psi_dot conj(grad psi) dx, per component.  Each component
     sums Re(psi_dot conj(D_j psi)) over the unscaled neighbour difference,
-    one einsum per row block, and takes the 1/(2 h_j) once, on the sum."""
+    one einsum per row block, and takes the 1/(2 h_j) once, on the sum.  On
+    a mirrored axis the integrand is odd, so that component is 0.0 and not
+    summed."""
     psi, psi_dot = sample.psi, sample.psi_dot
+    grid = sample.grid
+    axes = [j for j in range(grid.n) if not grid.mirrored[j]]
     blocks = row_blocks(psi)
     d = np.empty(psi[blocks[0]].shape, dtype=complex)
-    sums = np.zeros(sample.grid.n)
+    sums = np.zeros(grid.n)
     for rows in blocks:
         diff = d[:rows.stop - rows.start]
-        for axis in range(sample.grid.n):
+        for axis in axes:
             neighbour_difference(psi, axis, rows, out=diff)
             sums[axis] += _re_dot(psi_dot[rows], diff)
-    scale = [0.5 / h for h in sample.grid.spacing]
-    return -sums * scale * sample.grid.cell_volume
+    scale = [0.5 / h for h in grid.spacing]
+    momentum = -sums * scale * (grid.cell_volume * grid.reflections)
+    for j, mirrored in enumerate(grid.mirrored):
+        if mirrored:
+            momentum[j] = 0.0  # not -0.0
+    return momentum
 
 
 def center_of_energy(sample: FieldSample, spec: PotentialSpec) -> np.ndarray:
     """Energy-density-weighted mean position: one walk of _energy_sums gives
-    the density's marginal along every axis, and the center's component j is
-    the axis-j marginal against the axis-j coordinates over the total."""
-    marginals = _energy_sums(sample, spec, range(sample.grid.n))
-    total = float(np.sum(marginals[0])) * sample.grid.cell_volume  # every marginal sums to it
+    the density's marginal along every axis that is not mirrored, and the
+    center's component j is the axis-j marginal against the axis-j
+    coordinates over the total.  On a mirrored axis the density is even, so
+    that component is 0.0."""
+    grid = sample.grid
+    axes = [j for j in range(grid.n) if not grid.mirrored[j]]
+    marginals = _energy_sums(sample, spec, axes)
+    volume = grid.cell_volume * grid.reflections
+    total = float(np.sum(marginals[0])) * volume  # every marginal sums to it
     if total < 1e-20:
         raise ZeroField(f"total energy {total:.3e} below 1e-20")
-    moments = np.array([float(m @ x) for m, x in zip(marginals, sample.grid.axes())])
-    return moments * sample.grid.cell_volume / total
+    coords = grid.axes()
+    center = np.zeros(grid.n)
+    center[axes] = [float(m @ coords[j]) for m, j in zip(marginals, axes)]
+    return center * volume / total
 
 
 @dataclass(frozen=True)
@@ -426,12 +512,14 @@ def save_sample(sample: FieldSample, path) -> None:
     """Flat binary layout, little-endian throughout:
     header  = [n] + [N_1..N_n] as int64, [L_1..L_n] + [time] as float64,
     payload = psi, then psi_dot, each as complex128 (re/im float64 pairs) in C order.
+    A mirrored axis j is written as -N_j, and the payload holds the stored
+    cells, grid.shape; a full grid's file is unchanged by this marker.
     """
     g = sample.grid
 
     def write(fh):
         fh.write(struct.pack("<q", g.n))
-        fh.write(struct.pack(f"<{g.n}q", *g.points))
+        fh.write(struct.pack(f"<{g.n}q", *(-N if m else N for N, m in zip(g.points, g.mirrored))))
         fh.write(struct.pack(f"<{g.n}d", *g.extent))
         fh.write(struct.pack("<d", sample.time))
         for field in (sample.psi, sample.psi_dot):
@@ -441,8 +529,10 @@ def save_sample(sample: FieldSample, path) -> None:
 
 
 def load_sample(path) -> FieldSample:
-    """Read a save_sample file.  Raises ValueError when the file size is not
-    the one its header implies (a truncated write, say)."""
+    """Read a save_sample file.  Raises ValueError, naming the path, when
+    the header does not describe a valid grid and sample (a -N on axis 0, a
+    non-finite time, say) or the file size is not the one its header
+    implies (a truncated write, say)."""
     with open(path, "rb") as fh:
         actual = os.fstat(fh.fileno()).st_size
         head = fh.read(8 * (2 + 2 * 3))  # the longest header, n = 3
@@ -456,11 +546,20 @@ def load_sample(path) -> FieldSample:
                              "and no complete header") from exc
         header = 8 * (2 + 2 * n)
         fh.seek(header)
-        grid = GridSpec(n=int(n), extent=tuple(extent), points=tuple(int(p) for p in points))
-        size = int(np.prod(points))
+        try:
+            grid = GridSpec(n=int(n), extent=tuple(extent),
+                            points=tuple(abs(int(p)) for p in points),
+                            mirrored=tuple(p < 0 for p in points))
+        except ValueError as exc:
+            raise ValueError(f"{os.fspath(path)}: {exc}") from exc
+        size = math.prod(grid.shape)
         expected = header + 2 * 16 * size
         if actual != expected:
             raise ValueError(f"{os.fspath(path)}: sample file has {actual} bytes, "
                              f"its header implies {expected}")
-        fields = [np.fromfile(fh, dtype="<c16", count=size).reshape(points) for _ in range(2)]
-    return FieldSample(grid=grid, time=float(time), psi=fields[0], psi_dot=fields[1])
+        fields = [np.fromfile(fh, dtype="<c16", count=size).reshape(grid.shape)
+                  for _ in range(2)]
+    try:
+        return FieldSample(grid=grid, time=float(time), psi=fields[0], psi_dot=fields[1])
+    except ValueError as exc:
+        raise ValueError(f"{os.fspath(path)}: {exc}") from exc

@@ -232,19 +232,20 @@ def _boost_axis_velocity(speed: float, n: int) -> np.ndarray:
 
 def _grid_from_config(cfg: dict, wave, v_max: float, t_max: float,
                       fields: int) -> GridSpec:
-    """The config's grid, or grid_for's; ConfigError when fields complex
-    arrays of its size would exceed physical memory."""
+    """The config's grid, always full, or grid_for's, which may be mirrored;
+    ConfigError when fields complex arrays of its stored cells would exceed
+    physical memory."""
     grid = cfg["grid"]
     if "extent" in grid:
         spec = GridSpec(n=cfg["n"], extent=tuple(grid["extent"]),
                         points=tuple(grid["points"]))
     else:
         spec = grid_for(wave, _boost_axis_velocity(v_max, cfg["n"]), t_max, grid["h"])
-    need = fields * 16 * math.prod(spec.points)
+    need = fields * 16 * math.prod(spec.shape)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > memory:
         raise ConfigError(
-            f"a {'x'.join(map(str, spec.points))} grid needs {need / 2**30:.3g} GiB "
+            f"a {'x'.join(map(str, spec.shape))} grid needs {need / 2**30:.3g} GiB "
             f"for {fields} complex fields, more than the {memory / 2**30:.3g} GiB "
             "of physical memory; raise grid.h")
     return spec

@@ -1,4 +1,5 @@
-"""Leapfrog time evolution of the field equation on a periodic grid.
+"""Leapfrog time evolution of the field equation on a periodic grid, or on
+the stored half of a mirrored one.
 
 The second-order update psi^{m+1} = 2 psi^m - psi^{m-1} + dt^2 (Lap_h psi^m
 + f(psi^m)), with the standard 2nd-order Laplacian stencil under periodic
@@ -7,7 +8,10 @@ wrap, is written around one kernel
     K(psi) = sum_j c_j N_j(psi) + (2 - 2 sum_j c_j) psi + dt^2 f(psi),
     c_j = dt^2 / h_j^2,
 
-where N_j is solwave.stencil's neighbour sum along axis j: a step is
+where N_j is solwave.stencil's neighbour sum along axis j, mirrored on the
+grid's mirrored axes.  The equation is invariant under x_j -> -x_j, so a
+field even in x_j stays even, and stepping the stored half with mirrored
+ends gives the full grid's values on those cells bit for bit.  A step is
 psi^{m+1} = K(psi^m) - psi^{m-1}, and the first step is the Taylor bootstrap
 psi^1 = dt psi_dot^0 + K(psi^0)/2.  The time derivative is reconstructed
 centrally as (psi^{m+1} - psi^{m-1})/(2 dt), so each state carries a
@@ -102,14 +106,15 @@ def _check_step(grid, dt: float) -> None:
         raise CflViolation(f"dt={dt} exceeds {CFL_NUMBER} * min h = {CFL_NUMBER * h_min}")
 
 
-def _kernel(psi: np.ndarray, spec: PotentialSpec, coeffs, dt: float, rows: slice,
-            out: np.ndarray, tmp: np.ndarray) -> None:
+def _kernel(psi: np.ndarray, spec: PotentialSpec, coeffs, mirrored, dt: float,
+            rows: slice, out: np.ndarray, tmp: np.ndarray) -> None:
     """out = K(psi) of the module docstring over one block of rows, with
-    coeffs the c_j = dt^2/h_j^2; tmp is scratch of the block's shape."""
+    coeffs the c_j = dt^2/h_j^2 and mirrored the grid's flags; tmp is
+    scratch of the block's shape."""
     neighbour_sum(psi, 0, rows, out=out)
     out *= coeffs[0]
     for axis in range(1, len(coeffs)):
-        neighbour_sum(psi, axis, rows, out=tmp)
+        neighbour_sum(psi, axis, rows, out=tmp, mirrored=mirrored[axis])
         tmp *= coeffs[axis]
         out += tmp
     np.multiply(psi[rows], 2.0 - 2.0 * sum(coeffs), out=tmp)
@@ -153,7 +158,7 @@ def step(state: EvolutionState, spec: PotentialSpec, dt: float) -> EvolutionStat
             cur = np.empty(psi.shape, dtype=complex)
             for rows in blocks:
                 half, tmp = scratch[:, :rows.stop - rows.start]
-                _kernel(psi, spec, coeffs, dt, rows, half, tmp)
+                _kernel(psi, spec, coeffs, grid.mirrored, dt, rows, half, tmp)
                 half *= 0.5
                 np.multiply(state.sample.psi_dot[rows], dt, out=cur[rows])
                 cur[rows] += half
@@ -166,7 +171,8 @@ def step(state: EvolutionState, spec: PotentialSpec, dt: float) -> EvolutionStat
         tmp = scratch[1]
         for rows in blocks:
             nxt = ahead[rows]
-            _kernel(cur, spec, coeffs, dt, rows, nxt, tmp[:rows.stop - rows.start])
+            _kernel(cur, spec, coeffs, grid.mirrored, dt, rows, nxt,
+                    tmp[:rows.stop - rows.start])
             nxt -= psi[rows]
             if not np.isfinite(nxt.view(float)).all():
                 raise NonFinite(f"field became non-finite at t={t + 2 * dt:.6g}",

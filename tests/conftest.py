@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,3 +39,17 @@ def wave_k1(cubic):
 @pytest.fixture(scope="session")
 def wave_k2(cubic):
     return find_excited_state(cubic, 0.8, 2)
+
+
+def full_grid(grid):
+    """The grid with no axis mirrored: the same cells, all of them stored."""
+    return dataclasses.replace(grid, mirrored=None)
+
+
+def unfold(grid, field):
+    """The full grid's array of a field stored on grid: each mirrored axis
+    gets its lower half back as the reflection of the stored upper half."""
+    for axis, mirrored in enumerate(grid.mirrored):
+        if mirrored:
+            field = np.concatenate([np.flip(field, axis), field], axis=axis)
+    return field

@@ -9,6 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 from solwave import compute_functionals, grid_for, sample_boosted
+from solwave.stencil import row_blocks
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -24,7 +25,7 @@ def test_rebind_points_resolve(monkeypatch):
     assert missing == []
 
 
-def test_traced_call_points_are_called(monkeypatch, cubic, wave_1d):
+def test_traced_call_points_are_called(monkeypatch, cubic, wave_1d, wave_2d):
     # the traced run times the step and the diagnostics by wrapping these
     # module attributes; a refactor that stopped calling them through the
     # module would read 0 for evolve.step_s, evolve.diag_s or, for the
@@ -74,3 +75,19 @@ def test_traced_call_points_are_called(monkeypatch, cubic, wave_1d):
     assert calls.pop(("solwave.boost", "evaluate_potential"), 0) >= 3
     assert calls == {("solwave.boost", "measure_energy"): 3,
                      ("solwave.boost", "measure_momentum"): 3}
+
+    # a 2D flight on a mirrored grid, as flight-2d runs it, calls the same points
+    calls.clear()
+    grid = grid_for(wave_2d, [0.6, 0.0], 0.4, 0.2)
+    assert grid.mirrored == (False, True)
+    state = evolve_mod.evolve(sample_boosted(wave_2d, [0.6, 0.0], grid), cubic, 0.4, 0.04,
+                              diag_stride=5)
+    points = len(state.diagnostics)
+    assert points == 3  # steps 0, 5 and 10
+    force_calls = calls.pop(("solwave.evolve", "evaluate_force"), 0)
+    assert force_calls >= calls["solwave.evolve", "step"] * len(row_blocks(state.sample.psi))
+    assert calls.pop(("solwave.boost", "evaluate_potential"), 0) >= 2 * points
+    assert calls == {("solwave.evolve", "step"): 10,
+                     ("solwave.evolve", "measure_energy"): points,
+                     ("solwave.evolve", "measure_momentum"): points,
+                     ("solwave.evolve", "center_of_energy"): points}

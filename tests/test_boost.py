@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 import tracemalloc
@@ -16,7 +17,7 @@ from solwave.potential import evaluate_potential
 from solwave.radial import WaveInterpolant
 from solwave.stencil import row_blocks
 
-from conftest import AMP, KAPPA, ORACLE
+from conftest import AMP, KAPPA, ORACLE, full_grid, unfold
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +54,22 @@ class TestGridSpec:
             with pytest.raises(ValueError, match="positive even integers"):
                 GridSpec(n=1, extent=(4.0,), points=(N,))
         assert GridSpec(n=1, extent=(4.0,), points=(np.int64(8),)).spacing == (1.0,)
+
+    def test_mirrored_axes_store_the_upper_half(self):
+        g = GridSpec(n=3, extent=(4.0, 3.0, 2.0), points=(8, 10, 6),
+                     mirrored=(False, True, True))
+        assert g.shape == (8, 5, 3) and g.reflections == 4
+        assert g.spacing == full_grid(g).spacing
+        for x, full in zip(g.axes(), full_grid(g).axes()):
+            assert np.array_equal(x, full[full.size - x.size:])
+        assert GridSpec(n=2, extent=(4.0, 2.0), points=(8, 4)).mirrored == (False, False)
+
+    @pytest.mark.parametrize("mirrored", [(True, False), (False,), (False, True, False),
+                                          (False, "yes")])
+    def test_mirrored_validation(self, mirrored):
+        # axis 0 is never mirrored, and there is one bool per axis
+        with pytest.raises(ValueError, match="mirrored"):
+            GridSpec(n=2, extent=(4.0, 2.0), points=(8, 4), mirrored=mirrored)
 
     @pytest.mark.parametrize("L,N", [(31.15, 1246), (38.1, 1524), (9.3, 186)])
     def test_axes_are_point_symmetric(self, L, N):
@@ -135,8 +152,10 @@ class TestSampling:
 
 
 def reference_sample(wave, v, grid, t):
-    """(psi, psi_dot) from the full-array formula: every cell's phase is
-    exp(-i omega gamma (t - v.x)) and its vortex factor exp(i k atan2(y_1, y_0))."""
+    """(psi, psi_dot) from the full-array formula on every cell of the full
+    grid: each cell's phase is exp(-i omega gamma (t - v.x)) and its vortex
+    factor exp(i k atan2(y_1, y_0))."""
+    grid = full_grid(grid)
     v, speed, gamma = lorentz_boost(v, wave.n)
     mesh = np.meshgrid(*grid.axes(), indexing="ij", sparse=True)
     if speed > 0:
@@ -192,8 +211,9 @@ class TestBlockedSampler:
         grid = grid_for(wave, v, t, h)
         sample = sample_boosted(wave, v, grid, t=t)
         psi, psi_dot = reference_sample(wave, v, grid, t)
-        assert np.max(np.abs(sample.psi - psi)) <= 1e-13 * np.max(np.abs(psi))
-        assert np.max(np.abs(sample.psi_dot - psi_dot)) <= 1e-13 * np.max(np.abs(psi_dot))
+        assert np.max(np.abs(unfold(grid, sample.psi) - psi)) <= 1e-13 * np.max(np.abs(psi))
+        assert (np.max(np.abs(unfold(grid, sample.psi_dot) - psi_dot))
+                <= 1e-13 * np.max(np.abs(psi_dot)))
         blocks = row_blocks(sample.psi)
         if wave.n < 3:
             assert len(blocks) > 1
@@ -209,8 +229,9 @@ class TestBlockedSampler:
         grid = grid_for(wave, v, t, h)
         sample = sample_boosted(wave, v, grid, t=0.0)
         psi, psi_dot = reference_sample(wave, v, grid, 0.0)
-        assert np.max(np.abs(sample.psi - psi)) <= 1e-13 * np.max(np.abs(psi))
-        assert np.max(np.abs(sample.psi_dot - psi_dot)) <= 1e-13 * np.max(np.abs(psi_dot))
+        assert np.max(np.abs(unfold(grid, sample.psi) - psi)) <= 1e-13 * np.max(np.abs(psi))
+        assert (np.max(np.abs(unfold(grid, sample.psi_dot) - psi_dot))
+                <= 1e-13 * np.max(np.abs(psi_dot)))
 
     @pytest.mark.parametrize("name,v,t,share", [
         ("wave_2d", [0.6, 0.0], 0.0, 1 / 4),
@@ -340,19 +361,19 @@ class TestMeasurement:
         ("wave_3d", [0.0, 0.0, 0.5], 1.0, 0.8),
     ])
     def test_center_matches_full_array_formula(self, request, cubic, name, v, t, h):
-        # the density as one array from np.roll differences, and its weighted
-        # mean position on every axis; a Fortran-ordered copy of the fields
-        # gives the same center
+        # the density as one array from np.roll differences on the full
+        # grid, and its weighted mean position on every axis; a
+        # Fortran-ordered copy of the fields gives the same center
         wave = request.getfixturevalue(name)
         grid = grid_for(wave, v, t, h)
         sample = sample_boosted(wave, v, grid, t=t)
-        psi = sample.psi
-        density = 0.5 * np.abs(sample.psi_dot) ** 2 + evaluate_potential(cubic, psi)
+        psi = unfold(grid, sample.psi)
+        density = 0.5 * np.abs(unfold(grid, sample.psi_dot)) ** 2 + evaluate_potential(cubic, psi)
         for axis, hj in enumerate(grid.spacing):
             density += np.abs(np.roll(psi, -1, axis) - np.roll(psi, 1, axis)) ** 2 / (8 * hj**2)
-        mesh = np.meshgrid(*grid.axes(), indexing="ij", sparse=True)
+        mesh = np.meshgrid(*full_grid(grid).axes(), indexing="ij", sparse=True)
         ref = np.array([np.sum(density * x) for x in mesh]) / np.sum(density)
-        fortran = FieldSample(grid=grid, time=t, psi=np.asfortranarray(psi),
+        fortran = FieldSample(grid=grid, time=t, psi=np.asfortranarray(sample.psi),
                               psi_dot=np.asfortranarray(sample.psi_dot))
         for s in (sample, fortran):
             assert np.max(np.abs(center_of_energy(s, cubic) - ref)) <= 1e-12
@@ -365,6 +386,118 @@ class TestMeasurement:
             errors.append(abs(measure_energy(s, cubic) - ORACLE["e0"]))
         ratio = errors[0] / errors[1]
         assert 3.5 <= ratio <= 4.5
+
+
+class TestFieldSample:
+    """A sample's time is finite and its fields are complex arrays of the
+    grid's stored shape; anything else would measure or step garbage."""
+
+    def test_wrong_shape_rejected(self):
+        g = GridSpec(n=1, extent=(4.0,), points=(8,))
+        with pytest.raises(ValueError, match=r"psi must be a complex array of shape \(8,\)"):
+            FieldSample(grid=g, time=0.0, psi=np.ones(10, dtype=complex),
+                        psi_dot=np.ones(8, dtype=complex))
+
+    def test_real_field_rejected(self):
+        g = GridSpec(n=2, extent=(4.0, 2.0), points=(8, 4))
+        with pytest.raises(ValueError, match="psi_dot must be a complex array.*float64"):
+            FieldSample(grid=g, time=0.0, psi=np.ones((8, 4), dtype=complex),
+                        psi_dot=np.ones((8, 4)))
+
+    def test_full_shape_on_mirrored_grid_rejected(self):
+        g = GridSpec(n=2, extent=(4.0, 2.0), points=(8, 4), mirrored=(False, True))
+        with pytest.raises(ValueError, match=r"shape \(8, 2\)"):
+            FieldSample(grid=g, time=0.0, psi=np.ones((8, 4), dtype=complex),
+                        psi_dot=np.ones((8, 4), dtype=complex))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        g = GridSpec(n=1, extent=(4.0,), points=(8,))
+        with pytest.raises(ValueError, match="sample time must be finite"):
+            FieldSample(grid=g, time=t, psi=np.ones(8, dtype=complex),
+                        psi_dot=np.ones(8, dtype=complex))
+
+    def test_nan_time_file_rejected(self, tmp_path):
+        # such a file once loaded and evolved to diagnostic times nan, nan, ...
+        g = GridSpec(n=1, extent=(4.0,), points=(8,))
+        path = tmp_path / "nan_time.bin"
+        save_sample(FieldSample(grid=g, time=0.0, psi=np.ones(8, dtype=complex),
+                                psi_dot=np.ones(8, dtype=complex)), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, 24, math.nan)  # after n, N_1 and L_1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=r"nan_time\.bin.*sample time must be finite"):
+            load_sample(path)
+
+
+class TestSector:
+    """A k = 0 wave's field is even in every x_j, j >= 1, with v_j = 0, and
+    grid_for stores only the half x_j > 0 of such an axis.  The stored
+    cells hold the full grid's very bits."""
+
+    @pytest.mark.parametrize("name,v,mirrored", [
+        ("wave_1d", [0.6], (False,)),
+        ("wave_2d", [0.6, 0.0], (False, True)),
+        ("wave_2d", [0.0, 0.6], (False, False)),
+        ("wave_2d", [0.3, -0.4], (False, False)),
+        ("wave_k1", [0.6, 0.0], (False, False)),
+        ("wave_3d", [0.5, 0.0, 0.0], (False, True, True)),
+        ("wave_3d", [0.0, 0.5, 0.0], (False, False, True)),
+    ])
+    def test_grid_for_mirrors_the_even_axes(self, request, name, v, mirrored):
+        grid = grid_for(request.getfixturevalue(name), v, 1.0, 0.5)
+        assert grid.mirrored == mirrored
+
+    @pytest.mark.parametrize("t", [0.0, 1.3])
+    def test_3d_sample_is_the_full_grids_quarter(self, wave_3d, cubic, t):
+        v, h = [0.5, 0.0, 0.0], 0.5
+        grid = grid_for(wave_3d, v, t, h)
+        assert grid.mirrored == (False, True, True)
+        sector = sample_boosted(wave_3d, v, grid, t=t)
+        full = sample_boosted(wave_3d, v, full_grid(grid), t=t)
+        _, n1, n2 = grid.points
+        for got, want in ((sector.psi, full.psi), (sector.psi_dot, full.psi_dot)):
+            assert got.shape == grid.shape
+            assert np.array_equal(got, want[:, n1 // 2:, n2 // 2:])
+        e, e_full = measure_energy(sector, cubic), measure_energy(full, cubic)
+        assert abs(e - e_full) <= 1e-14 * e_full
+        p, p_full = measure_momentum(sector), measure_momentum(full)
+        assert abs(p[0] - p_full[0]) <= 1e-14 * abs(p_full[0])
+        assert p[1] == 0.0 and p[2] == 0.0 and not np.signbit(p[1:]).any()
+
+    def test_refuses_a_field_that_is_not_even(self, wave_2d, wave_k1):
+        grid = grid_for(wave_2d, [0.6, 0.0], 0.0, 0.25)
+        with pytest.raises(ValueError, match="not even"):
+            sample_boosted(wave_k1, [0.6, 0.0], grid)
+        with pytest.raises(ValueError, match="not even"):
+            sample_boosted(wave_2d, [0.6, 0.1], grid)
+
+    def test_grid_too_small_from_the_outer_face_only(self, wave_2d):
+        # the mirror plane x_1 = 0 carries the peak and is not a boundary;
+        # cropping c cells off the outer face of axis 1 samples up to the
+        # full grid's threshold crop and raises one cell beyond it
+        v, t, h = [0.6, 0.0], 0.7, 0.25
+        big = grid_for(wave_2d, v, t, h)
+        amp = np.abs(reference_sample(wave_2d, v, big, t)[0])
+        peak = amp.max()
+        n1 = big.points[1]
+
+        def boundary(c):
+            inner = amp[:, c:n1 - c]
+            return max(inner[[0, -1], :].max(), inner[:, [0, -1]].max())
+
+        c = 0
+        while boundary(c + 1) < BOUNDARY_DECAY * peak:
+            c += 1
+
+        def crop(c):
+            return GridSpec(n=2, extent=(big.extent[0], big.extent[1] - c * h),
+                            points=(big.points[0], n1 - 2 * c), mirrored=(False, True))
+
+        sample = sample_boosted(wave_2d, v, crop(c), t=t)
+        assert np.abs(sample.psi[:, 0]).max() > 0.5 * peak  # the mirror face
+        with pytest.raises(GridTooSmall):
+            sample_boosted(wave_2d, v, crop(c + 1), t=t)
 
 
 class TestBoostScan:
@@ -395,13 +528,16 @@ class TestBoostScan:
                                                       rel=1e-3)
 
     def test_transverse_momentum_vanishes(self, wave_2d, cubic):
+        # summed on the full grid; the mirrored grid sets it to 0.0
         rep = compute_functionals(wave_2d)
         g = grid_for(wave_2d, [0.0, 0.0], 0.0, 0.1)
-        rows = boost_scan(wave_2d, cubic, [[0.5, 0.0]], g, report=rep)
-        assert abs(rows[0].p_measured[1]) < 1e-6 * rep.e0
+        for grid in (g, full_grid(g)):
+            rows = boost_scan(wave_2d, cubic, [[0.5, 0.0]], grid, report=rep)
+            assert abs(rows[0].p_measured[1]) < 1e-6 * rep.e0
 
     def test_rotation_equivariance(self, wave_2d, cubic):
-        g = grid_for(wave_2d, [0.0, 0.0], 0.0, 0.1)
+        # the rotated boost has v_1 != 0, so it needs the full grid
+        g = full_grid(grid_for(wave_2d, [0.0, 0.0], 0.0, 0.1))
         beta = 0.37
         v0 = np.array([0.5, 0.0])
         rot = np.array([[np.cos(beta), -np.sin(beta)], [np.sin(beta), np.cos(beta)]])
@@ -542,6 +678,42 @@ class TestBinaryFormat:
         np.testing.assert_array_equal(back.psi, sample.psi)
         np.testing.assert_array_equal(back.psi_dot, sample.psi_dot)
         assert back.psi.flags.writeable and back.psi_dot.flags.writeable
+
+    @pytest.mark.parametrize("name,v,h", [("wave_2d", [0.3, 0.0], 0.2),
+                                          ("wave_3d", [0.5, 0.0, 0.0], 0.8)])
+    def test_mirrored_roundtrip(self, request, name, v, h, tmp_path):
+        wave = request.getfixturevalue(name)
+        g = grid_for(wave, v, 0.0, h)
+        assert any(g.mirrored)
+        sample = sample_boosted(wave, v, g, t=0.5)
+        path = tmp_path / "sector.bin"
+        save_sample(sample, path)
+        raw = path.read_bytes()
+        # a mirrored axis is marked by -N_j, and only the stored cells follow
+        assert struct.unpack_from(f"<{g.n}q", raw, 8) == tuple(
+            -N if m else N for N, m in zip(g.points, g.mirrored))
+        assert len(raw) == 8 * (2 + 2 * g.n) + 32 * math.prod(g.shape)
+        back = load_sample(path)
+        assert back.grid == g
+        assert back.time == sample.time
+        np.testing.assert_array_equal(back.psi, sample.psi)
+        np.testing.assert_array_equal(back.psi_dot, sample.psi_dot)
+
+    def test_full_grid_file_is_unchanged(self, tmp_path):
+        # the bytes a full grid's sample had before mirrored axes existed
+        g = GridSpec(n=2, extent=(4.0, 3.0), points=(8, 6))
+        psi = (np.arange(48) + 0.5j * np.arange(48)[::-1]).reshape(8, 6)
+        path = tmp_path / "full.bin"
+        save_sample(FieldSample(grid=g, time=0.25, psi=psi, psi_dot=-0.25j * psi), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "8bc591a0e1b1053e9adcde647b447b8c7f629ffe0bc102be981d2100aad79503")
+
+    def test_mirrored_axis_0_rejected(self, tmp_path):
+        path = tmp_path / "axis0.bin"
+        header = struct.pack("<qqqddd", 2, -8, 4, 4.0, 2.0, 0.0)
+        path.write_bytes(header + bytes(2 * 16 * 4 * 4))
+        with pytest.raises(ValueError, match=r"axis0\.bin.*axis 0 may not be mirrored"):
+            load_sample(path)
 
     def test_truncated_file_rejected(self, wave_1d, tmp_path):
         g = GridSpec(n=1, extent=(50.0,), points=(2000,))

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import solwave.cli
@@ -227,6 +228,22 @@ class TestExitCodes:
         assert main(["boost-scan", "--config", str(cfg)]) == 0
         assert main(["evolve", "--config", str(cfg)]) == 1
         assert "physical memory" in capsys.readouterr().err
+
+    def test_grid_budget_counts_stored_cells(self, monkeypatch, wave_2d):
+        # a memory between the sector's five fields and the full grid's: the
+        # mirrored grid_for grid fits, the same grid given in full does not
+        from solwave.boost import grid_for
+        cfg = normalize_config({"potential": CUBIC_POT, "n": 2, "grid": {"h": 0.2}})
+        grid = grid_for(wave_2d, [0.5, 0.0], 2.0, 0.2)
+        assert grid.mirrored == (False, True)
+        memory = 5 * 16 * (np.prod(grid.shape) + np.prod(grid.points)) // 2
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": int(memory)}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        assert solwave.cli._grid_from_config(cfg, wave_2d, 0.5, 2.0, fields=5) == grid
+        full = {"extent": list(grid.extent), "points": list(grid.points)}
+        with pytest.raises(solwave.cli.ConfigError, match="physical memory"):
+            solwave.cli._grid_from_config(normalize_config({**cfg, "grid": full}), wave_2d,
+                                          0.5, 2.0, fields=5)
 
     def test_evolve_3d_is_config_error(self, tmp_path, capsys, monkeypatch):
         # rejected before the solve: the leapfrog scheme has no 3D grid

@@ -9,6 +9,8 @@ A periodic plane wave exp(i k.x) is an eigenfunction of both stencils:
 The grids have unequal spacings and a row count that is not a multiple of
 the block rows, so every case crosses both wrap rows and a ragged last
 block.  Each output starts as NaN, so a row a stencil leaves unwritten fails.
+A mirrored axis is checked against np.pad's "symmetric" mode, which repeats
+each end cell as its outside neighbour.
 """
 
 import numpy as np
@@ -97,3 +99,28 @@ def test_out_must_be_a_contiguous_block():
     out = np.empty((6, 8), dtype=complex).T
     with pytest.raises(ValueError):
         neighbour_sum(psi, 1, slice(0, 8), out=out)
+
+
+# shape, mirrored axis; the row ranges start at 0, lie inside and end at N
+MIRROR_CASES = [((40, 12), 1), ((40, 12), 0), ((20, 7, 9), 1), ((20, 7, 9), 2)]
+
+
+@pytest.mark.parametrize("shape,axis", MIRROR_CASES)
+@pytest.mark.parametrize("stencil,op", [(neighbour_sum, np.add),
+                                        (neighbour_difference, np.subtract)],
+                         ids=["sum", "difference"])
+def test_mirrored_axis_matches_symmetric_padding(shape, axis, stencil, op):
+    # a mirrored axis holds the upper half of an even field: each end cell
+    # is its own outside neighbour, as np.pad's "symmetric" mode repeats it
+    rng = np.random.default_rng(7)
+    psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    pad = [(1, 1) if j == axis else (0, 0) for j in range(psi.ndim)]
+    padded = np.pad(psi, pad, mode="symmetric")
+    n = shape[axis]
+    want = op(np.take(padded, range(2, n + 2), axis), np.take(padded, range(n), axis))
+    for rows in (slice(0, 7), slice(5, 16), slice(13, shape[0])):
+        out = stencil(psi, axis, rows, out=np.full_like(psi[rows], np.nan), mirrored=True)
+        np.testing.assert_array_equal(out, want[rows])
+    # the periodic stencil reads the far end instead, so it differs at the ends
+    periodic = blocked(psi, lambda rows, out: stencil(psi, axis, rows, out=out))
+    assert not np.array_equal(periodic, want)
