@@ -60,7 +60,7 @@ import functools
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -199,7 +199,8 @@ def grid_for(wave: SolitaryWave, v, t_max: float, h: float) -> GridSpec:
 
     For a k = 0 wave every axis j >= 1 with v_j = 0 is mirrored: r is even
     in x_j there at any t, so the field is too, and the grid stores only the
-    half x_j > 0 (see GridSpec).  Raises ValueError unless h and t_max are
+    half x_j > 0 (see GridSpec).  The flags follow this sizing v; boost_scan
+    clears them per velocity.  Raises ValueError unless h and t_max are
     finite and h > 0."""
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"grid spacing must be finite and positive, got {h}")
@@ -459,13 +460,16 @@ def boost_scan(wave: SolitaryWave, spec: PotentialSpec, velocities,
     particle-like prediction gamma E_0 (1, v) from the wave's report.
 
     Rows are sorted by |v|.  rel_err_p is normalized by |P_pred| when nonzero,
-    else by E_pred (the v = 0 row).
+    else by E_pred (the v = 0 row).  A velocity is sampled with every
+    mirrored axis j where v_j != 0 in full, as the field is not even there.
     """
     boosts = sorted((lorentz_boost(v, wave.n) for v in velocities), key=lambda b: b[1])
 
     def one(v):
+        mirrored = tuple(m and not vj for m, vj in zip(grid.mirrored, v))
+        on_grid = grid if mirrored == grid.mirrored else replace(grid, mirrored=mirrored)
         try:
-            sample = sample_boosted(wave, v, grid, t=0.0)
+            sample = sample_boosted(wave, v, on_grid, t=0.0)
         except GridTooSmall as exc:
             raise GridTooSmall(f"at v={v.tolist()}: {exc}") from exc
         e_m = measure_energy(sample, spec)

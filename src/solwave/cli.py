@@ -387,8 +387,6 @@ def main(argv=None) -> int:
         if args.command == "demo":
             cfg = DEMO_CONFIG | {"output_dir": cfg.get("output_dir", "solwave_out")}
         cfg = normalize_config(cfg)
-        if args.command == "evolve" and cfg["n"] == 3:
-            raise ConfigError("evolve supports n = 1 and n = 2 only, got n = 3")
         spec = build_potential(cfg)
         os.makedirs(cfg["output_dir"], exist_ok=True)
     except (ConfigError, OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

@@ -1,5 +1,5 @@
 """Leapfrog time evolution of the field equation on a periodic grid, or on
-the stored half of a mirrored one.
+the stored cells of a mirrored one, in n = 1, 2 and 3 alike.
 
 The second-order update psi^{m+1} = 2 psi^m - psi^{m-1} + dt^2 (Lap_h psi^m
 + f(psi^m)), with the standard 2nd-order Laplacian stencil under periodic
@@ -10,18 +10,20 @@ wrap, is written around one kernel
 
 where N_j is solwave.stencil's neighbour sum along axis j, mirrored on the
 grid's mirrored axes.  The equation is invariant under x_j -> -x_j, so a
-field even in x_j stays even, and stepping the stored half with mirrored
+field even in x_j stays even, and stepping the stored cells with mirrored
 ends gives the full grid's values on those cells bit for bit.  A step is
 psi^{m+1} = K(psi^m) - psi^{m-1}, and the first step is the Taylor bootstrap
 psi^1 = dt psi_dot^0 + K(psi^0)/2.  The time derivative is reconstructed
 centrally as (psi^{m+1} - psi^{m-1})/(2 dt), so each state carries a
 consistent (psi, psi_dot) pair at its own time at the cost of one kernel
-evaluation per step.  A step is one blocked pass over the rows of the grid:
-each block's kernel, update and psi_dot are finished while its temporaries
-are still in cache, and in steady state the new levels are written over the
-arrays of the state being stepped (see step).  Blow-up is reported
-(NonFinite), not prevented: focusing nonlinearities can and should fail
-loudly for non-soliton data.
+evaluation per step.  The linearised step is stable while
+dt^2 (sum_j 1/h_j^2 + m^2/4) <= 1; dt <= 0.5 min h_j (CFL_NUMBER) keeps
+dt^2 sum_j 1/h_j^2 <= n/4 < 1 for n <= 3.  A step is one blocked pass over
+the rows of the grid: each block's kernel, update and psi_dot are finished
+while its temporaries are still in cache, and in steady state the new levels
+are written over the arrays of the state being stepped (see step).  Blow-up
+is reported (NonFinite), not prevented: focusing nonlinearities can and
+should fail loudly for non-soliton data.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ CFL_NUMBER = 0.5
 
 
 class CflViolation(ValueError):
-    """Time step exceeds the stability bound CFL * min h_j."""
+    """Time step exceeds the stability bound CFL * min h_j: dt <= 0.5 min h_j
+    keeps dt^2 sum_j 1/h_j^2 <= n/4 < 1 for n <= 3."""
 
 
 class NonFinite(RuntimeError):
@@ -82,11 +85,8 @@ class EvolutionState:
     the centered psi_dot reconstruction costs nothing extra.  diagnostics and
     snapshots (the file names evolve wrote) carry over from step to step.
 
-    Ownership: the arrays of a state made by step (sample.psi,
-    sample.psi_dot and _psi_next) belong to the stepping.  Stepping it
-    consumes them, as the next state's arrays, so read or copy its sample
-    before the next step; after NonFinite the stepped state is invalid.  A
-    state built by the caller (no _psi_next) is never written.
+    Stepping a state made by step consumes its arrays (see step); a state
+    built by the caller (no _psi_next) is never written.
     """
 
     sample: FieldSample
@@ -96,9 +96,7 @@ class EvolutionState:
 
 
 def _check_step(grid, dt: float) -> None:
-    """Reject a grid or time step the leapfrog scheme cannot advance."""
-    if grid.n > 2:
-        raise ValueError("time evolution supports n = 1 and n = 2 only")
+    """Reject a time step the leapfrog scheme cannot advance on grid."""
     if not dt > 0:  # NaN too
         raise ValueError(f"need dt > 0, got {dt}")
     h_min = min(grid.spacing)

@@ -10,6 +10,10 @@ KAPPA = 0.6
 AMP = np.sqrt(0.72)
 ORACLE = {"i0": 1.2, "i1": 0.144, "v0": 0.912, "e0": 1.824}
 
+# cubic-quintic: U(a) = a^2/2 - a^4/4 + 0.1 a^6/6, whose n = 3 ground state
+# at omega = 0.7 is stable (dQ/domega < 0)
+CQ = PotentialSpec(mass_sq=1.0, terms=((1.0, 4), (-0.1, 6)), amplitude_cap=10.0)
+
 
 @pytest.fixture(scope="session")
 def cubic():

@@ -25,7 +25,7 @@ def test_rebind_points_resolve(monkeypatch):
     assert missing == []
 
 
-def test_traced_call_points_are_called(monkeypatch, cubic, wave_1d, wave_2d):
+def test_traced_call_points_are_called(monkeypatch, cubic, wave_1d, wave_2d, wave_3d):
     # the traced run times the step and the diagnostics by wrapping these
     # module attributes; a refactor that stopped calling them through the
     # module would read 0 for evolve.step_s, evolve.diag_s or, for the
@@ -88,6 +88,22 @@ def test_traced_call_points_are_called(monkeypatch, cubic, wave_1d, wave_2d):
     assert force_calls >= calls["solwave.evolve", "step"] * len(row_blocks(state.sample.psi))
     assert calls.pop(("solwave.boost", "evaluate_potential"), 0) >= 2 * points
     assert calls == {("solwave.evolve", "step"): 10,
+                     ("solwave.evolve", "measure_energy"): points,
+                     ("solwave.evolve", "measure_momentum"): points,
+                     ("solwave.evolve", "center_of_energy"): points}
+
+    # and so does a 3D flight on a sector grid, mirrored on axes 1 and 2
+    calls.clear()
+    grid = grid_for(wave_3d, [0.5, 0.0, 0.0], 0.5, 0.5)
+    assert grid.mirrored == (False, True, True)
+    state = evolve_mod.evolve(sample_boosted(wave_3d, [0.5, 0.0, 0.0], grid), cubic, 0.5,
+                              0.1, diag_stride=2)
+    points = len(state.diagnostics)
+    assert points == 4  # steps 0, 2, 4 and the last, 5
+    force_calls = calls.pop(("solwave.evolve", "evaluate_force"), 0)
+    assert force_calls >= calls["solwave.evolve", "step"] * len(row_blocks(state.sample.psi))
+    assert calls.pop(("solwave.boost", "evaluate_potential"), 0) >= 2 * points
+    assert calls == {("solwave.evolve", "step"): 5,
                      ("solwave.evolve", "measure_energy"): points,
                      ("solwave.evolve", "measure_momentum"): points,
                      ("solwave.evolve", "center_of_energy"): points}

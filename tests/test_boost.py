@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import solwave.boost
 from solwave.boost import (BOUNDARY_DECAY, FieldSample, GridSpec, GridTooSmall,
                            boost_scan, center_of_energy, grid_for, load_sample,
                            measure_energy, measure_momentum, sample_boosted,
@@ -534,6 +535,31 @@ class TestBoostScan:
         for grid in (g, full_grid(g)):
             rows = boost_scan(wave_2d, cubic, [[0.5, 0.0]], grid, report=rep)
             assert abs(rows[0].p_measured[1]) < 1e-6 * rep.e0
+
+    def test_velocity_off_a_mirrored_axis_is_sampled_in_full(self, monkeypatch, wave_2d,
+                                                             cubic):
+        # grid_for's flags follow its sizing v = 0; the scan samples v_1 != 0
+        # with axis 1 in full, and an axis-0 velocity on the very grid given
+        rep = compute_functionals(wave_2d)
+        g = grid_for(wave_2d, [0.0, 0.0], 0.0, 0.2)
+        assert g.mirrored == (False, True)
+        velocities = [[0.0, 0.5], [0.5, 0.0]]
+        grids = []
+
+        def sample(wave, v, grid, t):
+            grids.append(grid)
+            return sample_boosted(wave, v, grid, t)
+        monkeypatch.setattr(solwave.boost, "sample_boosted", sample)
+        rows = boost_scan(wave_2d, cubic, velocities, g, report=rep)
+        assert grids[0] == full_grid(g) and grids[1] is g
+        full = boost_scan(wave_2d, cubic, velocities, full_grid(g), report=rep)
+        assert rows[0].e_measured == full[0].e_measured
+        assert np.array_equal(rows[0].p_measured, full[0].p_measured)
+        assert abs(rows[1].e_measured - full[1].e_measured) <= 1e-14 * full[1].e_measured
+        # the grid is square, so the two boosts are one boost turned by 90 degrees
+        assert g.points[0] == g.points[1]
+        assert rows[0].e_measured == pytest.approx(rows[1].e_measured, rel=1e-13)
+        assert rows[0].p_measured[1] == pytest.approx(rows[1].p_measured[0], rel=1e-13)
 
     def test_rotation_equivariance(self, wave_2d, cubic):
         # the rotated boost has v_1 != 0, so it needs the full grid

@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import solwave.cli
 from solwave.cli import main, normalize_config
+
+from conftest import CQ
 
 CUBIC_POT = {"mass_sq": 1.0, "terms": [{"coupling": 1.0, "exponent": 4}]}
 BASE = {"potential": CUBIC_POT, "omega": 0.8, "n": 1, "k": 0, "output_dir": "out"}
@@ -245,17 +248,20 @@ class TestExitCodes:
             solwave.cli._grid_from_config(normalize_config({**cfg, "grid": full}), wave_2d,
                                           0.5, 2.0, fields=5)
 
-    def test_evolve_3d_is_config_error(self, tmp_path, capsys, monkeypatch):
-        # rejected before the solve: the leapfrog scheme has no 3D grid
-        solves = []
-        monkeypatch.setattr(solwave.cli, "find_ground_state",
-                            lambda *args: solves.append(args))
-        cfg = _write_config(tmp_path)
-        assert main(["evolve", "--config", str(cfg),
-                     "--set", "n=3", "--set", "grid.h=1.0"]) == 1
-        assert "config error" in capsys.readouterr().err
-        assert solves == []
-        assert not (tmp_path / "out").exists()
+    def test_evolve_3d(self, tmp_path, capsys):
+        # the stable cubic-quintic wave of the paper's dimension, on a sector grid
+        pot = {"mass_sq": CQ.mass_sq,
+               "terms": [{"coupling": c, "exponent": p} for c, p in CQ.terms]}
+        cfg = _write_config(tmp_path, potential=pot, omega=0.7, n=3, velocities=[0.6],
+                            grid={"h": 0.5},
+                            evolve={"t_final": 1.0, "dt": 0.2, "diag_stride": 1})
+        start = time.perf_counter()
+        assert main(["evolve", "--config", str(cfg)]) == 0
+        assert time.perf_counter() - start < 2.0
+        assert "fitted speed" in capsys.readouterr().out
+        lines = (tmp_path / "out" / "evolution.csv").read_text().splitlines()
+        assert lines[0].split(",") == ["time", "E", "P1", "P2", "P3", "X1", "X2", "X3"]
+        assert len(lines) == 7  # t = 0, 0.2, ..., 1
 
     def test_evolve_cfl_violation(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, velocities=[0.0], grid={"h": 0.1},

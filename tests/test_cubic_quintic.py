@@ -10,10 +10,11 @@ import pytest
 
 from solwave.boost import boost_scan, grid_for
 from solwave.functionals import compute_functionals
-from solwave.potential import PotentialSpec, check_conditions, expected_amplitude
+from solwave.potential import check_conditions, expected_amplitude
 from solwave.radial import equation_residual, find_ground_state, fit_tail_decay
 
-CQ = PotentialSpec(mass_sq=1.0, terms=((1.0, 4), (-0.1, 6)), amplitude_cap=10.0)
+from conftest import CQ
+
 OMEGA = 0.8
 
 

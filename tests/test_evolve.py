@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from solwave.boost import FieldSample, GridSpec, ZeroField, grid_for, sample_boosted
-from solwave.evolve import (CflViolation, EvolutionState, NonFinite,
+from solwave.evolve import (CFL_NUMBER, CflViolation, EvolutionState, NonFinite,
                             center_of_energy, diagnostics_to_csv, evolve, step,
                             step_count)
 from solwave.potential import PotentialSpec, force_slope
+from solwave.radial import find_ground_state
 from solwave.stencil import row_blocks
 
-from conftest import full_grid, unfold
+from conftest import CQ, full_grid, unfold
 
 
 def _zero_sample(grid):
@@ -60,13 +61,18 @@ class TestStep:
         state = step(state, cubic, 0.02)
         assert state.sample.time == pytest.approx(0.02)
 
-    def test_three_dimensions_rejected(self, cubic):
-        g3 = GridSpec(n=3, extent=(5.0, 5.0, 5.0), points=(16, 16, 16))
-        state = EvolutionState(FieldSample(
-            grid=g3, time=0.0, psi=np.zeros(g3.points, dtype=complex),
-            psi_dot=np.zeros(g3.points, dtype=complex)))
-        with pytest.raises(ValueError):
-            step(state, cubic, 0.01)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_largest_admitted_step_is_stable(self, cubic, n):
+        # dt = CFL_NUMBER h keeps dt^2 sum_j 1/h_j^2 <= n/4 < 1 up to n = 3:
+        # a small Gaussian rings linearly and stays bounded
+        g = GridSpec(n=n, extent=(6.0,) * n, points=(24,) * n)
+        r2 = sum(x**2 for x in np.meshgrid(*g.axes(), indexing="ij", sparse=True))
+        psi = (0.1 * np.exp(-r2)).astype(complex)
+        state = EvolutionState(FieldSample(grid=g, time=0.0, psi=psi,
+                                           psi_dot=np.zeros_like(psi)))
+        for _ in range(200):
+            state = step(state, cubic, CFL_NUMBER * g.spacing[0])
+        assert np.abs(state.sample.psi).max() < 0.1
 
     def test_blowup_detected(self, cubic, small_grid):
         x = small_grid.axes()[0]
@@ -127,28 +133,38 @@ class TestBlockedStep:
 
 
 class TestSectorFlight:
-    def test_matches_the_full_grid(self, cubic, wave_2d):
-        # the field of a k = 0 wave boosted along axis 0 stays even in x_1:
-        # stepping the stored half with mirrored ends gives the full run's
-        # upper half bit for bit, and the diagnostics agree to rounding
-        v, dt, n_steps = [0.6, 0.0], 0.04, 20
-        g = grid_for(wave_2d, v, dt * n_steps, 0.2)
-        assert g.mirrored == (False, True)
-        runs = [evolve(sample_boosted(wave_2d, v, grid), cubic, dt * n_steps, dt, 5)
+    """The field of a k = 0 wave boosted along axis 0 stays even in every
+    x_j, j >= 1: stepping the stored cells with mirrored ends gives the full
+    run's stored cells bit for bit, and the diagnostics agree to rounding."""
+
+    @staticmethod
+    def _check(wave, spec, v, h, dt, n_steps, stride):
+        g = grid_for(wave, v, dt * n_steps, h)
+        assert g.mirrored == (False,) + (True,) * (g.n - 1)
+        runs = [evolve(sample_boosted(wave, v, grid), spec, dt * n_steps, dt, stride)
                 for grid in (g, full_grid(g))]
         sector, full = (run.sample for run in runs)
-        half = g.points[1] // 2
-        assert np.array_equal(sector.psi, full.psi[:, half:])
-        assert np.array_equal(sector.psi_dot, full.psi_dot[:, half:])
+        stored = (slice(None),) + tuple(slice(N // 2, None) for N in g.points[1:])
+        assert np.array_equal(sector.psi, full.psi[stored])
+        assert np.array_equal(sector.psi_dot, full.psi_dot[stored])
         points = list(zip(*(run.diagnostics for run in runs)))
-        assert len(points) == 5
+        assert len(points) == n_steps // stride + 1
         for point, ref in points:
             assert point.time == ref.time
             assert abs(point.energy - ref.energy) <= 1e-14 * ref.energy
             assert abs(point.momentum[0] - ref.momentum[0]) <= 1e-14 * ref.momentum[0]
             # the centre starts at the origin, so it is compared in length units
             assert abs(point.center_of_energy[0] - ref.center_of_energy[0]) <= 1e-14
-            assert point.momentum[1] == 0.0 and point.center_of_energy[1] == 0.0
+            assert np.all(point.momentum[1:] == 0.0)
+            assert np.all(point.center_of_energy[1:] == 0.0)
+
+    def test_matches_the_full_grid(self, cubic, wave_2d):
+        self._check(wave_2d, cubic, [0.6, 0.0], h=0.2, dt=0.04, n_steps=20, stride=5)
+
+    def test_3d_matches_the_full_grid(self):
+        # the stable cubic-quintic wave of the paper's dimension
+        wave = find_ground_state(CQ, 0.7, 3)
+        self._check(wave, CQ, [0.6, 0.0, 0.0], h=0.4, dt=0.2, n_steps=5, stride=1)
 
 
 class TestOwnership:

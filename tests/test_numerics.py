@@ -13,11 +13,8 @@ from scipy.integrate import DOP853, DenseOutput, OdeSolution
 
 from solwave import radial
 from solwave.numerics import brentq, simpson
-from solwave.potential import PotentialSpec
 
-from conftest import AMP
-
-CQ = PotentialSpec(mass_sq=1.0, terms=((1.0, 4), (-0.1, 6)), amplitude_cap=10.0)
+from conftest import AMP, CQ
 
 
 def _full(rows, width):
