@@ -14,10 +14,11 @@ never by numerical time differencing.
 
 A grid may mirror an axis j >= 1 (GridSpec.mirrored): it then stores only
 the cells x_j > 0 of a field that is even in x_j, and the mirror plane
-x_j = 0 lies on a cell face.  grid_for mirrors every axis j >= 1 with
-v_j = 0 of a k = 0 wave: there y_j = x_j at any t, so r, and the field, are
-even in x_j.  An axis-0 boost of a radial wave, the only kind the command
-line makes, so stores, steps and sums 1/2^(n-1) of the grid.
+x_j = 0 lies on a cell face.  The field is even in every x_j, j >= 1, with
+v_j = 0 of a k = 0 wave, as y_j = x_j there at any t; grid_for mirrors
+those axes, and sample_boosted samples any other mirrored axis in full.  An
+axis-0 boost of a radial wave, the only kind the command line makes, so
+stores, steps and sums 1/2^(n-1) of the grid.
 
 Sampling writes psi and psi_dot one row block of solwave.stencil at a time,
 and they are the only full-size arrays it allocates.  Within a block the
@@ -28,9 +29,9 @@ radial.WaveInterpolant call on the block's r.  At t = 0, y(-x) = -y(x): R
 and R' are even, the psi_dot terms in y/r odd and e^{i k phi} picks up
 (-1)^k, so each block of axis 0's first half also writes its mirror (every
 axis that is not mirrored reversed), and the radial part runs on half the
-stored cells.  On a full grid's axes j >= 1 with v_j = 0 (those of a vortex,
-or of a grid given in full) the blocks walk the axis's first half as well
-and fill the other by reflection.  R, R' and the (v.y)/r term are even under
+stored cells.  On every axis j >= 1 with v_j = 0 the blocks walk the upper
+half x_j > 0, and an axis stored in full (a vortex's, or a grid's given in
+full) gets the rest by reflection.  R, R' and the (v.y)/r term are even under
 it; on axis 1 of a vortex, e^{i k phi} and the k (v_1 y_0 - v_0 y_1)/r^2
 term are conjugated.  An axis-0 boost thus runs the radial part on 1/2^n of
 the full grid at t = 0 and on 1/2^(n-1) at any other t, mirrored or not.
@@ -164,8 +165,8 @@ class GridSpec:
 @dataclass(frozen=True)
 class FieldSample:
     """(psi, psi_dot) at one time on a grid's stored cells.  Raises
-    ValueError unless time is finite and psi and psi_dot are complex arrays
-    of shape grid.shape."""
+    ValueError unless time is finite and psi and psi_dot are complex128
+    arrays of shape grid.shape: the grid sums view each as float64 pairs."""
 
     grid: GridSpec
     time: float
@@ -177,11 +178,12 @@ class FieldSample:
             raise ValueError(f"sample time must be finite, got {self.time}")
         shape = self.grid.shape
         for name, field in (("psi", self.psi), ("psi_dot", self.psi_dot)):
-            if not (isinstance(field, np.ndarray) and field.dtype.kind == "c"
+            if not (isinstance(field, np.ndarray) and field.dtype == np.complex128
                     and field.shape == shape):
                 got = (f"{field.dtype} array of shape {field.shape}"
                        if isinstance(field, np.ndarray) else type(field).__name__)
-                raise ValueError(f"{name} must be a complex array of shape {shape}, got a {got}")
+                raise ValueError(f"{name} must be a complex array of shape {shape} "
+                                 f"(complex128), got a {got}")
 
 
 def grid_for(wave: SolitaryWave, v, t_max: float, h: float) -> GridSpec:
@@ -199,9 +201,10 @@ def grid_for(wave: SolitaryWave, v, t_max: float, h: float) -> GridSpec:
 
     For a k = 0 wave every axis j >= 1 with v_j = 0 is mirrored: r is even
     in x_j there at any t, so the field is too, and the grid stores only the
-    half x_j > 0 (see GridSpec).  The flags follow this sizing v; boost_scan
-    clears them per velocity.  Raises ValueError unless h and t_max are
-    finite and h > 0."""
+    half x_j > 0 (see GridSpec).  The flags follow this sizing v;
+    sample_boosted samples a mirrored axis in full for any other v that is
+    not even there.  Raises ValueError unless h and t_max are finite and
+    h > 0."""
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"grid spacing must be finite and positive, got {h}")
     if not math.isfinite(t_max):
@@ -239,23 +242,22 @@ def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> Fie
     psi_dot = -gamma (dR (v.y)/r + i k R (v_1 y_0 - v_0 y_1)/r^2 + i omega R) * u,
     u = e^{i k phi} * phase.  The phase is the constant e^{-i omega gamma t}
     times one 1D factor e^{i omega gamma v_j x_j} per axis, and
-    e^{i k phi} = ((y_0 + i y_1)/r)^k.  A mirrored axis of the grid is
-    walked over its stored cells only, the half x_j > 0.  At t = 0 each
-    block of axis 0's first half also fills its mirror, the cells
-    N_j - 1 - i_j on every axis that is not mirrored, with the y/r terms
-    negated and e^{i k phi} times (-1)^k; a mirrored axis needs no flip, as
-    the field is even in it.  On every other axis j >= 1 with v_j = 0 the
-    blocks compute the first half only and reflect it onto the cells
-    N_j - 1 - i_j: R, R' and (v.y)/r are even in x_j there, and on axis 1
-    a vortex's e^{i k phi} and k (v_1 y_0 - v_0 y_1)/r^2 are conjugated.
-    GridSpec.axes mirrors exactly, so the reflected cells get the very bits
-    that direct evaluation gives them.
+    e^{i k phi} = ((y_0 + i y_1)/r)^k.  On each axis j >= 1 with v_j = 0
+    the blocks walk the upper half x_j > 0: R, R' and (v.y)/r are even in
+    x_j there, and on axis 1 a vortex's e^{i k phi} and
+    k (v_1 y_0 - v_0 y_1)/r^2 are conjugated.  Such an axis that the grid
+    mirrors stays a sector, storing that half, when k = 0; every other axis
+    is stored in full (on the grid given, or its copy with those flags
+    cleared), and an even one gets the half's reflection onto the cells
+    N_j - 1 - i_j.  At t = 0 each block of axis 0's first half also fills
+    its mirror, the cells N_j - 1 - i_j on every axis that is not mirrored,
+    with the y/r terms negated and e^{i k phi} times (-1)^k.  GridSpec.axes
+    mirrors exactly, so the reflected cells get the very bits that direct
+    evaluation gives them.
 
     Raises GridTooSmall when the boundary cells carry more than 1e-8 of the
     peak amplitude, max |R| (the mirror plane of a mirrored axis is not a
-    boundary), and ValueError when t is not finite, or when the grid
-    mirrors an axis and k != 0 or v_j != 0 on it, since that field is not
-    even.
+    boundary), and ValueError when t is not finite.
     """
     if not math.isfinite(t):
         raise ValueError(f"sample time must be finite, got {t}")
@@ -263,17 +265,15 @@ def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> Fie
         raise ValueError(f"wave dimension {wave.n} != grid dimension {grid.n}")
     v, speed, gamma = lorentz_boost(v, wave.n)
     omega, k = wave.omega, wave.k
-    mirrored_axes = [j for j in range(grid.n) if grid.mirrored[j]]
-    if mirrored_axes and (k or any(v[j] for j in mirrored_axes)):
-        raise ValueError(f"a field with k = {k} and v = {v.tolist()} is not even on the "
-                         f"mirrored axes {mirrored_axes}; sample it on a full grid")
-    # on a full grid's axis j >= 1 with v_j = 0, y_j = x_j at any t, so r is
-    # even in x_j and the blocks walk the axis's first half
-    halves = [j for j in range(1, grid.n) if not v[j] and j not in mirrored_axes]
-    cols = tuple(slice(N // 2) if j in halves else slice(None)
-                 for j, N in enumerate(grid.shape[1:], 1))
-    mesh = np.meshgrid(*(x[:x.size // 2] if j in halves else x
-                         for j, x in enumerate(grid.axes())), indexing="ij", sparse=True)
+    # y_j = x_j at any t on the even axes, so the blocks walk x_j > 0 there;
+    # the field is even there only for k = 0, else the axis is stored in full
+    even = [j for j in range(1, grid.n) if not v[j]]
+    mirrored = tuple(m and not k and j in even for j, m in enumerate(grid.mirrored))
+    grid = grid if mirrored == grid.mirrored else replace(grid, mirrored=mirrored)
+    cols = tuple(slice(-(N // 2), None) if j in even else slice(None)
+                 for j, N in enumerate(grid.points[1:], 1))
+    mesh = np.meshgrid(*(x[c] for x, c in zip(grid.axes(), (slice(None), *cols))),
+                       indexing="ij", sparse=True)
     e = v / speed if speed > 0 else v
     # the constant folds into axis 0's factor; a factor with v_j = 0 is 1
     factors = [np.exp(1j * omega * gamma * vj * m) for vj, m in zip(v, mesh)]
@@ -288,15 +288,16 @@ def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> Fie
     # mirrored, (-1)^k in their factors
     targets = [(psi, psi_dot, factors, 1.0, False)]
     if t == 0:
-        flips = tuple(j for j in range(grid.n) if j not in mirrored_axes)
+        flips = tuple(j for j in range(grid.n) if not grid.mirrored[j])
         mirror = [np.flip(f, flips) for f in factors]
         mirror[0] = mirror[0] * (-1.0) ** k
         targets.append((np.flip(psi, flips), np.flip(psi_dot, flips), mirror, -1.0, False))
-    # each halved axis doubles the targets: its flip keeps R, R', (v.y)/r and
-    # the phase factors, and on axis 1 conjugates a vortex's e^{ik phi} and odd
-    for j in halves:
-        targets += [(np.flip(f, j), np.flip(fd, j), fs, sign, conj or (j == 1 and k > 0))
-                    for f, fd, fs, sign, conj in targets]
+    # each even axis stored in full doubles the targets: its flip keeps the
+    # phase factors, and on axis 1 conjugates a vortex's e^{ik phi} and odd
+    for j in even:
+        if not grid.mirrored[j]:
+            targets += [(np.flip(f, j), np.flip(fd, j), fs, sign, conj or (j == 1 and k > 0))
+                        for f, fd, fs, sign, conj in targets]
     peak = 0.0
     for rows in row_blocks(psi[:grid.points[0] // (2 if t == 0 else 1)]):
         x = [mesh[0][rows], *mesh[1:]]
@@ -460,16 +461,14 @@ def boost_scan(wave: SolitaryWave, spec: PotentialSpec, velocities,
     particle-like prediction gamma E_0 (1, v) from the wave's report.
 
     Rows are sorted by |v|.  rel_err_p is normalized by |P_pred| when nonzero,
-    else by E_pred (the v = 0 row).  A velocity is sampled with every
-    mirrored axis j where v_j != 0 in full, as the field is not even there.
+    else by E_pred (the v = 0 row).  Each velocity is sampled on the grid
+    as given; sample_boosted decides which of its mirrored axes stay sectors.
     """
     boosts = sorted((lorentz_boost(v, wave.n) for v in velocities), key=lambda b: b[1])
 
     def one(v):
-        mirrored = tuple(m and not vj for m, vj in zip(grid.mirrored, v))
-        on_grid = grid if mirrored == grid.mirrored else replace(grid, mirrored=mirrored)
         try:
-            sample = sample_boosted(wave, v, on_grid, t=0.0)
+            sample = sample_boosted(wave, v, grid, t=0.0)
         except GridTooSmall as exc:
             raise GridTooSmall(f"at v={v.tolist()}: {exc}") from exc
         e_m = measure_energy(sample, spec)

@@ -17,8 +17,8 @@ psi^1 = dt psi_dot^0 + K(psi^0)/2.  The time derivative is reconstructed
 centrally as (psi^{m+1} - psi^{m-1})/(2 dt), so each state carries a
 consistent (psi, psi_dot) pair at its own time at the cost of one kernel
 evaluation per step.  The linearised step is stable while
-dt^2 (sum_j 1/h_j^2 + m^2/4) <= 1; dt <= 0.5 min h_j (CFL_NUMBER) keeps
-dt^2 sum_j 1/h_j^2 <= n/4 < 1 for n <= 3.  A step is one blocked pass over
+dt^2 (sum_j 1/h_j^2 + m^2/4) <= 1, and a step must keep both that bound and
+dt <= 0.5 min h_j (CFL_NUMBER).  A step is one blocked pass over
 the rows of the grid: each block's kernel, update and psi_dot are finished
 while its temporaries are still in cache, and in steady state the new levels
 are written over the arrays of the state being stepped (see step).  Blow-up
@@ -56,8 +56,8 @@ CFL_NUMBER = 0.5
 
 
 class CflViolation(ValueError):
-    """Time step exceeds the stability bound CFL * min h_j: dt <= 0.5 min h_j
-    keeps dt^2 sum_j 1/h_j^2 <= n/4 < 1 for n <= 3."""
+    """Time step breaks dt <= 0.5 min h_j (CFL_NUMBER) or the linearised
+    stability bound dt^2 (sum_j 1/h_j^2 + m^2/4) <= 1."""
 
 
 class NonFinite(RuntimeError):
@@ -95,13 +95,14 @@ class EvolutionState:
     _psi_next: np.ndarray | None = None
 
 
-def _check_step(grid, dt: float) -> None:
+def _check_step(grid, spec: PotentialSpec, dt: float) -> None:
     """Reject a time step the leapfrog scheme cannot advance on grid."""
     if not dt > 0:  # NaN too
         raise ValueError(f"need dt > 0, got {dt}")
-    h_min = min(grid.spacing)
-    if dt > CFL_NUMBER * h_min:
-        raise CflViolation(f"dt={dt} exceeds {CFL_NUMBER} * min h = {CFL_NUMBER * h_min}")
+    linear = dt * dt * (sum(1.0 / (h * h) for h in grid.spacing) + spec.mass_sq / 4.0)
+    if dt > CFL_NUMBER * min(grid.spacing) or linear > 1.0:
+        raise CflViolation(f"dt={dt} exceeds {CFL_NUMBER} min h = {CFL_NUMBER * min(grid.spacing)}"
+                           f" or gives dt^2 (sum_j 1/h_j^2 + m^2/4) = {linear:.4g} > 1")
 
 
 def _kernel(psi: np.ndarray, spec: PotentialSpec, coeffs, mirrored, dt: float,
@@ -138,11 +139,11 @@ def step(state: EvolutionState, spec: PotentialSpec, dt: float) -> EvolutionStat
     allocates the three arrays of the new state.  After NonFinite the stepped
     state is invalid.
 
-    Raises ValueError unless dt > 0, CflViolation when dt > 0.5 min h_j, and
-    NonFinite (failing time attached) when the update leaves the finite range.
+    Raises ValueError unless dt > 0, CflViolation (see there), and NonFinite
+    (failing time attached) when the update leaves the finite range.
     """
     grid = state.sample.grid
-    _check_step(grid, dt)
+    _check_step(grid, spec, dt)
 
     psi = state.sample.psi
     t = state.sample.time
@@ -222,7 +223,7 @@ def evolve(initial: FieldSample, spec: PotentialSpec, t_final: float, dt: float,
             raise ValueError(f"{name} must be >= 1, got {stride}")
     if snapshot_stride is not None and snapshot_dir is None:
         raise ValueError("snapshot_stride needs a snapshot_dir")
-    _check_step(initial.grid, dt)
+    _check_step(initial.grid, spec, dt)
     n_steps = step_count(t_final, dt)
     state = EvolutionState(initial)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import struct
@@ -55,6 +56,9 @@ class TestGridSpec:
             with pytest.raises(ValueError, match="positive even integers"):
                 GridSpec(n=1, extent=(4.0,), points=(N,))
         assert GridSpec(n=1, extent=(4.0,), points=(np.int64(8),)).spacing == (1.0,)
+        for n in (0, 4):
+            with pytest.raises(ValueError, match="dimension must be 1, 2 or 3, got"):
+                GridSpec(n=n, extent=(4.0,) * n, points=(8,) * n)
 
     def test_mirrored_axes_store_the_upper_half(self):
         g = GridSpec(n=3, extent=(4.0, 3.0, 2.0), points=(8, 10, 6),
@@ -411,6 +415,15 @@ class TestFieldSample:
             FieldSample(grid=g, time=0.0, psi=np.ones((8, 4), dtype=complex),
                         psi_dot=np.ones((8, 4), dtype=complex))
 
+    @pytest.mark.parametrize("dtype", [np.complex64, np.clongdouble])
+    def test_other_complex_precision_rejected(self, dtype):
+        # the grid sums view each field as float64 pairs: a complex64 copy of
+        # a sample once failed in measure_energy with a broadcast error
+        g = GridSpec(n=1, extent=(4.0,), points=(8,))
+        with pytest.raises(ValueError, match=rf"psi must .*complex128.*{np.dtype(dtype)}"):
+            FieldSample(grid=g, time=0.0, psi=np.ones(8, dtype=dtype),
+                        psi_dot=np.ones(8, dtype=complex))
+
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_time_rejected(self, t):
         g = GridSpec(n=1, extent=(4.0,), points=(8,))
@@ -466,12 +479,21 @@ class TestSector:
         assert abs(p[0] - p_full[0]) <= 1e-14 * abs(p_full[0])
         assert p[1] == 0.0 and p[2] == 0.0 and not np.signbit(p[1:]).any()
 
-    def test_refuses_a_field_that_is_not_even(self, wave_2d, wave_k1):
-        grid = grid_for(wave_2d, [0.6, 0.0], 0.0, 0.25)
-        with pytest.raises(ValueError, match="not even"):
-            sample_boosted(wave_k1, [0.6, 0.0], grid)
-        with pytest.raises(ValueError, match="not even"):
-            sample_boosted(wave_2d, [0.6, 0.1], grid)
+    @pytest.mark.parametrize("name,v", [("wave_2d", [0.0, 0.5]), ("wave_k1", [0.6, 0.0])])
+    def test_an_axis_that_is_not_even_is_sampled_in_full(self, request, name, v):
+        # v_1 != 0 or k != 0: the field is not even in x_1, so the sampler
+        # clears the flag and stores axis 1 in full, with the full grid's bits
+        wave = request.getfixturevalue(name)
+        grid = dataclasses.replace(grid_for(wave, [0.0, 0.0], 0.0, 0.2), mirrored=(False, True))
+        sample = sample_boosted(wave, v, grid)
+        full = sample_boosted(wave, v, full_grid(grid))
+        assert sample.grid.mirrored == (False, False)
+        assert np.array_equal(sample.psi, full.psi)
+        assert np.array_equal(sample.psi_dot, full.psi_dot)
+
+    def test_an_even_axis_keeps_the_grid_given(self, wave_2d):
+        grid = grid_for(wave_2d, [0.0, 0.0], 0.0, 0.2)
+        assert sample_boosted(wave_2d, [0.5, 0.0], grid).grid is grid
 
     def test_grid_too_small_from_the_outer_face_only(self, wave_2d):
         # the mirror plane x_1 = 0 carries the peak and is not a boundary;
@@ -538,8 +560,8 @@ class TestBoostScan:
 
     def test_velocity_off_a_mirrored_axis_is_sampled_in_full(self, monkeypatch, wave_2d,
                                                              cubic):
-        # grid_for's flags follow its sizing v = 0; the scan samples v_1 != 0
-        # with axis 1 in full, and an axis-0 velocity on the very grid given
+        # grid_for's flags follow its sizing v = 0; the scan hands the very
+        # grid to the sampler, which samples v_1 != 0 with axis 1 in full
         rep = compute_functionals(wave_2d)
         g = grid_for(wave_2d, [0.0, 0.0], 0.0, 0.2)
         assert g.mirrored == (False, True)
@@ -551,7 +573,7 @@ class TestBoostScan:
             return sample_boosted(wave, v, grid, t)
         monkeypatch.setattr(solwave.boost, "sample_boosted", sample)
         rows = boost_scan(wave_2d, cubic, velocities, g, report=rep)
-        assert grids[0] == full_grid(g) and grids[1] is g
+        assert grids[0] is g and grids[1] is g
         full = boost_scan(wave_2d, cubic, velocities, full_grid(g), report=rep)
         assert rows[0].e_measured == full[0].e_measured
         assert np.array_equal(rows[0].p_measured, full[0].p_measured)

@@ -74,6 +74,21 @@ class TestStep:
             state = step(state, cubic, CFL_NUMBER * g.spacing[0])
         assert np.abs(state.sample.psi).max() < 0.1
 
+    def test_mass_term_bounds_the_step(self, cubic):
+        # dt = CFL_NUMBER h breaks dt^2 (sum_j 1/h_j^2 + m^2/4) <= 1 for
+        # h > 2/m in 3D; at h = 2.2 such a step grows a small Gaussian
+        def start(h):
+            g = GridSpec(n=3, extent=(12.0 * h,) * 3, points=(24,) * 3)
+            return EvolutionState(_zero_sample(g)), CFL_NUMBER * g.spacing[0]
+
+        state, dt = start(1.9)
+        assert step(state, cubic, dt).sample.time == dt
+        state, dt = start(2.2)
+        with pytest.raises(CflViolation, match=r"m\^2/4\) = 1.05"):
+            step(state, cubic, dt)
+        with pytest.raises(CflViolation):
+            evolve(state.sample, cubic, 10 * dt, dt)
+
     def test_blowup_detected(self, cubic, small_grid):
         x = small_grid.axes()[0]
         psi = (40.0 * np.exp(-x**2)).astype(complex)

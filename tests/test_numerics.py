@@ -203,6 +203,18 @@ def test_brentq_on_polynomials():
     assert outcomes == {float, ValueError, RuntimeError}
 
 
+@pytest.mark.parametrize("a,b", [(1.0, 3.0), (-3.0, 1.0), (-5.0, 1.0)])
+def test_brentq_returns_a_zero_end(a, b):
+    # f(a) or f(b) exactly 0 is the root, even without a sign change (1, 3);
+    # with both 0 (-5, 1) it is a
+    def f(x):
+        return (x - 1.0) * (x + 5.0)
+
+    root = brentq(f, a, b)
+    assert root == scipy.optimize.brentq(f, a, b)
+    assert root == (a if f(a) == 0.0 else b)
+
+
 def test_brentq_on_the_match_radius(wave_2d):
     # the r_match search of _assemble_profile: where the tail model crosses
     # the splice threshold
