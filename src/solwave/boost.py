@@ -189,7 +189,8 @@ class FieldSample:
 def grid_for(wave: SolitaryWave, v, t_max: float, h: float) -> GridSpec:
     """Grid keeping the boundary-decay invariant up to |t| = t_max: on axis j,
     L_j >= match_radius + 1/delta + |v_j| t_max, with match_radius/gamma on
-    the axis of an axis-aligned boost.
+    the axis of an axis-aligned boost.  N_j is even and the spacing
+    2 L_j / N_j is never below h.
 
     |psi| has already fallen below 1e-8 of its peak at match_radius, and the
     1/delta pad adds a further e^-1 of safety: every boundary cell centre lies
@@ -217,7 +218,9 @@ def grid_for(wave: SolitaryWave, v, t_max: float, h: float) -> GridSpec:
         support = mr / gamma if speed > 0 and abs(vj) == speed else mr
         L = support + margin + abs(vj) * abs(t_max)
         N = 2 * int(math.ceil(L / h))
-        extents.append(N * h / 2.0)
+        L = N * h / 2.0
+        # one ulp of L restores a spacing 2L/N that rounded below h
+        extents.append(L if 2.0 * L / N >= h else math.nextafter(L, math.inf))
         points.append(N)
     mirrored = tuple(j > 0 and wave.k == 0 and not vj for j, vj in enumerate(v))
     return GridSpec(n=wave.n, extent=tuple(extents), points=tuple(points), mirrored=mirrored)

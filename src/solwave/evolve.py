@@ -213,14 +213,14 @@ def evolve(initial: FieldSample, spec: PotentialSpec, t_final: float, dt: float,
     sample layout to snapshot_dir every snapshot_stride steps (plus the
     initial state), and the returned state's snapshots lists the file names.
     t_final < 0, dt <= 0, a t_final that is not a whole multiple of dt (see
-    step_count), a stride below 1 or a snapshot_stride without a snapshot_dir
-    raises ValueError, and a dt beyond the CFL bound raises CflViolation,
-    before anything is recorded or written."""
+    step_count), a stride that is not an integer >= 1 or a snapshot_stride
+    without a snapshot_dir raises ValueError, and a dt beyond the CFL bound
+    raises CflViolation, before anything is recorded or written."""
     if not t_final >= 0:
         raise ValueError(f"need t_final >= 0, got {t_final}")
     for name, stride in (("diag_stride", diag_stride), ("snapshot_stride", snapshot_stride)):
-        if stride is not None and stride < 1:
-            raise ValueError(f"{name} must be >= 1, got {stride}")
+        if stride is not None and not (isinstance(stride, (int, np.integer)) and stride >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {stride!r}")
     if snapshot_stride is not None and snapshot_dir is None:
         raise ValueError("snapshot_stride needs a snapshot_dir")
     _check_step(initial.grid, spec, dt)

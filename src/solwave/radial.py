@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,6 +66,7 @@ DIVERGENCE_FACTOR = 3.0         # overshoot guard: |R| > factor * amplitude_cap
 SHOT_RANGE = 60.0               # outer end of every shot, in units of 1/delta
 GRID_DENSITY = 500.0            # profile grid points per 1/delta
 SHOOT_TOL = 1e-13               # relative bracket width that ends root-finding
+RELOAD_RTOL = 1e-13             # load_wave: saved vs rebuilt profile, relative
 
 
 class StepFailure(RuntimeError):
@@ -106,6 +107,16 @@ class RadialProfile:
         return float(self.r_grid[1] - self.r_grid[0])
 
 
+def _check_indices(n, k) -> None:
+    """ValueError unless n is 1, 2 or 3 and k an integer >= 0, k >= 1 only for n = 2."""
+    if not isinstance(n, (int, np.integer)) or n not in (1, 2, 3):
+        raise ValueError(f"dimension must be 1, 2 or 3, got {n!r}")
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValueError(f"angular index must be >= 0 and an integer, got {k!r}")
+    if k >= 1 and n != 2:
+        raise ValueError("angular excited states require n = 2")
+
+
 @dataclass(frozen=True)
 class SolitaryWave:
     """Standing wave amplitude a(x) = R(|x|) e^{i k arg(x)} at frequency omega."""
@@ -117,12 +128,7 @@ class SolitaryWave:
     spec: PotentialSpec
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {self.n!r}")
-        if not isinstance(self.k, (int, np.integer)) or self.k < 0:
-            raise ValueError(f"angular index must be >= 0 and an integer, got {self.k!r}")
-        if self.k >= 1 and self.n != 2:
-            raise ValueError("angular excited states require n = 2")
+        _check_indices(self.n, self.k)
 
     @property
     def delta(self) -> float:
@@ -527,11 +533,8 @@ def _assemble_profile(spec, omega, n, k, s, h_r) -> RadialProfile:
     j_cut = j_peak + int(np.argmin(q[j_peak:]))
     q_min = q[j_cut]
     if q_min > 1e-3 * max_R:
-        warnings.warn(
-            f"shallow tail tracking: trajectory only reaches {q_min / max_R:.2e} "
-            "of the peak before veering; tail fit may be degraded",
-            RuntimeWarning,
-        )
+        warnings.warn(f"shallow tail tracking: trajectory only reaches {q_min / max_R:.2e} "
+                      "of the peak before veering; tail fit may be degraded", RuntimeWarning)
     # the numeric data trusted as tail: past the peak, up to the cut
     trusted = slice(j_peak + 1, j_cut + 1)
     r_tail, a_tail = grid[trusted], absv[trusted]
@@ -575,10 +578,8 @@ def _assemble_profile(spec, omega, n, k, s, h_r) -> RadialProfile:
     m_total = max(m_total, j_b)
 
     grid_full = np.arange(m_total + 1) * h_r
-    new_vals = np.empty(m_total + 1)
-    new_ders = np.empty(m_total + 1)
-    new_vals[: j_a + 1] = vals[: j_a + 1]
-    new_ders[: j_a + 1] = ders[: j_a + 1]
+    new_vals, new_ders = np.empty((2, m_total + 1))
+    new_vals[: j_a + 1], new_ders[: j_a + 1] = vals[: j_a + 1], ders[: j_a + 1]
     if j_b > j_a:
         rb = grid_full[j_a + 1 : j_b]
         t = (rb - grid_full[j_a]) / (grid_full[j_b] - grid_full[j_a])
@@ -599,21 +600,12 @@ def _assemble_profile(spec, omega, n, k, s, h_r) -> RadialProfile:
     if node_count != 0:
         raise NodeCountMismatch(f"converged profile has {node_count} interior nodes")
     if max_R > spec.amplitude_cap:
-        warnings.warn(
-            f"profile peak {max_R:.4g} exceeds amplitude_cap {spec.amplitude_cap:g}; "
-            "condition scans did not cover the attained range",
-            RuntimeWarning,
-        )
-    return RadialProfile(
-        r_grid=grid_full,
-        values=new_vals,
-        derivative=new_ders,
-        node_count=node_count,
-        shoot_param=float(s),
-        numeric_radius=float(grid_full[j_a]),
-        prefactor=float(prefactor),
-        match_radius=match_radius,
-    )
+        warnings.warn(f"profile peak {max_R:.4g} exceeds amplitude_cap {spec.amplitude_cap:g}; "
+                      "condition scans did not cover the attained range", RuntimeWarning)
+    return RadialProfile(r_grid=grid_full, values=new_vals, derivative=new_ders,
+                         node_count=node_count, shoot_param=float(s),
+                         numeric_radius=float(grid_full[j_a]), prefactor=float(prefactor),
+                         match_radius=match_radius)
 
 
 def _solve_wave(spec, omega, n, k) -> SolitaryWave:
@@ -657,8 +649,7 @@ def find_ground_state(spec: PotentialSpec, omega: float, n: int) -> SolitaryWave
     Raises NoBracket if no pair of the 64-point scan holds at the solver's
     tolerance, NodeCountMismatch if the converged profile has interior nodes.
     """
-    if not isinstance(n, (int, np.integer)) or n not in (1, 2, 3):
-        raise ValueError(f"dimension must be 1, 2 or 3, got {n!r}")
+    _check_indices(n, 0)
     return _solve_wave(spec, omega, n, 0)
 
 
@@ -684,9 +675,8 @@ def resample_wave(wave: SolitaryWave, h_r: float) -> SolitaryWave:
     """
     if not (math.isfinite(h_r) and h_r > 0):
         raise ValueError(f"h_r must be finite and positive, got {h_r}")
-    spec, omega, n, k = wave.spec, wave.omega, wave.n, wave.k
-    profile = _assemble_profile(spec, omega, n, k, wave.profile.shoot_param, h_r)
-    return SolitaryWave(n=n, k=k, omega=omega, profile=profile, spec=spec)
+    p = _assemble_profile(wave.spec, wave.omega, wave.n, wave.k, wave.profile.shoot_param, h_r)
+    return replace(wave, profile=p)
 
 
 def equation_residual(wave: SolitaryWave) -> float:
@@ -785,34 +775,28 @@ def save_wave(wave: SolitaryWave, csv_path, sidecar_path) -> None:
     """CSV with columns r, R, dR plus a JSON sidecar of scalar metadata."""
     p = wave.profile
     write_csv(csv_path, ["r", "R", "dR"], zip(p.r_grid, p.values, p.derivative))
-    sidecar = {
-        "n": int(wave.n),
-        "k": int(wave.k),
-        "omega": wave.omega,
-        "delta": wave.delta,
-        "prefactor": p.prefactor,
-        "match_radius": p.match_radius,
-        "shoot_param": p.shoot_param,
-        "node_count": p.node_count,
-        "numeric_radius": p.numeric_radius,
-        "mass_sq": wave.spec.mass_sq,
-        "terms": [list(term) for term in wave.spec.terms],
-    }
-    write_json(sidecar_path, sidecar)
+    write_json(sidecar_path, {
+        "n": int(wave.n), "k": int(wave.k), "omega": wave.omega, "delta": wave.delta,
+        "prefactor": p.prefactor, "match_radius": p.match_radius, "shoot_param": p.shoot_param,
+        "node_count": p.node_count, "numeric_radius": p.numeric_radius,
+        "mass_sq": wave.spec.mass_sq, "terms": [list(term) for term in wave.spec.terms],
+    })
 
 
 def load_wave(csv_path, sidecar_path, spec: PotentialSpec) -> SolitaryWave:
-    """Reconstruct a wave from save_wave output plus its potential spec.
+    """Rebuild a wave from save_wave output plus its potential spec.
 
-    Raises ValueError when spec's mass_sq or terms differ from the potential
-    the sidecar records (amplitude_cap only bounds the scan and may differ),
-    and, naming the CSV, on a field that is not a number, a row without three
-    columns, a value that is not finite or an r column that is not the grid
-    r_j = j h from r = 0 (to 1e-9 h) that WaveInterpolant and
-    compute_functionals assume; naming the sidecar, on a sidecar that is not
-    a JSON object and, with the key, on a missing key, a value that is not a
-    finite number, an omega with omega^2 >= mass_sq (no decaying tail), or
-    radii that break r_grid[0] <= numeric_radius <= match_radius <= r_grid[-1].
+    The profile is assembled again, as by a solve (so spec's amplitude_cap
+    must cover its peak, or it warns), from the sidecar's n, k, omega and
+    shoot_param at the CSV's spacing r_1, and returned if the files agree
+    with it: r, R and dR in length and elementwise, prefactor, numeric_radius
+    and match_radius to RELOAD_RTOL (relative), node_count exactly.  A wave
+    saved by a solver whose assembly differs is refused: re-solve it.
+    Raises ValueError naming the file at fault, with the sidecar's key: a
+    potential other than spec's (amplitude_cap aside), a key missing or not
+    finite, omega^2 >= mass_sq, no rebuild or values off it; a CSV field that
+    is not a number, rows not of three columns spanning 1/64 of a shot, or
+    columns off the rebuild.  n and k are checked as SolitaryWave checks them.
     """
     with open(sidecar_path) as fh:
         meta = json.load(fh)
@@ -835,6 +819,11 @@ def load_wave(csv_path, sidecar_path, spec: PotentialSpec) -> SolitaryWave:
     if saved != given:
         raise ValueError(f"{sidecar_path}: the wave was solved for mass_sq={saved[0]}, "
                          f"terms={saved[1]}, not for mass_sq={given[0]}, terms={given[1]}")
+    n, k, omega, s = field("n", int), field("k", int), field("omega"), field("shoot_param")
+    if not omega**2 < spec.mass_sq:
+        raise ValueError(f"{sidecar_path}: 'omega' {omega} has omega^2 >= mass_sq "
+                         f"{spec.mass_sq}, so the wave has no decaying tail")
+    _check_indices(n, k)
     try:
         data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
@@ -842,31 +831,39 @@ def load_wave(csv_path, sidecar_path, spec: PotentialSpec) -> SolitaryWave:
     if data.shape[0] == 0 or data.shape[1] != 3:
         raise ValueError(f"{csv_path}: expected rows of the three columns r, R, dR, "
                          f"read an array of shape {data.shape}")
-    bad = np.nonzero(~np.isfinite(data))[0]
-    if bad.size:
-        raise ValueError(f"{csv_path}: non-finite value on line {int(bad[0]) + 2}")
-    r = data[:, 0]
-    if (r.size < 2 or r[0] != 0 or not r[1] > 0
-            or np.max(np.abs(r - np.arange(r.size) * r[1])) > 1e-9 * r[1]):
-        raise ValueError(f"{csv_path}: the r column is not a uniform grid r_j = j h from r = 0")
-    omega = field("omega")
-    if not omega**2 < spec.mass_sq:
-        raise ValueError(f"{sidecar_path}: 'omega' {omega} has omega^2 >= mass_sq "
-                         f"{spec.mass_sq}, so the wave has no decaying tail")
-    numeric_radius, match_radius = field("numeric_radius"), field("match_radius")
-    if not 0 <= numeric_radius <= match_radius <= r[-1]:
-        raise ValueError(f"{sidecar_path}: 'numeric_radius' {numeric_radius} and 'match_radius' "
-                         f"{match_radius} break r_grid[0] <= numeric_radius <= match_radius "
-                         f"<= r_grid[-1] on the CSV grid [0, {r[-1]}]")
-    profile = RadialProfile(
-        r_grid=r,
-        values=data[:, 1],
-        derivative=data[:, 2],
-        node_count=field("node_count", int),
-        shoot_param=field("shoot_param"),
-        numeric_radius=numeric_radius,
-        prefactor=field("prefactor"),
-        match_radius=match_radius,
-    )
-    return SolitaryWave(n=field("n", int), k=field("k", int), omega=omega,
-                        profile=profile, spec=spec)
+    r, values, derivative = data.T
+    # a saved profile spans a few times less than a shot, so the rebuild stays near the file's size
+    h_r = float(r[1]) if r.size > 1 else math.nan
+    shot = SHOT_RANGE / math.sqrt(spec.mass_sq - omega**2)
+    if not (math.isfinite(h_r) and shot <= 64.0 * r.size * h_r):
+        raise ValueError(f"{csv_path}: the r column spans less than 1/64 of a shot at r_1 = {h_r}")
+    try:  # the rebuild's warnings are for the wave returned, not for a refused file
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            p = _assemble_profile(spec, omega, n, k, s, h_r)
+    except (ValueError, StepFailure, NodeCountMismatch) as exc:
+        raise ValueError(f"{sidecar_path}: no rebuild from 'shoot_param' {s!r}: {exc}") from exc
+
+    def off(saved, rebuilt):  # indices where saved is off rebuilt by more than RELOAD_RTOL
+        return np.flatnonzero(~np.isclose(saved, rebuilt, rtol=RELOAD_RTOL, atol=0.0))
+
+    # the r column follows from the CSV's spacing alone, the rest from the datum too
+    if off(r[: p.r_grid.size], p.r_grid[: r.size]).size:
+        raise ValueError(f"{csv_path}: the r column is not the rebuilt grid r_j = j r_1")
+    for keys in (("node_count",), ("prefactor",), ("numeric_radius", "match_radius")):
+        read = [field(key, int if key == "node_count" else float) for key in keys]
+        rebuilt = [getattr(p, key) for key in keys]
+        if off(read, rebuilt).size:
+            pairs = " and ".join(map("{!r} {!r}".format, keys, read))
+            raise ValueError(f"{sidecar_path}: {pairs} read, {rebuilt} rebuilt from "
+                             f"'shoot_param' {s!r}")
+    if r.size != p.r_grid.size:
+        raise ValueError(f"{csv_path}: {r.size} rows, the rebuilt profile has {p.r_grid.size}")
+    for name, column, rebuilt in (("R", values, p.values), ("dR", derivative, p.derivative)):
+        j = off(column, rebuilt)
+        if j.size:
+            raise ValueError(f"{csv_path}: the {name} column is off the rebuilt profile "
+                             f"from line {j[0] + 2}")
+    for caught_warning in caught:
+        warnings.warn(caught_warning.message, stacklevel=2)
+    return SolitaryWave(n=n, k=k, omega=omega, profile=p, spec=spec)

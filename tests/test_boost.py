@@ -16,7 +16,7 @@ from solwave.evolve import evolve
 from solwave.functionals import (SuperluminalVelocity, compute_functionals,
                                  lorentz_boost, predict_energy_momentum)
 from solwave.potential import evaluate_potential
-from solwave.radial import WaveInterpolant
+from solwave.radial import WaveInterpolant, find_ground_state
 from solwave.stencil import row_blocks
 
 from conftest import AMP, KAPPA, ORACLE, full_grid, unfold
@@ -128,6 +128,21 @@ class TestSampling:
             g = grid_for(wave_2d, v, 60.0, 0.2)
             sample_boosted(wave_2d, v, g, t=60.0)
             sample_boosted(wave_2d, v, g, t=-60.0)
+
+    def test_spacing_never_below_h(self, cubic):
+        # at omega = 0.84, h = 0.1 the spacing 2L/N with L = N h/2 once
+        # rounded to one ulp below h, and the dt = h/2 flight failed the CFL check
+        wave = find_ground_state(cubic, 0.84, 1)
+        grid = grid_for(wave, [0.5], 1.0, 0.1)
+        assert grid.spacing[0] >= 0.1
+        state = evolve(sample_boosted(wave, [0.5], grid), cubic, 1.0, 0.05)
+        assert state.sample.time == pytest.approx(1.0)
+        # and on a sweep of widths, within a few ulp above h
+        for h in (0.1, 0.02, 0.0137):
+            for i in range(200):
+                p = dataclasses.replace(wave.profile, match_radius=10.0 + 0.0731 * i)
+                spacing = grid_for(dataclasses.replace(wave, profile=p), [0.0], 0.0, h).spacing
+                assert h <= spacing[0] <= h + 4 * math.ulp(h)
 
     def test_nonpositive_spacing_rejected(self, wave_1d):
         for h in (0.0, -0.1):

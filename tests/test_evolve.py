@@ -413,16 +413,27 @@ class TestEvolveDiagnostics:
                    snapshot_stride=1, snapshot_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("stride", ["diag_stride", "snapshot_stride", "t_final"])
-    def test_zero_stride_rejected_before_writing(self, cubic, wave_1d, tmp_path, stride):
-        # and, beside them, a negative end time
+    @pytest.mark.parametrize("stride, value", [
+        ("diag_stride", 0), ("snapshot_stride", 0), ("t_final", -1.0),
+        ("diag_stride", 2.5), ("snapshot_stride", 2.5), ("diag_stride", 2.0),
+    ], ids=["diag_stride", "snapshot_stride", "t_final",
+            "diag_stride-2.5", "snapshot_stride-2.5", "diag_stride-float"])
+    def test_zero_stride_rejected_before_writing(self, cubic, wave_1d, tmp_path, stride,
+                                                 value):
+        # and, beside them, a negative end time and strides that are not
+        # integers: diag_stride=2.5 once recorded every 5th step
         g = grid_for(wave_1d, [0.0], 0.5, 0.1)
         s0 = sample_boosted(wave_1d, [0.0], g, t=0.0)
-        args = {"t_final": 0.5, "diag_stride": 5, "snapshot_stride": 5}
-        args[stride] = -1.0 if stride == "t_final" else 0
+        args = {"t_final": 0.5, "diag_stride": 5, "snapshot_stride": 5, stride: value}
         with pytest.raises(ValueError, match=stride):
             evolve(s0, cubic, dt=0.05, snapshot_dir=tmp_path, **args)
         assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_integer_stride_accepted(self, cubic, wave_1d):
+        g = grid_for(wave_1d, [0.0], 0.5, 0.1)
+        state = evolve(sample_boosted(wave_1d, [0.0], g, t=0.0), cubic, 0.5, 0.05,
+                       diag_stride=np.int64(5))
+        assert [d.time for d in state.diagnostics] == pytest.approx([0.0, 0.25, 0.5])
 
     @pytest.mark.parametrize("t_final", [0.13, 0.01])
     def test_end_time_off_the_step_grid_rejected(self, cubic, wave_1d, tmp_path, t_final):

@@ -6,7 +6,8 @@ public API; no module imports from a private third-party module or a private
 third-party name, so solwave rests on its dependencies' public API; no module
 imports scipy, so numpy is the one runtime dependency; and every name a module
 imports is used there or re-exported in its __all__, so no import outlives its
-last use."""
+last use; and RadialProfile is built only in radial._assemble_profile, so
+every profile, solved, resampled or loaded, is certified by one path."""
 
 import ast
 import importlib
@@ -81,6 +82,20 @@ def test_no_unused_imports(name):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used - set(getattr(module, "__all__", []))) == []
+
+
+def test_radial_profiles_built_in_one_place():
+    sites = []
+    for name in ["solwave", *(f"solwave.{m}" for m in MODULES)]:
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        sites += [
+            (name, [f.name for f in functions if node in ast.walk(f)])
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and "RadialProfile" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+    assert sites == [("solwave.radial", ["_assemble_profile"])]
 
 
 @pytest.mark.parametrize("name", ["solwave", *(f"solwave.{m}" for m in MODULES)])

@@ -355,6 +355,13 @@ class TestEquationResidual:
         assert residuals[0] / residuals[1] == pytest.approx(4.0, rel=0.1)
         assert residuals[1] / residuals[2] == pytest.approx(4.0, rel=0.1)
 
+    def test_too_few_points_refused(self, wave_1d):
+        p = wave_1d.profile
+        short = dataclasses.replace(p, r_grid=p.r_grid[:4], values=p.values[:4],
+                                    derivative=p.derivative[:4])
+        with pytest.raises(ValueError, match="at least 5 grid points"):
+            equation_residual(dataclasses.replace(wave_1d, profile=short))
+
     def test_converged_wave_small_residual(self, wave_1d):
         assert equation_residual(wave_1d) < 1e-6
 
@@ -411,6 +418,10 @@ class TestCertification:
         np.testing.assert_allclose(p.values[1:12], s * r**k + c * r ** (k + 2), rtol=1e-9)
         np.testing.assert_allclose(p.derivative[1:12],
                                    k * s * r ** (k - 1) + (k + 2) * c * r ** (k + 1), rtol=1e-9)
+
+    def test_resample_refuses_a_trajectory_under_16_points(self, wave_1d):
+        with pytest.raises(StepFailure, match=r"too short to assemble \(r_end=29.9\)"):
+            resample_wave(wave_1d, 5.0)
 
     @pytest.mark.parametrize("h_r", [0.0, -0.01, math.nan, math.inf])
     def test_resample_refuses_a_bad_spacing(self, wave_1d, h_r):
@@ -576,7 +587,8 @@ class TestInterpolantAndSerialization:
         with pytest.raises(ValueError, match="wave.json: 'numeric_radius' .* and 'match_radius'"):
             load_wave(csv_path, sidecar, cubic)
 
-    @pytest.mark.parametrize("edit", ["shifted", "one radius off", "one row"])
+    @pytest.mark.parametrize("edit", ["shifted", "one radius off", "one row",
+                                      "two rows at a fine spacing"])
     def test_load_refuses_an_r_column_off_the_uniform_grid(self, wave_2d, cubic, tmp_path,
                                                            edit):
         # WaveInterpolant and compute_functionals read the profile on r_j = j h
@@ -588,8 +600,11 @@ class TestInterpolantAndSerialization:
             data[:, 0] += 0.5
         elif edit == "one radius off":
             data[100, 0] += 1e-6 * wave_2d.profile.h_r
-        else:
+        elif edit == "one row":
             data = data[:1]
+        else:  # a rebuild at this spacing would take 1e11 points
+            data = data[:2]
+            data[1, 0] = 1e-9
         np.savetxt(csv_path, data, fmt="%.17g", delimiter=",", header="r,R,dR", comments="")
         with pytest.raises(ValueError, match="wave.csv: the r column"):
             load_wave(csv_path, sidecar, cubic)
@@ -611,16 +626,71 @@ class TestInterpolantAndSerialization:
         with pytest.raises(ValueError, match="wave.json: expected a JSON object"):
             load_wave(csv_path, sidecar, cubic)
 
-    def test_load_coerces_sidecar_numbers(self, wave_2d, cubic, tmp_path):
+    def test_load_refuses_rounded_sidecar_numbers(self, wave_2d, cubic, tmp_path):
+        # the rebuilt profile is held to the sidecar's values: rounded ones
+        # (once coerced to float and loaded) are refused, naming the key
+        csv_path, sidecar = tmp_path / "wave.csv", tmp_path / "wave.json"
+        save_wave(wave_2d, csv_path, sidecar)
+        saved = json.loads(sidecar.read_text())
+        for key in ("shoot_param", "numeric_radius", "prefactor", "match_radius"):
+            sidecar.write_text(json.dumps(saved | {key: round(saved[key])}))
+            with pytest.raises(ValueError, match=f"wave.json: .*'{key}'"):
+                load_wave(csv_path, sidecar, cubic)
+
+    @pytest.mark.parametrize("key, edit", [
+        ("node_count", lambda value: 3),
+        ("shoot_param", lambda value: 1.5 * value),
+        ("prefactor", lambda value: -value),
+    ], ids=["node_count=3", "shoot_param*1.5", "prefactor negated"])
+    def test_load_refuses_a_doctored_sidecar(self, wave_2d, cubic, tmp_path, key, edit):
+        # each once loaded: node_count as told, R''(0) from the wrong datum
+        # in WaveInterpolant, or the tail past r_end with its sign flipped
         csv_path, sidecar = tmp_path / "wave.csv", tmp_path / "wave.json"
         save_wave(wave_2d, csv_path, sidecar)
         meta = json.loads(sidecar.read_text())
-        for key in ("shoot_param", "numeric_radius", "prefactor", "match_radius"):
-            meta[key] = round(meta[key])
+        meta[key] = edit(meta[key])
         sidecar.write_text(json.dumps(meta))
-        p = load_wave(csv_path, sidecar, cubic).profile
-        for key in ("shoot_param", "numeric_radius", "prefactor", "match_radius"):
-            assert type(getattr(p, key)) is float
+        with pytest.raises(ValueError, match="wave.json"):
+            load_wave(csv_path, sidecar, cubic)
+
+    @pytest.mark.parametrize("column", [1, 2])
+    def test_load_refuses_a_perturbed_value(self, wave_2d, cubic, tmp_path, column):
+        csv_path, sidecar = tmp_path / "wave.csv", tmp_path / "wave.json"
+        save_wave(wave_2d, csv_path, sidecar)
+        data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+        data[500, column] *= 1 + 1e-12
+        np.savetxt(csv_path, data, fmt="%.17g", delimiter=",", header="r,R,dR", comments="")
+        with pytest.raises(ValueError, match=f"wave.csv: the {['R', 'dR'][column - 1]} column"):
+            load_wave(csv_path, sidecar, cubic)
+
+    @pytest.mark.parametrize("fixture, h_r", [
+        ("wave_1d", None), ("wave_3d", None), ("wave_k1", None), ("wave_k2", None),
+        ("wave_1d", 0.02), ("wave_k1", 0.0137), ("cq_3d", None),
+    ])
+    def test_load_rebuilds_bit_exact(self, request, tmp_path, fixture, h_r):
+        if fixture == "cq_3d":
+            wave = find_ground_state(CQ, 0.7, 3)
+        else:
+            wave = request.getfixturevalue(fixture)
+        if h_r is not None:
+            wave = resample_wave(wave, h_r)
+        csv_path, sidecar = tmp_path / "wave.csv", tmp_path / "wave.json"
+        save_wave(wave, csv_path, sidecar)
+        back = load_wave(csv_path, sidecar, wave.spec)
+        for name in ("r_grid", "values", "derivative"):
+            assert getattr(back.profile, name).tobytes() == getattr(wave.profile, name).tobytes()
+        assert (back.n, back.k, back.omega) == (wave.n, wave.k, wave.omega)
+        for name in ("node_count", "shoot_param", "numeric_radius", "prefactor", "match_radius"):
+            assert getattr(back.profile, name) == getattr(wave.profile, name)
+
+    def test_load_warns_on_a_peak_above_the_cap(self, wave_1d, tmp_path):
+        # a loaded wave is certified like a solved one: the peak AMP = 0.8485
+        # is above a cap of 0.5
+        csv_path, sidecar = tmp_path / "wave.csv", tmp_path / "wave.json"
+        save_wave(wave_1d, csv_path, sidecar)
+        spec = dataclasses.replace(wave_1d.spec, amplitude_cap=0.5)
+        with pytest.warns(RuntimeWarning, match="exceeds amplitude_cap 0.5"):
+            load_wave(csv_path, sidecar, spec)
 
     def test_serialization_deterministic(self, wave_1d, tmp_path):
         a1, a2 = tmp_path / "a.csv", tmp_path / "a.json"
