@@ -303,8 +303,8 @@ def cmd_evolve(cfg: dict, wave, report) -> tuple[int, list[str]]:
     out = cfg["output_dir"]
     speed = cfg["velocities"][0] if cfg["velocities"] else 0.0
     ev = cfg["evolve"]
-    # the stepping holds psi, psi_dot and the next level, and the initial
-    # sample's two fields stay alive next to them
+    # the run's one state holds psi, psi_dot and the level ahead, and the
+    # initial sample's two fields stay alive next to them
     grid = _grid_from_config(cfg, wave, abs(speed), ev["t_final"], fields=5)
     initial = sample_boosted(wave, _boost_axis_velocity(speed, cfg["n"]), grid, t=0.0)
     state = evolve(initial, wave.spec, ev["t_final"], ev["dt"], ev["diag_stride"],

@@ -20,8 +20,9 @@ evaluation per step.  The linearised step is stable while
 dt^2 (sum_j 1/h_j^2 + m^2/4) <= 1, and a step must keep both that bound and
 dt <= 0.5 min h_j (CFL_NUMBER).  A step is one blocked pass over
 the rows of the grid: each block's kernel, update and psi_dot are finished
-while its temporaries are still in cache, and in steady state the new levels
-are written over the arrays of the state being stepped (see step).  Blow-up
+while its temporaries are still in cache.  A run has one mutable state,
+which each step advances in place, writing the new levels over its own
+three arrays (see step).  Blow-up
 is reported (NonFinite), not prevented: focusing nonlinearities can and
 should fail loudly for non-soliton data.
 """
@@ -78,21 +79,18 @@ class DiagnosticPoint:
 
 @dataclass
 class EvolutionState:
-    """Field state at one time level plus the memory the two-step scheme needs.
+    """The one mutable state of a run, which step advances in place.
 
-    sample holds a consistent (psi, psi_dot) pair at sample.time; _psi_next
-    caches the already-computed next level (None before the first step) so
+    sample holds a consistent (psi, psi_dot) pair at sample.time; _ahead is
+    (dt, the next level computed at that dt), None before the first step, so
     the centered psi_dot reconstruction costs nothing extra.  diagnostics and
-    snapshots (the file names evolve wrote) carry over from step to step.
-
-    Stepping a state made by step consumes its arrays (see step); a state
-    built by the caller (no _psi_next) is never written.
+    snapshots (the file names evolve wrote) collect as the run goes.
     """
 
     sample: FieldSample
     diagnostics: list[DiagnosticPoint] = field(default_factory=list)
     snapshots: list[str] = field(default_factory=list)
-    _psi_next: np.ndarray | None = None
+    _ahead: tuple[float, np.ndarray] | None = None
 
 
 def _check_step(grid, spec: PotentialSpec, dt: float) -> None:
@@ -124,20 +122,20 @@ def _kernel(psi: np.ndarray, spec: PotentialSpec, coeffs, mirrored, dt: float,
 
 
 def step(state: EvolutionState, spec: PotentialSpec, dt: float) -> EvolutionState:
-    """Advance one leapfrog step; returns a new state one dt later.
+    """Advance state one leapfrog step in place and return it.
 
     One pass over the row blocks writes the next level
     psi^{m+2} = K(psi^{m+1}) - psi^m (K of the module docstring) and the
-    centered psi_dot^{m+1}, so every temporary is one block; a state without
-    a cached next level first takes the Taylor bootstrap.
+    centered psi_dot^{m+1}, so every temporary is one block.  A state with no
+    level ahead at this dt (one the caller built, or one last stepped at
+    another dt) first takes the Taylor bootstrap from its own sample.
 
-    Ownership: a state made by step hands its arrays on.  Stepping it writes
-    psi^{m+2} over its psi_dot and psi_dot^{m+1} over its psi, so its sample
-    must not be used afterwards, and a step-made state is stepped at most
-    once; in steady state a step allocates only block scratch.  A state the
-    caller built (no cached next level) is never written: its first step
-    allocates the three arrays of the new state.  After NonFinite the stepped
-    state is invalid.
+    Memory: the bootstrap allocates the three arrays the state then owns and
+    writes none of its sample's, so a caller's FieldSample is never written.
+    Later steps write psi^{m+2} over psi_dot^m and psi_dot^{m+1} over psi^m
+    and replace state.sample, so a sample taken from the state is overwritten
+    by its next step at the same dt (copy it to keep it), and a steady-state
+    step allocates only block scratch.  After NonFinite the state is invalid.
 
     Raises ValueError unless dt > 0, CflViolation (see there), and NonFinite
     (failing time attached) when the update leaves the finite range.
@@ -153,7 +151,7 @@ def step(state: EvolutionState, spec: PotentialSpec, dt: float) -> EvolutionStat
     # blow-up produces inf/nan mid-update before the explicit check below;
     # keep numpy quiet about it
     with np.errstate(invalid="ignore", over="ignore"):
-        if state._psi_next is None:
+        if state._ahead is None or state._ahead[0] != dt:
             cur = np.empty(psi.shape, dtype=complex)
             for rows in blocks:
                 half, tmp = scratch[:, :rows.stop - rows.start]
@@ -165,7 +163,7 @@ def step(state: EvolutionState, spec: PotentialSpec, dt: float) -> EvolutionStat
             psi_dot = np.empty(psi.shape, dtype=complex)
         else:
             # the ring: psi^{m+2} over psi_dot^m, psi_dot^{m+1} over psi^m
-            cur, ahead, psi_dot = state._psi_next, state.sample.psi_dot, psi
+            cur, ahead, psi_dot = state._ahead[1], state.sample.psi_dot, psi
 
         tmp = scratch[1]
         for rows in blocks:
@@ -181,13 +179,9 @@ def step(state: EvolutionState, spec: PotentialSpec, dt: float) -> EvolutionStat
             np.subtract(nxt, psi[rows], out=psi_dot[rows])
             psi_dot[rows] *= 0.5 / dt
 
-    new_sample = FieldSample(grid=grid, time=t + dt, psi=cur, psi_dot=psi_dot)
-    return EvolutionState(
-        sample=new_sample,
-        diagnostics=state.diagnostics,
-        snapshots=state.snapshots,
-        _psi_next=ahead,
-    )
+    state.sample = FieldSample(grid=grid, time=t + dt, psi=cur, psi_dot=psi_dot)
+    state._ahead = (dt, ahead)
+    return state
 
 
 def step_count(t_final: float, dt: float) -> int:
@@ -226,28 +220,21 @@ def evolve(initial: FieldSample, spec: PotentialSpec, t_final: float, dt: float,
     _check_step(initial.grid, spec, dt)
     n_steps = step_count(t_final, dt)
     state = EvolutionState(initial)
-
-    def record(st):
-        st.diagnostics.append(DiagnosticPoint(
-            time=st.sample.time,
-            energy=measure_energy(st.sample, spec),
-            momentum=measure_momentum(st.sample),
-            center_of_energy=center_of_energy(st.sample, spec),
-        ))
-
-    def snapshot(st, m):
+    for m in range(n_steps + 1):
+        if m:
+            step(state, spec, dt)
+        sample = state.sample
+        if m % diag_stride == 0 or m == n_steps:
+            state.diagnostics.append(DiagnosticPoint(
+                time=sample.time,
+                energy=measure_energy(sample, spec),
+                momentum=measure_momentum(sample),
+                center_of_energy=center_of_energy(sample, spec),
+            ))
         if snapshot_stride is not None and m % snapshot_stride == 0:
             name = f"snapshot_{m:08d}.bin"
-            save_sample(st.sample, os.path.join(os.fspath(snapshot_dir), name))
-            st.snapshots.append(name)
-
-    record(state)
-    snapshot(state, 0)
-    for m in range(1, n_steps + 1):
-        state = step(state, spec, dt)
-        if m % diag_stride == 0 or m == n_steps:
-            record(state)
-        snapshot(state, m)
+            save_sample(sample, os.path.join(os.fspath(snapshot_dir), name))
+            state.snapshots.append(name)
     return state
 
 

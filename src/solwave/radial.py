@@ -776,7 +776,7 @@ def save_wave(wave: SolitaryWave, csv_path, sidecar_path) -> None:
     p = wave.profile
     write_csv(csv_path, ["r", "R", "dR"], zip(p.r_grid, p.values, p.derivative))
     write_json(sidecar_path, {
-        "n": int(wave.n), "k": int(wave.k), "omega": wave.omega, "delta": wave.delta,
+        "n": int(wave.n), "k": int(wave.k), "omega": wave.omega,
         "prefactor": p.prefactor, "match_radius": p.match_radius, "shoot_param": p.shoot_param,
         "node_count": p.node_count, "numeric_radius": p.numeric_radius,
         "mass_sq": wave.spec.mass_sq, "terms": [list(term) for term in wave.spec.terms],
@@ -794,32 +794,37 @@ def load_wave(csv_path, sidecar_path, spec: PotentialSpec) -> SolitaryWave:
     saved by a solver whose assembly differs is refused: re-solve it.
     Raises ValueError naming the file at fault, with the sidecar's key: a
     potential other than spec's (amplitude_cap aside), a key missing or not
-    finite, omega^2 >= mass_sq, no rebuild or values off it; a CSV field that
-    is not a number, rows not of three columns spanning 1/64 of a shot, or
-    columns off the rebuild.  n and k are checked as SolitaryWave checks them.
+    finite, an n, k or node_count that is not a whole number, omega^2 >=
+    mass_sq, no rebuild or values off it; a CSV field that is not a number,
+    rows not of three columns spanning 1/64 of a shot, or columns off the
+    rebuild.  n and k are checked as SolitaryWave checks them.
     """
     with open(sidecar_path) as fh:
         meta = json.load(fh)
     if not isinstance(meta, dict):
         raise ValueError(f"{sidecar_path}: expected a JSON object, read a {type(meta).__name__}")
 
-    def field(key, convert=float):
+    def field(key, whole=False):
         try:
-            value = convert(meta[key])
+            value = float(meta[key])
         except KeyError:
             raise ValueError(f"{sidecar_path}: no {key!r} key") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{sidecar_path}: {key!r} is not a number: {exc}") from None
         if not math.isfinite(value):
             raise ValueError(f"{sidecar_path}: {key!r} is not finite: {value}")
-        return value
+        if whole and not value.is_integer():
+            raise ValueError(f"{sidecar_path}: {key!r} must be a whole number, "
+                             f"got {meta[key]!r}")
+        return int(value) if whole else value
 
     saved = (meta.get("mass_sq"), meta.get("terms"))
     given = (spec.mass_sq, [list(term) for term in spec.terms])
     if saved != given:
         raise ValueError(f"{sidecar_path}: the wave was solved for mass_sq={saved[0]}, "
                          f"terms={saved[1]}, not for mass_sq={given[0]}, terms={given[1]}")
-    n, k, omega, s = field("n", int), field("k", int), field("omega"), field("shoot_param")
+    n, k = field("n", whole=True), field("k", whole=True)
+    omega, s = field("omega"), field("shoot_param")
     if not omega**2 < spec.mass_sq:
         raise ValueError(f"{sidecar_path}: 'omega' {omega} has omega^2 >= mass_sq "
                          f"{spec.mass_sq}, so the wave has no decaying tail")
@@ -851,7 +856,7 @@ def load_wave(csv_path, sidecar_path, spec: PotentialSpec) -> SolitaryWave:
     if off(r[: p.r_grid.size], p.r_grid[: r.size]).size:
         raise ValueError(f"{csv_path}: the r column is not the rebuilt grid r_j = j r_1")
     for keys in (("node_count",), ("prefactor",), ("numeric_radius", "match_radius")):
-        read = [field(key, int if key == "node_count" else float) for key in keys]
+        read = [field(key, whole=key == "node_count") for key in keys]
         rebuilt = [getattr(p, key) for key in keys]
         if off(read, rebuilt).size:
             pairs = " and ".join(map("{!r} {!r}".format, keys, read))

@@ -1,7 +1,8 @@
 """The benchmark's traced run rebinds library module attributes by name
 (perfbench/spans.py, REBIND).  A rename or deletion in the library would
 silently break that run, so every rebinding point must resolve, and the
-points that carry the step and diagnostic timings must be called."""
+points that carry the step and diagnostic timings must be called.  The
+benchmark's oracle gates (perfbench/gates.py) must pass their self-check."""
 
 import importlib
 import importlib.util
@@ -23,6 +24,18 @@ def test_rebind_points_resolve(monkeypatch):
     missing = [(module, attr) for module, attr in spans.REBIND
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def test_gates_self_check():
+    # the benchmark refuses to report when a gate misjudges one of these
+    # cases; a broken gate fails here first
+    spec = importlib.util.spec_from_file_location("perfbench_gates", PERFBENCH / "gates.py")
+    gates = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gates)
+    results = gates.self_check()
+    assert results
+    wrong = [name for name, expected, passed in results if passed != expected]
+    assert wrong == []
 
 
 def test_traced_call_points_are_called(monkeypatch, cubic, wave_1d, wave_2d, wave_3d):

@@ -61,6 +61,19 @@ class TestStep:
         state = step(state, cubic, 0.02)
         assert state.sample.time == pytest.approx(0.02)
 
+    def test_changed_dt_restarts_from_the_sample(self, cubic, wave_1d):
+        # a level ahead computed at 0.01 does not serve a step of 0.005:
+        # reusing it left the field labelled t = 0.02 9.5e-3 off the exact
+        # boosted wave, against 3.6e-7 for two steps of 0.01
+        g = grid_for(wave_1d, [0.5], 2.0, 0.02)
+        state = EvolutionState(sample_boosted(wave_1d, [0.5], g, t=0.0))
+        for dt in (0.01, 0.005, 0.005):
+            step(state, cubic, dt)
+        exact = sample_boosted(wave_1d, [0.5], g, t=0.02)
+        assert state.sample.time == pytest.approx(0.02)
+        err = np.linalg.norm(state.sample.psi - exact.psi) / np.linalg.norm(exact.psi)
+        assert err < 1e-6
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_largest_admitted_step_is_stable(self, cubic, n):
         # dt = CFL_NUMBER h keeps dt^2 sum_j 1/h_j^2 <= n/4 < 1 up to n = 3:
@@ -183,9 +196,8 @@ class TestSectorFlight:
 
 
 class TestOwnership:
-    """A caller's arrays are never written; a step-made state hands its own
-    arrays to the next step, so steady-state stepping allocates only block
-    scratch."""
+    """step advances the one state in place; a caller's arrays are never
+    written, and steady-state stepping allocates only block scratch."""
 
     def test_evolve_leaves_initial_sample_untouched(self, cubic, wave_1d):
         g = grid_for(wave_1d, [0.6], 0.5, 0.1)
@@ -199,12 +211,15 @@ class TestOwnership:
         g = grid_for(wave_2d, [0.6, 0.0], 0.2, 0.2)
         s0 = sample_boosted(wave_2d, [0.6, 0.0], g, t=0.0)
         psi, psi_dot = s0.psi.copy(), s0.psi_dot.copy()
-        new = step(EvolutionState(s0), cubic, 0.04)
-        np.testing.assert_array_equal(s0.psi, psi)
-        np.testing.assert_array_equal(s0.psi_dot, psi_dot)
-        for out in (new.sample.psi, new.sample.psi_dot):
-            assert not np.shares_memory(out, s0.psi)
-            assert not np.shares_memory(out, s0.psi_dot)
+        state = EvolutionState(s0)
+        for _ in range(3):
+            assert step(state, cubic, 0.04) is state
+            np.testing.assert_array_equal(s0.psi, psi)
+            np.testing.assert_array_equal(s0.psi_dot, psi_dot)
+            for out in (state.sample.psi, state.sample.psi_dot):
+                assert not np.shares_memory(out, s0.psi)
+                assert not np.shares_memory(out, s0.psi_dot)
+        assert state.sample.time == pytest.approx(0.12)
 
     def test_steady_state_step_allocates_only_block_scratch(self, cubic):
         # 512 x 512 complex cells are 4 MiB, about sixteen 256 KiB blocks

@@ -484,6 +484,14 @@ class TestInterpolantAndSerialization:
         assert back.profile.prefactor == wave_2d.profile.prefactor
         assert back.profile.match_radius == wave_2d.profile.match_radius
         assert back.delta == wave_2d.delta
+        # no 'delta' is saved (the loader takes it from omega and the spec),
+        # and a sidecar that still carries one loads as before
+        meta = json.loads(sidecar.read_text())
+        assert "delta" not in meta
+        sidecar.write_text(json.dumps(meta | {"delta": wave_2d.delta}))
+        again = load_wave(csv_path, sidecar, cubic)
+        assert again.profile.values.tobytes() == back.profile.values.tobytes()
+        assert again.delta == wave_2d.delta
 
     def test_save_load_bit_exact(self, wave_2d, cubic, tmp_path):
         csv_path, sidecar = tmp_path / "wave.csv", tmp_path / "wave.json"
@@ -551,10 +559,22 @@ class TestInterpolantAndSerialization:
         with pytest.raises(ValueError, match=message):
             load_wave(csv_path, sidecar, cubic)
 
+    @pytest.mark.parametrize("key, value", [("n", 2.9), ("k", 0.5), ("node_count", 0.7),
+                                            ("n", "2.5")])
+    def test_load_refuses_a_fractional_index(self, wave_2d, cubic, tmp_path, key, value):
+        # each once loaded truncated: n = 2, k = 0, 0 nodes
+        csv_path, sidecar = tmp_path / "wave.csv", tmp_path / "wave.json"
+        save_wave(wave_2d, csv_path, sidecar)
+        meta = json.loads(sidecar.read_text())
+        meta[key] = value
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"wave.json: '{key}' must be a whole number"):
+            load_wave(csv_path, sidecar, cubic)
+
     @pytest.mark.parametrize("key", ["n", "k", "omega", "node_count", "shoot_param",
                                      "numeric_radius", "prefactor", "match_radius"])
-    @pytest.mark.parametrize("value", [None, "abc", [1.0], math.nan],
-                             ids=["missing", "text", "list", "nan"])
+    @pytest.mark.parametrize("value", [None, "abc", [1.0], math.nan, 10**400],
+                             ids=["missing", "text", "list", "nan", "huge"])
     def test_load_refuses_a_bad_sidecar(self, wave_2d, cubic, tmp_path, key, value):
         # value None drops the key
         csv_path, sidecar = tmp_path / "wave.csv", tmp_path / "wave.json"
