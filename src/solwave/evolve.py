@@ -82,15 +82,16 @@ class EvolutionState:
     """The one mutable state of a run, which step advances in place.
 
     sample holds a consistent (psi, psi_dot) pair at sample.time; _ahead is
-    (dt, the next level computed at that dt), None before the first step, so
-    the centered psi_dot reconstruction costs nothing extra.  diagnostics and
+    (dt, the sample it was stepped from, the next level computed at that dt),
+    None before the first step, so the centered psi_dot reconstruction costs
+    nothing extra.  diagnostics and
     snapshots (the file names evolve wrote) collect as the run goes.
     """
 
     sample: FieldSample
     diagnostics: list[DiagnosticPoint] = field(default_factory=list)
     snapshots: list[str] = field(default_factory=list)
-    _ahead: tuple[float, np.ndarray] | None = None
+    _ahead: tuple[float, FieldSample, np.ndarray] | None = None
 
 
 def _check_step(grid, spec: PotentialSpec, dt: float) -> None:
@@ -127,8 +128,9 @@ def step(state: EvolutionState, spec: PotentialSpec, dt: float) -> EvolutionStat
     One pass over the row blocks writes the next level
     psi^{m+2} = K(psi^{m+1}) - psi^m (K of the module docstring) and the
     centered psi_dot^{m+1}, so every temporary is one block.  A state with no
-    level ahead at this dt (one the caller built, or one last stepped at
-    another dt) first takes the Taylor bootstrap from its own sample.
+    level ahead of its sample at this dt (one the caller built, one last
+    stepped at another dt, or one whose sample the caller replaced) first
+    takes the Taylor bootstrap from its own sample.
 
     Memory: the bootstrap allocates the three arrays the state then owns and
     writes none of its sample's, so a caller's FieldSample is never written.
@@ -151,7 +153,8 @@ def step(state: EvolutionState, spec: PotentialSpec, dt: float) -> EvolutionStat
     # blow-up produces inf/nan mid-update before the explicit check below;
     # keep numpy quiet about it
     with np.errstate(invalid="ignore", over="ignore"):
-        if state._ahead is None or state._ahead[0] != dt:
+        ahead = state._ahead
+        if ahead is None or ahead[0] != dt or ahead[1] is not state.sample:
             cur = np.empty(psi.shape, dtype=complex)
             for rows in blocks:
                 half, tmp = scratch[:, :rows.stop - rows.start]
@@ -163,7 +166,7 @@ def step(state: EvolutionState, spec: PotentialSpec, dt: float) -> EvolutionStat
             psi_dot = np.empty(psi.shape, dtype=complex)
         else:
             # the ring: psi^{m+2} over psi_dot^m, psi_dot^{m+1} over psi^m
-            cur, ahead, psi_dot = state._ahead[1], state.sample.psi_dot, psi
+            cur, ahead, psi_dot = ahead[2], state.sample.psi_dot, psi
 
         tmp = scratch[1]
         for rows in blocks:
@@ -180,7 +183,7 @@ def step(state: EvolutionState, spec: PotentialSpec, dt: float) -> EvolutionStat
             psi_dot[rows] *= 0.5 / dt
 
     state.sample = FieldSample(grid=grid, time=t + dt, psi=cur, psi_dot=psi_dot)
-    state._ahead = (dt, ahead)
+    state._ahead = (dt, state.sample, ahead)
     return state
 
 

@@ -9,9 +9,12 @@ bracket scan, the rtol-1e-12 root-finding and converged-profile shots) runs
 one scalar DOP853 stepper on the two floats (R, R'), with Hairer's tableau
 (written out below) and the step control of scipy's DOP853, and classifies the
 trajectory after each step.  The stepper's stage, error and dense-output sums
-are straight-line code generated at import from the tableau literals, each
-sum adding its terms in the row's order, so every shot is bit-identical to
-one that weighs the rows in a loop.  Every shot ends Undershot (turns back up
+are straight-line code generated from the tableau literals, with the
+amplitude equation written into every stage: compiled once per exponent
+tuple of the potential, on its first solve (nothing is generated at import),
+and bound to each solve's constants.  Each sum adds its terms in the row's
+order, so every shot is bit-identical to one that weighs the rows in a loop
+and calls the equation per stage.  Every shot ends Undershot (turns back up
 before reaching zero) or Overshot (sign change, or runaway past the divergence
 guard), and there is no decay outcome.  The decaying profile is a separatrix
 of the ODE: perturbations grow like e^{+delta r} with
@@ -183,12 +186,17 @@ def _series_start(spec: PotentialSpec, omega: float, n: int, k: int, s: float, r
     return s * r0**k + c * r0 ** (k + 2), k * s * r0 ** (k - 1) + (k + 2) * c * r0 ** (k + 1)
 
 
+def _constants(spec: PotentialSpec, omega: float, n: int, k: int):
+    """(k^2, n - 1, mass_sq - omega^2, *couplings): the constants of the
+    amplitude equation, as _rhs and every stepper take them."""
+    return (float(k * k), float(n - 1), spec.mass_sq - omega**2,
+            *(coupling for coupling, _ in spec.terms))
+
+
 def _rhs(spec: PotentialSpec, omega: float, n: int, k: int):
     """The amplitude equation as R''(r, R, R') at r > 0, on floats or
-    elementwise on arrays."""
-    lin = spec.mass_sq - omega**2
-    k2 = float(k * k)
-    nm1 = float(n - 1)
+    elementwise on arrays; _stepper writes the same expression into its stages."""
+    k2, nm1, lin, *_ = _constants(spec, omega, n, k)
     powers = tuple((coupling, exponent - 2) for coupling, exponent in spec.terms)
 
     def rhs(r, R, dR):
@@ -280,55 +288,74 @@ def _row_sum(row, k):
     return "0.0" + "".join(f" {'-' if a < 0.0 else '+'} {abs(a)!r} * {k}{j}" for j, a in row)
 
 
-def _stage_lines(rows, first):
+def _stage_lines(rows, first, exponents):
     """Stages first, first + 1, ... from rows: per stage i its R_i, R' (kR_i)
-    and R'' (kD_i)."""
+    and R'' (kD_i), the last being _rhs's expression at r + c_i h written
+    out, with |R|^p as R ** p for an even p (Python's float power takes |R|
+    there itself, so the float is the same)."""
     lines = []
     for i, (c, row) in enumerate(rows, first):
-        lines += [f"R{i} = R + h * ({_row_sum(row, 'kR')})",
+        R = f"R{i}"
+        nl = "".join(f" + c{j} * {f'abs({R})' if e % 2 else R} ** {float(e - 2)!r} * {R}"
+                     for j, e in enumerate(exponents))
+        lines += [f"{R} = R + h * ({_row_sum(row, 'kR')})",
                   f"kR{i} = kR0 + h * ({_row_sum(row, 'kD')})",
-                  f"kD{i} = f(r + {c!r} * h, R{i}, kR{i})"]
+                  f"x = r + {c!r} * h",
+                  f"kD{i} = (k2 / (x * x)) * {R} - (nm1 / x) * kR{i} + lin * {R} - (0.0{nl})"]
     return lines
 
 
-def _straight_line():
-    """_stages and _dense_piece: the tableau arithmetic of one DOP853 step as
-    straight-line code, generated from the rows above and compiled once.
+def _compile_stepper(exponents):
+    """The stepper factory of one exponent tuple: the tableau arithmetic of a
+    DOP853 step as straight-line code, generated from the rows above, taking
+    the constants of _constants and returning (stages, dense_piece).
 
-    _stages(f, r, h, R, kR0, kD0) -> (R_new, R'_new, R''_new, e5R, e5D, e3R, e3D, ks)
+    stages(r, h, R, kR0, kD0) -> (R_new, R'_new, R''_new, e5R, e5D, e3R, e3D, ks)
     steps from (R, R' = kR0, R'' = kD0) through the twelve stages, the last
     (c = 1) being the step's end, and takes the _E5 and _E3 error sums.  ks
-    holds the stage values for _dense_piece(f, r, h, R, kR0, kD0, ks), which
+    holds the stage values for dense_piece(r, h, R, kR0, kD0, ks), which
     adds the three _EXTRA stages and returns the step's piece (see
     _Trajectory).  Each sum adds its terms in the row's order, so every float
-    is the one a loop over the rows gives.
+    is the one a loop over the rows, calling _rhs per stage, gives.
     """
     last = len(_STAGES)
     ks = ", ".join([f"R{last}"] + [f"{k}{i}" for k in ("kR", "kD") for i in range(1, last + 1)])
     errors = ", ".join(_row_sum(row, k) for row in (_E5, _E3) for k in ("kR", "kD"))
     rows = ", ".join(f"(h * ({_row_sum(row, 'kR')}), h * ({_row_sum(row, 'kD')}))" for row in _D)
     functions = {
-        "_stages(f, r, h, R, kR0, kD0)": [
-            *_stage_lines(_STAGES, 1),
+        "stages(r, h, R, kR0, kD0)": [
+            *_stage_lines(_STAGES, 1, exponents),
             f"return R{last}, kR{last}, kD{last}, {errors}, ({ks})",
         ],
-        "_dense_piece(f, r, h, R, kR0, kD0, ks)": [
+        "dense_piece(r, h, R, kR0, kD0, ks)": [
             f"{ks} = ks",
-            *_stage_lines(_EXTRA, last + 1),
+            *_stage_lines(_EXTRA, last + 1, exponents),
             f"jump_R, jump_D = R{last} - R, kR{last} - kR0",
             "return [(R, kR0), (jump_R, jump_D), (h * kR0 - jump_R, h * kD0 - jump_D),"
             f" (2.0 * jump_R - h * (kR{last} + kR0), 2.0 * jump_D - h * (kD{last} + kD0)),"
             f" {rows}]",
         ],
     }
-    source = "".join("\n    ".join([f"def {signature}:", *body]) + "\n"
-                     for signature, body in functions.items())
+    constants = ", ".join(["k2", "nm1", "lin", *(f"c{j}" for j in range(len(exponents)))])
+    source = f"def bind({constants}):\n" + "".join(
+        "\n        ".join([f"    def {signature}:", *body]) + "\n"
+        for signature, body in functions.items()) + "    return stages, dense_piece\n"
     namespace = {}
-    exec(compile(source, "<radial DOP853 stages>", "exec"), namespace)
-    return namespace["_stages"], namespace["_dense_piece"]
+    exec(compile(source, f"<radial DOP853 stages, exponents {exponents}>", "exec"), namespace)
+    return namespace["bind"]
 
 
-_stages, _dense_piece = _straight_line()
+_STEPPERS = {}  # the factories of _compile_stepper by exponent tuple, filled on first use
+
+
+def _stepper(spec, omega, n, k):
+    """(stages, dense_piece) of _compile_stepper for this equation: the
+    factory of spec's exponent tuple, compiled on its first use, bound to
+    _constants(spec, omega, n, k)."""
+    exponents = tuple(exponent for _, exponent in spec.terms)
+    if exponents not in _STEPPERS:
+        _STEPPERS[exponents] = _compile_stepper(exponents)
+    return _STEPPERS[exponents](*_constants(spec, omega, n, k))
 
 
 class _Trajectory:
@@ -358,59 +385,18 @@ class _Trajectory:
         return y + y_old
 
 
-def _dop853(f, r, R, dR, r_end, rtol, atol, dense):
-    """Accepted steps (r, R, R', piece) of (R, R')' = (R', f(r, R, R')) from r to
-    r_end: DOP853 on two floats (the stages of _stages) with scipy's step
-    control (Hairer's initial step, safety 0.9, factor in [0.2, 10], exponent
-    -1/8); piece is the step's start and interpolant rows from _dense_piece
-    with dense=True (see _Trajectory), else None.
-    Raises StepFailure on an underflowing or non-finite step or a non-finite
-    error."""
-    ddR = f(r, R, dR)
-    scale_R, scale_D = atol + abs(R) * rtol, atol + abs(dR) * rtol
-
-    def norm(x, y):
-        return math.hypot(x / scale_R, y / scale_D) / math.sqrt(2.0)
-
-    d0, d1 = norm(R, dR), norm(dR, ddR)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, r_end - r)
-    d2 = norm(h0 * ddR, f(r + h0, R + h0 * dR, dR + h0 * ddR) - ddR) / h0
-    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
-    h_abs = min(100.0 * h0, h1, r_end - r)
-    while r < r_end:
-        min_step = 10.0 * (math.nextafter(r, math.inf) - r)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if not h_abs >= min_step:
-                raise StepFailure(f"step size {h_abs:.3g} at r={r:.6g} underflowed")
-            r_new = min(r + h_abs, r_end)
-            h = r_new - r
-            R_new, dR_new, ddR_new, e5R, e5D, e3R, e3D, ks = _stages(f, r, h, R, dR, ddR)
-            scale_R = atol + max(abs(R), abs(R_new)) * rtol
-            scale_D = atol + max(abs(dR), abs(dR_new)) * rtol
-            err5, err3 = norm(e5R, e5D) ** 2, norm(e3R, e3D) ** 2
-            error = 0.0 if err5 == err3 == 0.0 else h * err5 / math.sqrt(err5 + 0.01 * err3)
-            if not math.isfinite(error):
-                raise StepFailure(f"error estimate {error} at r={r:.6g}")
-            if error < 1.0:
-                factor = 10.0 if error == 0.0 else min(10.0, 0.9 * error**-0.125)
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            h_abs *= max(0.2, 0.9 * error**-0.125)
-            rejected = True
-        piece = _dense_piece(f, r, h, R, dR, ddR, ks) if dense else None
-        r, R, dR, ddR = r_new, R_new, dR_new, ddR_new
-        yield r, R, dR, piece
-
-
 def _shoot(spec, omega, n, k, s, rtol=1e-12, dense=False):
     """One outward shot with datum s to SHOT_RANGE / delta by the scalar DOP853
     stepper at rtol (the bracket scan passes 1e-6), classified per step.
 
     Returns the signed miss, or the trajectory alone with dense=True; a datum
-    that is zero or not finite raises ValueError.  Conditions are checked per
-    step (steps resolve 1/delta many times over), not located as events.
+    that is zero or not finite raises ValueError, and an underflowing or
+    non-finite step or a non-finite error estimate StepFailure.  The steps are
+    _stepper's stages under scipy's step control (Hairer's initial step, from
+    two _rhs calls; safety 0.9, factor in [0.2, 10], exponent -1/8, error
+    tolerance atol = 1e-14 |s|), in one loop with the classification.
+    Conditions are checked per step (steps resolve 1/delta many times over),
+    not located as events.
     Shots start from the origin series R ~ s r^k + c r^{k+2} at
     r0 = 1e-6/delta for k = 0 and 1e-3/delta for k >= 1, past the radii where
     the k^2/r^2 term would keep the steps short; against a 1e-6/delta start, the
@@ -432,24 +418,66 @@ def _shoot(spec, omega, n, k, s, rtol=1e-12, dense=False):
         raise ValueError(f"shot datum must be finite and nonzero, got {s}")
     delta = math.sqrt(spec.mass_sq - omega**2)
     guard = DIVERGENCE_FACTOR * spec.amplitude_cap
-    r0 = (1e-6 if k == 0 else 1e-3) / delta
+    r = r0 = (1e-6 if k == 0 else 1e-3) / delta
+    r_end, atol = SHOT_RANGE / delta, 1e-14 * abs(s)
     R, dR = _series_start(spec, omega, n, k, float(s), r0)
+    stages, dense_piece = _stepper(spec, omega, n, k)
+    hypot, nextafter, sqrt, inf = math.hypot, math.nextafter, math.sqrt, math.inf
+    root2 = sqrt(2.0)
+
+    f = _rhs(spec, omega, n, k)
+    ddR = f(r, R, dR)
+    scale_R, scale_D = atol + abs(R) * rtol, atol + abs(dR) * rtol
+    d0 = hypot(R / scale_R, dR / scale_D) / root2
+    d1 = hypot(dR / scale_R, ddR / scale_D) / root2
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, r_end - r)
+    d2 = hypot(h0 * ddR / scale_R,
+               (f(r + h0, R + h0 * dR, dR + h0 * ddR) - ddR) / scale_D) / root2 / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+    h_abs = min(100.0 * h0, h1, r_end - r)
+
     ts, pieces = [r0], []
     sign = math.copysign(1.0, s)
-    dR_prev = dR
-    for r, R, dR, piece in _dop853(_rhs(spec, omega, n, k), r0, R, dR, SHOT_RANGE / delta,
-                                   rtol, 1e-14 * abs(s), dense):
+    undershot = None
+    while undershot is None and r < r_end:
+        min_step = 10.0 * (nextafter(r, inf) - r)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        abs_R, abs_D = abs(R), abs(dR)
+        while True:
+            if not h_abs >= min_step:
+                raise StepFailure(f"step size {h_abs:.3g} at r={r:.6g} underflowed")
+            r_new = r + h_abs
+            if r_end < r_new:
+                r_new = r_end
+            h = r_new - r
+            R_new, dR_new, ddR_new, e5R, e5D, e3R, e3D, ks = stages(r, h, R, dR, ddR)
+            # scipy's max(|y|, |y_new|) and factor clips, as comparisons
+            scale_R, scale_D = abs(R_new), abs(dR_new)
+            scale_R = atol + (scale_R if scale_R > abs_R else abs_R) * rtol
+            scale_D = atol + (scale_D if scale_D > abs_D else abs_D) * rtol
+            err5 = (hypot(e5R / scale_R, e5D / scale_D) / root2) ** 2
+            err3 = (hypot(e3R / scale_R, e3D / scale_D) / root2) ** 2
+            error = 0.0 if err5 == err3 == 0.0 else h * err5 / sqrt(err5 + 0.01 * err3)
+            if error < 1.0:
+                factor = 0.9 * error**-0.125 if error else 10.0
+                cap = 1.0 if rejected else 10.0
+                h_abs *= factor if factor < cap else cap
+                break
+            if not error < inf:
+                raise StepFailure(f"error estimate {error} at r={r:.6g}")
+            h_abs *= max(0.2, 0.9 * error**-0.125)
+            rejected = True
         if dense:
-            ts.append(r)
-            pieces.append(piece)
-        if R == 0.0 or math.copysign(1.0, R) != sign or abs(R) > guard:
+            ts.append(r_new)
+            pieces.append(dense_piece(r, h, R, dR, ddR, ks))
+        if not 0.0 < R_new * sign <= guard:  # a sign change, zero or runaway past the guard
             undershot = False
-            break
-        if dR_prev < 0.0 <= dR and R > 0.0:
+        elif dR < 0.0 <= dR_new and R_new > 0.0:
             undershot = True
-            break
-        dR_prev = dR
-    else:  # reached the end of the range without a terminating step
+        r, R, dR, ddR = r_new, R_new, dR_new, ddR_new
+    if undershot is None:  # reached the end of the range without a terminating step
         # monotone runaway below the guard
         undershot = not (R > 0 and dR > 0)
     if not dense:

@@ -1,7 +1,7 @@
 """scipy, a test-only dependency, as the oracle of the numerics solwave carries
 itself: the DOP853 tableau, the dense trajectory of a shot, Brent's method
-and Simpson's rule; and the loop form of the DOP853 step as the oracle of its
-generated straight-line stages."""
+and Simpson's rule; and the loop form of the DOP853 step, calling _rhs per
+stage, as the oracle of the shot's generated straight-line stages."""
 
 import math
 
@@ -11,8 +11,9 @@ import scipy.integrate
 import scipy.optimize
 from scipy.integrate import DOP853, DenseOutput, OdeSolution
 
-from solwave import radial
+from solwave import find_ground_state, radial
 from solwave.numerics import brentq, simpson
+from solwave.potential import PotentialSpec
 
 from conftest import AMP, CQ
 
@@ -78,10 +79,10 @@ def _weigh(row, kR, kD):
 
 
 def _loop_dop853(f, r, R, dR, r_end, rtol, atol):
-    """radial._dop853 with dense=True and the tableau rows weighed in loops:
-    the accepted steps (r, R, R', piece), and per step tried, accepted or
-    rejected, its start (r, h, R, R', R'') and its end (R, R', R'') with the
-    _E5 and _E3 sums."""
+    """The step loop of radial._shoot with dense=True, unclassified, to r_end,
+    with the tableau rows weighed in loops and f per stage: the accepted steps
+    (r, R, R', piece), and per step tried, accepted or rejected, its start
+    (r, h, R, R', R'') and its end (R, R', R'') with the _E5 and _E3 sums."""
     ddR = f(r, R, dR)
     scale_R, scale_D = atol + abs(R) * rtol, atol + abs(dR) * rtol
 
@@ -135,26 +136,53 @@ def _bits(rows):
     return np.array([np.ravel(row) for row in rows]).view(np.int64)
 
 
+# |R| R: an odd exponent, the one power the stages take of abs(R)
+ODD = PotentialSpec(mass_sq=1.0, terms=((1.0, 3),), amplitude_cap=8.5)
+
+
 @pytest.mark.parametrize("rtol", [1e-6, 1e-12])
-def test_stepper_matches_the_loop_form(cubic, wave_1d, wave_2d, wave_3d, wave_k1, wave_k2,
-                                       rtol):
-    # the generated straight-line stages against the tableau rows weighed in
-    # loops, bit for bit, over a shot's whole range at each wave's converged
-    # datum: every step tried (its end and error sums), and every accepted
-    # step with its dense piece
-    for wave in (wave_1d, wave_2d, wave_3d, wave_k1, wave_k2):
-        n, k, omega, s = wave.n, wave.k, wave.omega, wave.profile.shoot_param
-        f, r0 = radial._rhs(cubic, omega, n, k), 1e-6 / wave.delta
-        args = (f, r0, *radial._series_start(cubic, omega, n, k, s, r0),
-                radial.SHOT_RANGE / wave.delta, rtol, 1e-14 * abs(s))
-        steps, tries = _loop_dop853(*args)
+def test_stepper_matches_the_loop_form(wave_1d, wave_2d, wave_3d, wave_k1, wave_k2, rtol):
+    # the specialized stepper, the amplitude equation written into its stages,
+    # against the tableau rows weighed in loops with _rhs as f, bit for bit,
+    # over a shot's whole range: every step tried (its end and error sums),
+    # and every accepted step's dense piece up to where _shoot's dense shot
+    # stops.  The cubic waves sit at their converged data; CQ's two even
+    # terms and ODD's abs path too, ODD just above its root, so that the
+    # shot overshoots and R turns negative
+    cases = [(w.spec, w.omega, w.n, w.k, w.profile.shoot_param)
+             for w in (wave_1d, wave_2d, wave_3d, wave_k1, wave_k2)]
+    cases += [(CQ, 0.7, 3, 0, find_ground_state(CQ, 0.7, 3).profile.shoot_param),
+              (ODD, 0.8, 2, 0, 1.001 * find_ground_state(ODD, 0.8, 2).profile.shoot_param)]
+    for spec, omega, n, k, s in cases:
+        delta = math.sqrt(spec.mass_sq - omega**2)
+        r0 = (1e-6 if k == 0 else 1e-3) / delta
+        steps, tries = _loop_dop853(radial._rhs(spec, omega, n, k), r0,
+                                    *radial._series_start(spec, omega, n, k, s, r0),
+                                    radial.SHOT_RANGE / delta, rtol, 1e-14 * abs(s))
         assert len(tries) > len(steps)  # some step was rejected
-        got = [radial._stages(f, *start)[:7] for start, _ in tries]
+        assert spec is not ODD or min(end[0] for _, end in tries) < 0.0
+        stages, _ = radial._stepper(spec, omega, n, k)
+        got = [stages(*start)[:7] for start, _ in tries]
         assert np.array_equal(_bits(got), _bits([end for _, end in tries]))
-        got = [(r, R, dR, *np.ravel(piece)) for r, R, dR, piece in
-               radial._dop853(*args, dense=True)]
-        assert np.array_equal(_bits(got), _bits([(r, R, dR, *np.ravel(piece))
-                                                 for r, R, dR, piece in steps]))
+        sol = radial._shoot(spec, omega, n, k, s, rtol=rtol, dense=True)
+        kept = steps[: sol.ts.size - 1]
+        assert len(kept) > 16
+        assert np.array_equal(_bits([sol.ts]), _bits([[r0] + [r for r, *_ in kept]]))
+        assert np.array_equal(_bits(np.transpose(sol._rows, (2, 0, 1))),
+                              _bits([piece for *_, piece in kept]))
+
+
+def test_stepper_binds_constants_per_solve(wave_1d, wave_2d, monkeypatch):
+    # the cubic with coupling 2 runs the code compiled for coupling 1, bound
+    # to its own constants: R -> R / sqrt(2) maps one equation onto the
+    # other, and the coupling-1 roots are the ones solved before
+    monkeypatch.setattr(radial, "_STEPPERS", {})
+    for wave in (wave_1d, wave_2d):
+        roots = [find_ground_state(PotentialSpec(mass_sq=1.0, terms=((c, 4),), amplitude_cap=8.5),
+                                   0.8, wave.n).profile.shoot_param for c in (1.0, 2.0)]
+        assert roots[0] == wave.profile.shoot_param
+        assert roots[1] == pytest.approx(roots[0] / math.sqrt(2.0), rel=1e-12, abs=0)
+    assert list(radial._STEPPERS) == [(4,)]
 
 
 def _outcome(solve):

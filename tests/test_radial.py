@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -80,16 +83,28 @@ class TestStepper:
     @pytest.mark.parametrize("dense", [False, True])
     def test_non_finite_equation_fails_typed(self, cubic, monkeypatch, dense):
         # a NaN R'' past r = 1 gives a NaN error estimate, which must end the
-        # shot in StepFailure rather than shrink a NaN step forever
-        rhs = radial._rhs
+        # shot in StepFailure rather than shrink a NaN step forever; the NaN
+        # enters the stepper's stages as the step's starting R''
+        stepper = radial._stepper
 
         def broken(*args):
-            f = rhs(*args)
-            return lambda r, R, dR: f(r, R, dR) if r <= 1.0 else math.nan
+            stages, dense_piece = stepper(*args)
+            return (lambda r, h, R, kR0, kD0: stages(r, h, R, kR0, kD0 if r <= 1.0 else math.nan),
+                    dense_piece)
 
-        monkeypatch.setattr(radial, "_rhs", broken)
-        with pytest.raises(StepFailure):
+        monkeypatch.setattr(radial, "_stepper", broken)
+        with pytest.raises(StepFailure, match="error estimate nan"):
             radial._shoot(cubic, 0.8, 1, 0, AMP, dense=dense)
+
+    def test_import_compiles_no_stepper(self):
+        # steppers are generated on a solve's first use of an exponent tuple,
+        # never at import: a fresh interpreter's `import solwave.cli` (the
+        # library import a CLI run or a benchmark set-up pays) compiles none
+        script = "import solwave.cli, solwave.radial as r; print(r._STEPPERS)"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(radial.__file__)))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout == "{}\n"
 
     @pytest.mark.parametrize("factor", [0.5, 1 - 1e-3, 1 + 1e-3])
     def test_first_integral_along_dense_shot(self, cubic, factor):
