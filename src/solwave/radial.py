@@ -14,10 +14,11 @@ amplitude equation written into every stage: compiled once per exponent
 tuple of the potential, on its first solve (nothing is generated at import),
 and bound to each solve's constants.  Each sum adds its terms in the row's
 order, so every shot is bit-identical to one that weighs the rows in a loop
-and calls the equation per stage.  Every shot ends Undershot (turns back up
-before reaching zero) or Overshot (sign change, or runaway past the divergence
-guard), and there is no decay outcome.  The decaying profile is a separatrix
-of the ODE: perturbations grow like e^{+delta r} with
+and calls the equation per stage.  The shot is odd in its datum, as the
+equation is in R (psi -> -psi): it ends Undershot when |R| turns back up,
+Overshot when R reaches zero or |R| the divergence guard, and in StepFailure
+when it reaches the end of its range unclassified.  The decaying profile is a
+separatrix of the ODE: perturbations grow like e^{+delta r} with
 delta = sqrt(mass_sq - omega^2), so a shot with initial datum known to
 relative accuracy eps tracks the true profile only down to |R| ~ sqrt(eps)
 before it veers to one side.  Brent's method on the shot's signed miss (the
@@ -73,7 +74,8 @@ RELOAD_RTOL = 1e-13             # load_wave: saved vs rebuilt profile, relative
 
 
 class StepFailure(RuntimeError):
-    """The adaptive integrator underflowed its step size."""
+    """A shot's step underflowed or went non-finite, the shot reached the end
+    of its range unclassified, or its trajectory could not be assembled."""
 
 
 class NoBracket(RuntimeError):
@@ -168,7 +170,7 @@ def _origin_series(spec: PotentialSpec, omega: float, n: int, k: int, s: float):
     for k = 0, at the linear level otherwise."""
     if k == 0:
         # this order fixes the shot's initial slope, and the converged datum, to the bit
-        nonlinear = sum(coupling * s ** (exponent - 2) * s for coupling, exponent in spec.terms)
+        nonlinear = sum(c * abs(s) ** (e - 2) * s for c, e in spec.terms)
         return s, (spec.mass_sq * s - nonlinear - omega**2 * s) / n / 2.0
     return s, (spec.mass_sq - omega**2) * s / (4.0 * (k + 1))
 
@@ -387,16 +389,19 @@ class _Trajectory:
 
 def _shoot(spec, omega, n, k, s, rtol=1e-12, dense=False):
     """One outward shot with datum s to SHOT_RANGE / delta by the scalar DOP853
-    stepper at rtol (the bracket scan passes 1e-6), classified per step.
+    stepper at rtol (the bracket scan passes 1e-6), classified per step and odd
+    in s (the shot at -s is the one at s negated, to the bit, with its miss):
+    a step with R_new * R <= 0 or |R_new| > guard ends it Overshot, else one
+    with R * R' < 0 <= R_new * R'_new (|R| turns back up) Undershot.
 
     Returns the signed miss, or the trajectory alone with dense=True; a datum
     that is zero or not finite raises ValueError, and an underflowing or
-    non-finite step or a non-finite error estimate StepFailure.  The steps are
-    _stepper's stages under scipy's step control (Hairer's initial step, from
-    two _rhs calls; safety 0.9, factor in [0.2, 10], exponent -1/8, error
-    tolerance atol = 1e-14 |s|), in one loop with the classification.
-    Conditions are checked per step (steps resolve 1/delta many times over),
-    not located as events.
+    non-finite step, a non-finite error estimate or a shot unclassified at
+    SHOT_RANGE / delta StepFailure.  The steps are _stepper's stages under
+    scipy's step control (Hairer's initial step, from two _rhs calls; safety
+    0.9, factor in [0.2, 10], exponent -1/8, error tolerance atol =
+    1e-14 |s|), in one loop with the classification.  Conditions are checked
+    per step (steps resolve 1/delta many times over), not located as events.
     Shots start from the origin series R ~ s r^k + c r^{k+2} at
     r0 = 1e-6/delta for k = 0 and 1e-3/delta for k >= 1, past the radii where
     the k^2/r^2 term would keep the steps short; against a 1e-6/delta start, the
@@ -437,9 +442,10 @@ def _shoot(spec, omega, n, k, s, rtol=1e-12, dense=False):
     h_abs = min(100.0 * h0, h1, r_end - r)
 
     ts, pieces = [r0], []
-    sign = math.copysign(1.0, s)
     undershot = None
-    while undershot is None and r < r_end:
+    while undershot is None:
+        if not r < r_end:
+            raise StepFailure(f"shot reached the end of its range, r={r:.6g}, unclassified")
         min_step = 10.0 * (nextafter(r, inf) - r)
         if h_abs < min_step:
             h_abs = min_step
@@ -449,8 +455,6 @@ def _shoot(spec, omega, n, k, s, rtol=1e-12, dense=False):
             if not h_abs >= min_step:
                 raise StepFailure(f"step size {h_abs:.3g} at r={r:.6g} underflowed")
             r_new = r + h_abs
-            if r_end < r_new:
-                r_new = r_end
             h = r_new - r
             R_new, dR_new, ddR_new, e5R, e5D, e3R, e3D, ks = stages(r, h, R, dR, ddR)
             # scipy's max(|y|, |y_new|) and factor clips, as comparisons
@@ -472,14 +476,11 @@ def _shoot(spec, omega, n, k, s, rtol=1e-12, dense=False):
         if dense:
             ts.append(r_new)
             pieces.append(dense_piece(r, h, R, dR, ddR, ks))
-        if not 0.0 < R_new * sign <= guard:  # a sign change, zero or runaway past the guard
+        if not (0.0 < R_new * R and abs(R_new) <= guard):  # a sign change, zero or runaway
             undershot = False
-        elif dR < 0.0 <= dR_new and R_new > 0.0:
+        elif R * dR < 0.0 <= R_new * dR_new:  # |R| turns back up
             undershot = True
         r, R, dR, ddR = r_new, R_new, dR_new, ddR_new
-    if undershot is None:  # reached the end of the range without a terminating step
-        # monotone runaway below the guard
-        undershot = not (R > 0 and dR > 0)
     if not dense:
         D, dD = _tail(r, 1.0, delta, n, k)
         miss = abs(r ** (n - 1) * float(dR * D - R * dD))
@@ -492,8 +493,6 @@ def _shoot(spec, omega, n, k, s, rtol=1e-12, dense=False):
 def _count_sign_changes(values) -> int:
     signs = np.sign(values)
     signs = signs[signs != 0]
-    if signs.size < 2:
-        return 0
     return int(np.sum(signs[1:] * signs[:-1] < 0))
 
 
@@ -597,13 +596,10 @@ def _assemble_profile(spec, omega, n, k, s, h_r) -> RadialProfile:
     def log_excess(r):
         return float(np.log(np.abs(_tail(r, prefactor, delta, n, k)[0])) - np.log(threshold))
 
-    r_b = grid[j_b]
+    r_b, m_total = grid[j_b], j_b
     if abs(_tail(max(r_b, h_r), prefactor, delta, n, k)[0]) > threshold:
         r_match = brentq(log_excess, max(r_b, h_r), r_b + 40.0 / delta)
-        m_total = int(math.ceil(r_match / h_r)) + 2
-    else:
-        m_total = j_b
-    m_total = max(m_total, j_b)
+        m_total = max(m_total, int(math.ceil(r_match / h_r)) + 2)
 
     grid_full = np.arange(m_total + 1) * h_r
     new_vals, new_ders = np.empty((2, m_total + 1))

@@ -14,6 +14,12 @@ ORACLE = {"i0": 1.2, "i1": 0.144, "v0": 0.912, "e0": 1.824}
 # at omega = 0.7 is stable (dQ/domega < 0)
 CQ = PotentialSpec(mass_sq=1.0, terms=((1.0, 4), (-0.1, 6)), amplitude_cap=10.0)
 
+# |R| R: an odd exponent, the one power the shot's stages take of abs(R)
+ODD = PotentialSpec(mass_sq=1.0, terms=((1.0, 3),), amplitude_cap=8.5)
+
+# even and odd exponents together, one coupling defocusing
+MIXED = PotentialSpec(mass_sq=1.0, terms=((1.0, 4), (0.3, 5), (-0.05, 6)), amplitude_cap=10.0)
+
 
 @pytest.fixture(scope="session")
 def cubic():

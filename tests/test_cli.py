@@ -314,6 +314,17 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["artifacts"] == ["evolution.csv"]
 
+    def test_evolve_speed_gate_on_one_diagnostic_point_is_config_error(self, tmp_path, capsys):
+        # t_final = 0 records only t = 0, from which no speed can be fitted
+        cfg = _write_config(tmp_path, velocities=[0.5], grid={"h": 0.1},
+                            evolve={"t_final": 0.0, "dt": 0.05, "diag_stride": 5},
+                            tolerances={"speed_rel_err": 0.02})
+        assert main(["evolve", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and "evolve.t_final" in captured.err
+        assert "fitted speed" not in captured.out
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_evolve_ok(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, velocities=[0.5], grid={"h": 0.1},
                             evolve={"t_final": 1.0, "dt": 0.05, "diag_stride": 5},

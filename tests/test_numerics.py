@@ -15,7 +15,7 @@ from solwave import find_ground_state, radial
 from solwave.numerics import brentq, simpson
 from solwave.potential import PotentialSpec
 
-from conftest import AMP, CQ
+from conftest import AMP, CQ, ODD
 
 
 def _full(rows, width):
@@ -99,7 +99,7 @@ def _loop_dop853(f, r, R, dR, r_end, rtol, atol):
         h_abs = max(h_abs, 10.0 * (math.nextafter(r, math.inf) - r))
         rejected = False
         while True:
-            r_new = min(r + h_abs, r_end)
+            r_new = r + h_abs
             h = r_new - r
             kR, kD = [dR], [ddR]
             for c, row in radial._STAGES:
@@ -134,10 +134,6 @@ def _loop_dop853(f, r, R, dR, r_end, rtol, atol):
 
 def _bits(rows):
     return np.array([np.ravel(row) for row in rows]).view(np.int64)
-
-
-# |R| R: an odd exponent, the one power the stages take of abs(R)
-ODD = PotentialSpec(mass_sq=1.0, terms=((1.0, 3),), amplitude_cap=8.5)
 
 
 @pytest.mark.parametrize("rtol", [1e-6, 1e-12])

@@ -18,7 +18,7 @@ from solwave.radial import (NoBracket, NodeCountMismatch, RadialProfile,
                             find_excited_state, find_ground_state,
                             fit_tail_decay, load_wave, resample_wave, save_wave)
 
-from conftest import AMP, KAPPA
+from conftest import AMP, KAPPA, MIXED, ODD
 
 # the cubic-quintic potential of test_cubic_quintic.py
 CQ = PotentialSpec(mass_sq=1.0, terms=((1.0, 4), (-0.1, 6)), amplitude_cap=10.0)
@@ -72,6 +72,54 @@ class TestShootClassification:
             w_val = 0.8**2 * s**2 / 2 - evaluate_potential(cubic, s)
             out = _undershoots(cubic, 1, 0, float(s))
             assert out == (w_val < 0), f"s={s}: undershot {out} but W={w_val}"
+
+
+class TestShotContract:
+    """The shot is odd in its datum: psi -> -psi maps every shot, its outcome
+    and its miss onto themselves, and a shot that reaches the end of its range
+    unclassified is refused."""
+
+    WAVES = [(None, 0.8, 1, 0), (None, 0.8, 2, 0), (None, 0.8, 3, 0), (None, 0.8, 2, 1),
+             (None, 0.8, 2, 2), (CQ, 0.7, 3, 0), (ODD, 0.8, 2, 0), (ODD, 0.8, 3, 0),
+             (MIXED, 0.8, 1, 0), (MIXED, 0.8, 2, 1)]
+
+    @pytest.mark.parametrize("spec, omega, n, k", WAVES,
+                             ids=["cubic-n1", "cubic-n2", "cubic-n3", "cubic-k1", "cubic-k2",
+                                  "cq-n3", "odd-n2", "odd-n3", "mixed-n1", "mixed-k1"])
+    def test_negation_symmetry(self, cubic, spec, omega, n, k):
+        # at the root (f = 1 +- 1e-6 track the profile deep into its tail)
+        # and on either side of it, bit for bit
+        spec = spec or cubic
+        wave = (find_ground_state(spec, omega, n) if k == 0
+                else find_excited_state(spec, omega, k))
+        s_star = wave.profile.shoot_param
+        for f in (0.5, 1 - 1e-6, 1 + 1e-6, 1.5):
+            s = f * s_star
+            assert radial._shoot(spec, omega, n, k, -s).hex() == \
+                radial._shoot(spec, omega, n, k, s).hex(), f"s = {f} s*"
+            pos = radial._shoot(spec, omega, n, k, s, dense=True)
+            neg = radial._shoot(spec, omega, n, k, -s, dense=True)
+            assert neg.ts.tobytes() == pos.ts.tobytes(), f"s = {f} s*"
+            # equal floats (a zero, such as R'(0), is +0.0 on both sides)
+            assert np.array_equal(neg._rows, -pos._rows), f"s = {f} s*"
+        p = wave.profile
+        q = radial._assemble_profile(spec, omega, n, k, -s_star, p.h_r)
+        assert q.shoot_param == -s_star and q.node_count == 0
+        assert q.prefactor == -p.prefactor
+        assert (q.numeric_radius, q.match_radius) == (p.numeric_radius, p.match_radius)
+        assert q.r_grid.tobytes() == p.r_grid.tobytes()
+        assert np.array_equal(q.values, -p.values)
+        assert np.array_equal(q.derivative, -p.derivative)
+
+    def test_tiny_datum_reaches_the_range_end(self, cubic):
+        # 1e-40 grows like e^{delta r} and stays far below the guard out to
+        # SHOT_RANGE / delta: neither outcome, so no miss
+        with pytest.raises(StepFailure, match="end of its range"):
+            radial._shoot(cubic, 0.8, 1, 0, 1e-40)
+
+    def test_tiny_datum_assembles_no_profile(self, cubic):
+        with pytest.raises(StepFailure, match="end of its range"):
+            radial._assemble_profile(cubic, 0.8, 2, 0, 1e-40, 1.0 / (radial.GRID_DENSITY * KAPPA))
 
 
 class TestStepper:
@@ -434,6 +482,16 @@ class TestCertification:
         np.testing.assert_allclose(p.derivative[1:12],
                                    k * s * r ** (k - 1) + (k + 2) * c * r ** (k + 1), rtol=1e-9)
 
+    @pytest.mark.parametrize("fixture", ["wave_1d", "wave_2d", "wave_3d", "wave_k1"])
+    def test_resample_coarse_widens_the_fit_windows(self, request, fixture):
+        # at 2 points per 1/delta the clean decade holds under 8 points, so
+        # the prefactor fit (and, for n = 1, fit_tail_decay) widens its
+        # window; both stay close to the native grid's fit
+        wave = request.getfixturevalue(fixture)
+        coarse = resample_wave(wave, 0.5 / wave.delta)
+        assert abs(fit_tail_decay(coarse) - wave.delta) < 1e-4
+        assert coarse.profile.prefactor == pytest.approx(wave.profile.prefactor, rel=1e-4)
+
     def test_resample_refuses_a_trajectory_under_16_points(self, wave_1d):
         with pytest.raises(StepFailure, match=r"too short to assemble \(r_end=29.9\)"):
             resample_wave(wave_1d, 5.0)
@@ -451,6 +509,10 @@ class TestNodeCounting:
 
     def test_sign_flip_still_node_free(self, wave_1d):
         assert radial._count_sign_changes(-wave_1d.profile.values) == 0
+
+    @pytest.mark.parametrize("values", [[], [1.0], [0.0, -2.0, 0.0]])
+    def test_fewer_than_two_signs(self, values):
+        assert radial._count_sign_changes(values) == 0
 
     def test_synthetic_single_root(self):
         r = np.linspace(0, 10, 2001)
@@ -536,6 +598,24 @@ class TestInterpolantAndSerialization:
         rows = [line.split(",") for line in csv_path.read_text().splitlines()]
         csv_path.write_text("".join(",".join((row * 2)[:keep]) + "\n" for row in rows))
         with pytest.raises(ValueError, match="wave.csv"):
+            load_wave(csv_path, sidecar, cubic)
+
+    def test_load_refuses_a_datum_with_no_rebuild(self, wave_2d, cubic, tmp_path):
+        # 1e-40 reaches the end of the shot's range unclassified
+        csv_path, sidecar = tmp_path / "wave.csv", tmp_path / "wave.json"
+        save_wave(wave_2d, csv_path, sidecar)
+        sidecar.write_text(json.dumps(json.loads(sidecar.read_text()) | {"shoot_param": 1e-40}))
+        with pytest.raises(ValueError, match="wave.json: no rebuild from 'shoot_param' 1e-40"):
+            load_wave(csv_path, sidecar, cubic)
+
+    def test_load_refuses_missing_rows(self, wave_2d, cubic, tmp_path):
+        csv_path, sidecar = tmp_path / "wave.csv", tmp_path / "wave.json"
+        save_wave(wave_2d, csv_path, sidecar)
+        lines = csv_path.read_text().splitlines(keepends=True)
+        csv_path.write_text("".join(lines[:-10]))
+        size = wave_2d.profile.r_grid.size
+        with pytest.raises(ValueError, match=f"wave.csv: {size - 10} rows, the rebuilt "
+                                             f"profile has {size}"):
             load_wave(csv_path, sidecar, cubic)
 
     def test_save_numpy_integer_indices(self, wave_2d, cubic, tmp_path):
