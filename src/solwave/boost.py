@@ -408,7 +408,7 @@ def measure_momentum(sample: FieldSample) -> np.ndarray:
     sums Re(psi_dot conj(D_j psi)) over the unscaled neighbour difference,
     one einsum per row block, and takes the 1/(2 h_j) once, on the sum.  On
     a mirrored axis the integrand is odd, so that component is 0.0 and not
-    summed."""
+    summed.  The minus is taken as 0.0 - x, so an exact zero reads +0.0."""
     psi, psi_dot = sample.psi, sample.psi_dot
     grid = sample.grid
     axes = [j for j in range(grid.n) if not grid.mirrored[j]]
@@ -421,11 +421,7 @@ def measure_momentum(sample: FieldSample) -> np.ndarray:
             neighbour_difference(psi, axis, rows, out=diff)
             sums[axis] += _re_dot(psi_dot[rows], diff)
     scale = [0.5 / h for h in grid.spacing]
-    momentum = -sums * scale * (grid.cell_volume * grid.reflections)
-    for j, mirrored in enumerate(grid.mirrored):
-        if mirrored:
-            momentum[j] = 0.0  # not -0.0
-    return momentum
+    return 0.0 - sums * scale * (grid.cell_volume * grid.reflections)
 
 
 def center_of_energy(sample: FieldSample, spec: PotentialSpec) -> np.ndarray:

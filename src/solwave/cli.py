@@ -317,12 +317,14 @@ def cmd_evolve(cfg: dict, wave, report) -> tuple[int, list[str]]:
     diagnostics_to_csv(state.diagnostics, os.path.join(out, "evolution.csv"))
     artifacts = ["evolution.csv", *state.snapshots]
 
-    times = np.array([d.time for d in state.diagnostics])
-    centers = np.array([d.center_of_energy[0] for d in state.diagnostics])
-    energies = np.array([d.energy for d in state.diagnostics])
-    fitted = float(np.polyfit(times, centers, 1)[0]) if len(times) > 1 else 0.0
+    times, centers, energies = np.array([(d.time, d.center_of_energy[0], d.energy)
+                                         for d in state.diagnostics]).T
     drift = float(np.max(np.abs(energies / energies[0] - 1.0)))
-    print(f"fitted speed  = {fitted:.6f} (seeded {speed:.6f})")
+    if len(times) > 1:
+        fitted = float(np.polyfit(times, centers, 1)[0])
+        print(f"fitted speed  = {fitted:.6f} (seeded {speed:.6f})")
+    else:  # t_final 0 with no speed gate (a gate is refused above)
+        print(f"fitted speed  = n/a (one diagnostic point; seeded {speed:.6f})")
     print(f"energy drift  = {drift:.3e}")
     if gated and abs(fitted - speed) > speed_tol * abs(speed):
         print(f"FAIL: fitted speed off by more than {speed_tol:g} relative", file=sys.stderr)

@@ -9,24 +9,23 @@ bracket scan, the rtol-1e-12 root-finding and converged-profile shots) runs
 one scalar DOP853 stepper on the two floats (R, R'), with Hairer's tableau
 (written out below) and the step control of scipy's DOP853, and classifies the
 trajectory after each step.  The stepper's stage, error and dense-output sums
-are straight-line code generated from the tableau literals, with the
-amplitude equation written into every stage: compiled once per exponent
-tuple of the potential, on its first solve (nothing is generated at import),
-and bound to each solve's constants.  Each sum adds its terms in the row's
-order, so every shot is bit-identical to one that weighs the rows in a loop
-and calls the equation per stage.  The shot is odd in its datum, as the
-equation is in R (psi -> -psi): it ends Undershot when |R| turns back up,
-Overshot when R reaches zero or |R| the divergence guard, and in StepFailure
-when it reaches the end of its range unclassified.  The decaying profile is a
-separatrix of the ODE: perturbations grow like e^{+delta r} with
-delta = sqrt(mass_sq - omega^2), so a shot with initial datum known to
-relative accuracy eps tracks the true profile only down to |R| ~ sqrt(eps)
-before it veers to one side.  Brent's method on the shot's signed miss (the
-growing-mode amplitude, read as a Wronskian against the decaying solution so
-that it is linear in the datum; its sign is the outcome) therefore refines
-the initial datum to near machine precision, the trajectory is cut at
-its deepest trusted point, and the profile is continued with the analytic
-linear-regime tail
+are straight-line code generated from the tableau literals, with the amplitude
+equation written into every stage: compiled once per exponent tuple of the
+potential, on its first solve (nothing is generated at import), and bound to
+each solve's constants.  Each sum adds its terms in the row's order, so every
+shot is bit-identical to one that weighs the rows in a loop and calls the
+equation per stage (but for the sign of an all-zero sum).  The shot is odd in
+its datum, as the equation is in R (psi -> -psi): it ends Undershot when |R|
+turns back up, Overshot when R reaches zero or |R| the divergence guard, and
+in StepFailure at the end of its range unclassified.  The decaying profile is
+a separatrix of the ODE: perturbations grow like e^{+delta r} with delta =
+sqrt(mass_sq - omega^2), so a shot with initial datum known to relative
+accuracy eps tracks the true profile only down to |R| ~ sqrt(eps) before it
+veers to one side.  Brent's method on the shot's signed miss (the growing-mode
+amplitude, read as a Wronskian against the decaying solution so that it is
+linear in the datum; its sign is the outcome) therefore refines the initial
+datum to near machine precision, the trajectory is cut at its deepest trusted
+point, and the profile is continued with the analytic linear-regime tail
 
     R(r) ~ prefactor * r^{-(n-1)/2} * e^{-delta r} * (1 + a1/(delta r) + a2/(delta r)^2),
 
@@ -284,10 +283,9 @@ _D = (
 
 
 def _row_sum(row, k):
-    """sum_j a_j k_j over one tableau row as source, 0.0 + a_0 * k_0 + ... in
-    the row's order; a negative a_j is written as a subtraction, which is the
-    same float (x - a*k is x + (-a)*k)."""
-    return "0.0" + "".join(f" {'-' if a < 0.0 else '+'} {abs(a)!r} * {k}{j}" for j, a in row)
+    """sum_j a_j k_j over one tableau row as source, a_0 * k_0 + a_1 * k_1 + ...
+    in the row's order: a loop's float, or -0.0 for +0.0 when all terms are zero."""
+    return " + ".join(f"{a!r} * {k}{j}" for j, a in row)
 
 
 def _stage_lines(rows, first, exponents):
@@ -298,12 +296,13 @@ def _stage_lines(rows, first, exponents):
     lines = []
     for i, (c, row) in enumerate(rows, first):
         R = f"R{i}"
-        nl = "".join(f" + c{j} * {f'abs({R})' if e % 2 else R} ** {float(e - 2)!r} * {R}"
-                     for j, e in enumerate(exponents))
+        nl = " + ".join(f"c{j} * {f'abs({R})' if e % 2 else R} ** {float(e - 2)!r} * {R}"
+                        for j, e in enumerate(exponents))
         lines += [f"{R} = R + h * ({_row_sum(row, 'kR')})",
                   f"kR{i} = kR0 + h * ({_row_sum(row, 'kD')})",
                   f"x = r + {c!r} * h",
-                  f"kD{i} = (k2 / (x * x)) * {R} - (nm1 / x) * kR{i} + lin * {R} - (0.0{nl})"]
+                  f"kD{i} = (k2 / (x * x)) * {R} - (nm1 / x) * kR{i} + lin * {R}"
+                  + (f" - ({nl})" if nl else "")]
     return lines
 
 
@@ -318,7 +317,7 @@ def _compile_stepper(exponents):
     holds the stage values for dense_piece(r, h, R, kR0, kD0, ks), which
     adds the three _EXTRA stages and returns the step's piece (see
     _Trajectory).  Each sum adds its terms in the row's order, so every float
-    is the one a loop over the rows, calling _rhs per stage, gives.
+    is a row loop's, with _rhs per stage, but for the sign of an all-zero sum.
     """
     last = len(_STAGES)
     ks = ", ".join([f"R{last}"] + [f"{k}{i}" for k in ("kR", "kD") for i in range(1, last + 1)])
@@ -391,17 +390,17 @@ def _shoot(spec, omega, n, k, s, rtol=1e-12, dense=False):
     """One outward shot with datum s to SHOT_RANGE / delta by the scalar DOP853
     stepper at rtol (the bracket scan passes 1e-6), classified per step and odd
     in s (the shot at -s is the one at s negated, to the bit, with its miss):
-    a step with R_new * R <= 0 or |R_new| > guard ends it Overshot, else one
-    with R * R' < 0 <= R_new * R'_new (|R| turns back up) Undershot.
+    with sign = +-1 as s, a step with sign * R_new <= 0 or > guard ends it
+    Overshot, else one with sign * R' < 0 <= sign * R'_new (|R| rises) Undershot.
 
     Returns the signed miss, or the trajectory alone with dense=True; a datum
-    that is zero or not finite raises ValueError, and an underflowing or
-    non-finite step, a non-finite error estimate or a shot unclassified at
-    SHOT_RANGE / delta StepFailure.  The steps are _stepper's stages under
-    scipy's step control (Hairer's initial step, from two _rhs calls; safety
-    0.9, factor in [0.2, 10], exponent -1/8, error tolerance atol =
-    1e-14 |s|), in one loop with the classification.  Conditions are checked
-    per step (steps resolve 1/delta many times over), not located as events.
+    not finite, or so small that atol (below) is 0, raises ValueError, and an
+    underflowing or non-finite step, a non-finite error estimate or a shot
+    unclassified at SHOT_RANGE / delta StepFailure.  The steps are _stepper's
+    stages under scipy's step control (Hairer's initial step, from two _rhs
+    calls; safety 0.9, factor in [0.2, 10], exponent -1/8, atol = 1e-14 |s|),
+    in one loop with the classification.  Conditions are checked per step
+    (steps resolve 1/delta many times over), not located as events.
     Shots start from the origin series R ~ s r^k + c r^{k+2} at
     r0 = 1e-6/delta for k = 0 and 1e-3/delta for k >= 1, past the radii where
     the k^2/r^2 term would keep the steps short; against a 1e-6/delta start, the
@@ -419,8 +418,8 @@ def _shoot(spec, omega, n, k, s, rtol=1e-12, dense=False):
     it never reaches past the event that ended the shot (a shot ending on its
     first step keeps that step); a miss shot records no steps.
     """
-    if not math.isfinite(s) or s == 0:
-        raise ValueError(f"shot datum must be finite and nonzero, got {s}")
+    if not (math.isfinite(s) and 1e-14 * abs(s) > 0.0):  # so atol does not underflow to 0
+        raise ValueError(f"shot datum must be finite and nonzero, with 1e-14 |s| > 0, got {s}")
     delta = math.sqrt(spec.mass_sq - omega**2)
     guard = DIVERGENCE_FACTOR * spec.amplitude_cap
     r = r0 = (1e-6 if k == 0 else 1e-3) / delta
@@ -429,6 +428,7 @@ def _shoot(spec, omega, n, k, s, rtol=1e-12, dense=False):
     stages, dense_piece = _stepper(spec, omega, n, k)
     hypot, nextafter, sqrt, inf = math.hypot, math.nextafter, math.sqrt, math.inf
     root2 = sqrt(2.0)
+    sign = math.copysign(1.0, s)  # R keeps it while the shot lives: sign * R is |R|, exactly
 
     f = _rhs(spec, omega, n, k)
     ddR = f(r, R, dR)
@@ -476,9 +476,9 @@ def _shoot(spec, omega, n, k, s, rtol=1e-12, dense=False):
         if dense:
             ts.append(r_new)
             pieces.append(dense_piece(r, h, R, dR, ddR, ks))
-        if not (0.0 < R_new * R and abs(R_new) <= guard):  # a sign change, zero or runaway
+        if not 0.0 < sign * R_new <= guard:  # a sign change, zero or runaway
             undershot = False
-        elif R * dR < 0.0 <= R_new * dR_new:  # |R| turns back up
+        elif sign * dR < 0.0 <= sign * dR_new:  # |R| turns back up
             undershot = True
         r, R, dR, ddR = r_new, R_new, dR_new, ddR_new
     if not dense:

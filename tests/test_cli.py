@@ -325,6 +325,16 @@ class TestExitCodes:
         assert "fitted speed" not in captured.out
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_evolve_one_diagnostic_point_fits_no_speed(self, tmp_path, capsys):
+        # with no speed gate, t_final = 0 is a valid run, but its one point
+        # (t = 0) fits no speed, and none is printed
+        cfg = _write_config(tmp_path, velocities=[0.5], grid={"h": 0.1},
+                            evolve={"t_final": 0.0, "dt": 0.05, "diag_stride": 5})
+        assert main(["evolve", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "fitted speed  = n/a (one diagnostic point; seeded 0.500000)" in out
+        assert (tmp_path / "out" / "evolution.csv").exists()
+
     def test_evolve_ok(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, velocities=[0.5], grid={"h": 0.1},
                             evolve={"t_final": 1.0, "dt": 0.05, "diag_stride": 5},

@@ -111,11 +111,14 @@ class TestShotContract:
         assert np.array_equal(q.values, -p.values)
         assert np.array_equal(q.derivative, -p.derivative)
 
-    def test_tiny_datum_reaches_the_range_end(self, cubic):
-        # 1e-40 grows like e^{delta r} and stays far below the guard out to
-        # SHOT_RANGE / delta: neither outcome, so no miss
+    @pytest.mark.parametrize("s", [1e-40, 1e-170, -1e-170, 1e-300])
+    def test_tiny_datum_reaches_the_range_end(self, cubic, s):
+        # a tiny datum grows like e^{delta r} and stays far below the guard out
+        # to SHOT_RANGE / delta: neither outcome, so no miss.  Below ~1e-162
+        # R_new * R underflows to 0, which read as a sign change would end the
+        # shot Overshot on its first step
         with pytest.raises(StepFailure, match="end of its range"):
-            radial._shoot(cubic, 0.8, 1, 0, 1e-40)
+            radial._shoot(cubic, 0.8, 1, 0, s)
 
     def test_tiny_datum_assembles_no_profile(self, cubic):
         with pytest.raises(StepFailure, match="end of its range"):
@@ -123,7 +126,8 @@ class TestShotContract:
 
 
 class TestStepper:
-    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, 0.0])
+    # below ~2.5e-310 the error tolerance 1e-14 |s| underflows to 0
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, 0.0, 5e-324, -1e-320])
     def test_degenerate_datum_raises(self, cubic, s):
         with pytest.raises(ValueError, match="finite and nonzero"):
             radial._shoot(cubic, 0.8, 1, 0, s)
@@ -600,12 +604,14 @@ class TestInterpolantAndSerialization:
         with pytest.raises(ValueError, match="wave.csv"):
             load_wave(csv_path, sidecar, cubic)
 
-    def test_load_refuses_a_datum_with_no_rebuild(self, wave_2d, cubic, tmp_path):
-        # 1e-40 reaches the end of the shot's range unclassified
+    @pytest.mark.parametrize("s", [1e-40, 5e-324])
+    def test_load_refuses_a_datum_with_no_rebuild(self, wave_2d, cubic, tmp_path, s):
+        # 1e-40 reaches the end of the shot's range unclassified, and 5e-324
+        # (subnormal) is refused by the shot before it divides by its tolerance
         csv_path, sidecar = tmp_path / "wave.csv", tmp_path / "wave.json"
         save_wave(wave_2d, csv_path, sidecar)
-        sidecar.write_text(json.dumps(json.loads(sidecar.read_text()) | {"shoot_param": 1e-40}))
-        with pytest.raises(ValueError, match="wave.json: no rebuild from 'shoot_param' 1e-40"):
+        sidecar.write_text(json.dumps(json.loads(sidecar.read_text()) | {"shoot_param": s}))
+        with pytest.raises(ValueError, match=f"wave.json: no rebuild from 'shoot_param' {s!r}"):
             load_wave(csv_path, sidecar, cubic)
 
     def test_load_refuses_missing_rows(self, wave_2d, cubic, tmp_path):
