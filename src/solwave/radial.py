@@ -4,21 +4,25 @@ Solves the stationary amplitude equation
 
     R'' + (n-1)/r R' - k^2/r^2 R = U'(R) - omega^2 R,
 
-outward from r ~ 0 with series initial data.  Every shot (the rtol-1e-6
-bracket scan, the rtol-1e-12 root-finding and converged-profile shots) runs
-one scalar DOP853 stepper on the two floats (R, R'), with Hairer's tableau
-(written out below) and the step control of scipy's DOP853, and classifies the
-trajectory after each step.  The stepper's stage, error and dense-output sums
-are straight-line code generated from the tableau literals, with the amplitude
-equation written into every stage: compiled once per exponent tuple of the
-potential, on its first solve (nothing is generated at import), and bound to
-each solve's constants.  Each sum adds its terms in the row's order, so every
-shot is bit-identical to one that weighs the rows in a loop and calls the
-equation per stage (but for the sign of an all-zero sum).  The shot is odd in
-its datum, as the equation is in R (psi -> -psi): it ends Undershot when |R|
-turns back up, Overshot when R reaches zero or |R| the divergence guard, and
-in StepFailure at the end of its range unclassified.  The decaying profile is
-a separatrix of the ODE: perturbations grow like e^{+delta r} with delta =
+outward from the origin.  A shot starts from the equation's power series
+about r = 0 (SERIES_TERMS terms at most), at the largest radius, up to
+SERIES_REACH / delta, where its last terms stay below SERIES_TOL |s| r^k.
+Every shot (the rtol-1e-6 bracket scan, the rtol-1e-12 root-finding and
+converged-profile shots) runs one scalar DOP853 stepper on the two floats
+(R, R'), with Hairer's tableau (written out below) and the step control of
+scipy's DOP853, and classifies the trajectory after each step.  The stepper's
+stage, error and dense-output sums are straight-line code generated from the
+tableau literals, with the amplitude equation written into every stage:
+compiled once per exponent tuple of the potential, k = 0 or not and n = 1 or
+not (the k^2/r^2 and (n-1)/r terms are left out where they are zero), on its
+first solve (nothing is generated at import), and bound to each solve's
+constants.  Each sum adds its terms in the row's order, so every shot is
+bit-identical to one that weighs the rows in a loop and calls the equation
+per stage (but for the sign of a zero).  The shot is odd in its datum, as the
+equation is in R (psi -> -psi): it ends Undershot when |R| turns back up,
+Overshot when R reaches zero or |R| the divergence guard, and in StepFailure
+at the end of its range unclassified.  The decaying profile is a separatrix
+of the ODE: perturbations grow like e^{+delta r} with delta =
 sqrt(mass_sq - omega^2), so a shot with initial datum known to relative
 accuracy eps tracks the true profile only down to |R| ~ sqrt(eps) before it
 veers to one side.  Brent's method on the shot's signed miss (the growing-mode
@@ -70,6 +74,9 @@ SHOT_RANGE = 60.0               # outer end of every shot, in units of 1/delta
 GRID_DENSITY = 500.0            # profile grid points per 1/delta
 SHOOT_TOL = 1e-13               # relative bracket width that ends root-finding
 RELOAD_RTOL = 1e-13             # load_wave: saved vs rebuilt profile, relative
+SERIES_REACH = 0.3              # largest start radius of a shot, in units of 1/delta
+SERIES_TOL = 1e-18              # origin series: last terms at the start, relative to s r^k
+SERIES_TERMS = 16               # origin series: most terms past a_0
 
 
 class StepFailure(RuntimeError):
@@ -164,27 +171,54 @@ def _tail(r, prefactor, delta, n, k):
 
 
 def _origin_series(spec: PotentialSpec, omega: float, n: int, k: int, s: float):
-    """(s, c) of the origin series R ~ s r^k + c r^{k+2}, which regularizes the
-    (n-1)/r and k^2/r^2 terms at r = 0: c = R''(0)/2 from the equation at r = 0
-    for k = 0, at the linear level otherwise."""
-    if k == 0:
-        # this order fixes the shot's initial slope, and the converged datum, to the bit
-        nonlinear = sum(c * abs(s) ** (e - 2) * s for c, e in spec.terms)
-        return s, (spec.mass_sq * s - nonlinear - omega**2 * s) / n / 2.0
-    return s, (spec.mass_sq - omega**2) * s / (4.0 * (k + 1))
+    """(r0, series): the regular solution with datum s about the origin, and
+    the radius r0 up to which it is exact to rounding, a shot's start.
 
+    R = r^k sum_m a_m r^{d m} with a_0 = s, d = 2 unless some k (e - 2) is
+    odd (then 1).  Each a_m (m <= SERIES_TERMS) follows from the equation's
+    r^{k + d m - 2} coefficient: (p (p + n - 2) - k^2) a_m, p = k + d m, is
+    the linear term's coefficient minus each |R|^{e-2} R's, whose powers
+    (sigma R / r^k)^{e-1} of the series |s| + ... (sigma = sign s) come from
+    J.C.P. Miller's recurrence; so the coefficients are odd in s, to the
+    bit.  r0 is the largest radius, at most SERIES_REACH / delta, where each
+    of the last two terms is below SERIES_TOL |s| r^k: it shrinks by itself
+    for large data.  series(r, order=2) -> (R, R', ..., R^(order)) at r >= 0,
+    a float or an array.
+    """
+    d = 1 if any(k * (e - 2) % 2 for _, e in spec.terms) else 2
+    lin = spec.mass_sq - omega**2
+    a0 = abs(s)
+    tol, x_reach = SERIES_TOL * a0, (SERIES_REACH / math.sqrt(lin)) ** d
+    # per term: the power alpha = e - 1 of sigma R / r^k, the m where its
+    # coefficients enter, and Miller's coefficients of that power so far
+    powers = [(e - 1.0, (2 + k * (e - 2)) // d, c, [a0 ** (e - 1)]) for c, e in spec.terms]
+    a, x_m, size = [a0], 1.0, a0
+    for m in range(1, SERIES_TERMS + 1):
+        rhs = lin * a[m - 2 // d] if m >= 2 // d else 0.0
+        for alpha, offset, c, b in powers:
+            j = m - offset
+            if j > 0:  # j a_0 b_j = sum_i ((alpha + 1) i - j) a_i b_{j-i}
+                b.append(sum(((alpha + 1.0) * i - j) * a[i] * b[j - i]
+                             for i in range(1, j + 1)) / (j * a0))
+            if j >= 0:
+                rhs -= c * b[j]
+        p = k + d * m
+        a.append(rhs / (p * (p + n - 2) - k * k))
+        x_m *= x_reach
+        last, size = size, abs(a[m]) * x_m  # the last two terms at the reach, over r^k
+        if last <= tol and size <= tol:
+            x0 = x_reach
+            break
+    else:
+        x0 = min([x_reach] + [(tol / abs(a[j])) ** (1.0 / j) for j in (m - 1, m) if a[j]])
+    sigma = math.copysign(1.0, s)
+    terms = [(k + d * m, sigma * a_m) for m, a_m in enumerate(a)]
 
-def _origin_jet(spec: PotentialSpec, omega: float, n: int, k: int, s: float):
-    """[R, R', R''] at r = 0: j! times the origin series' r^j coefficient."""
-    s, c = _origin_series(spec, omega, n, k, s)
-    return [math.factorial(j) * (s if j == k else c if j == k + 2 else 0.0) for j in range(3)]
+    def series(r, order=2):
+        return tuple(sum(math.perm(p, j) * a_m * r ** (p - j) for p, a_m in terms if p >= j)
+                     for j in range(order + 1))
 
-
-def _series_start(spec: PotentialSpec, omega: float, n: int, k: int, s: float, r0: float):
-    """(R, R') of the origin series at r0 > 0 (a float or an array): a shot's
-    initial data, and a profile's points before the shot's start."""
-    s, c = _origin_series(spec, omega, n, k, s)
-    return s * r0**k + c * r0 ** (k + 2), k * s * r0 ** (k - 1) + (k + 2) * c * r0 ** (k + 1)
+    return x0 ** (1.0 / d), series
 
 
 def _constants(spec: PotentialSpec, omega: float, n: int, k: int):
@@ -288,28 +322,36 @@ def _row_sum(row, k):
     return " + ".join(f"{a!r} * {k}{j}" for j, a in row)
 
 
-def _stage_lines(rows, first, exponents):
+def _stage_lines(rows, first, exponents, k_zero, n_one):
     """Stages first, first + 1, ... from rows: per stage i its R_i, R' (kR_i)
     and R'' (kD_i), the last being _rhs's expression at r + c_i h written
     out, with |R|^p as R ** p for an even p (Python's float power takes |R|
-    there itself, so the float is the same)."""
+    there itself, so the float is the same).  The (k^2/x^2) R term is left
+    out where k = 0 (k_zero) and the (n-1)/x R' term where n = 1 (n_one):
+    both are zeros there, so the float is _rhs's but for the sign of a zero."""
     lines = []
     for i, (c, row) in enumerate(rows, first):
         R = f"R{i}"
         nl = " + ".join(f"c{j} * {f'abs({R})' if e % 2 else R} ** {float(e - 2)!r} * {R}"
                         for j, e in enumerate(exponents))
+        if not k_zero:
+            equation = f"(k2 / (x * x)) * {R} - (nm1 / x) * kR{i} + lin * {R}"
+        elif not n_one:
+            equation = f"lin * {R} - (nm1 / x) * kR{i}"
+        else:
+            equation = f"lin * {R}"
         lines += [f"{R} = R + h * ({_row_sum(row, 'kR')})",
                   f"kR{i} = kR0 + h * ({_row_sum(row, 'kD')})",
-                  f"x = r + {c!r} * h",
-                  f"kD{i} = (k2 / (x * x)) * {R} - (nm1 / x) * kR{i} + lin * {R}"
-                  + (f" - ({nl})" if nl else "")]
+                  *([] if k_zero and n_one else [f"x = r + {c!r} * h"]),
+                  f"kD{i} = {equation}" + (f" - ({nl})" if nl else "")]
     return lines
 
 
-def _compile_stepper(exponents):
-    """The stepper factory of one exponent tuple: the tableau arithmetic of a
-    DOP853 step as straight-line code, generated from the rows above, taking
-    the constants of _constants and returning (stages, dense_piece).
+def _compile_stepper(exponents, k_zero, n_one):
+    """The stepper factory of one exponent tuple, for k = 0 or not (k_zero)
+    and n = 1 or not (n_one): the tableau arithmetic of a DOP853 step as
+    straight-line code, generated from the rows above, taking the constants
+    of _constants and returning (stages, dense_piece).
 
     stages(r, h, R, kR0, kD0) -> (R_new, R'_new, R''_new, e5R, e5D, e3R, e3D, ks)
     steps from (R, R' = kR0, R'' = kD0) through the twelve stages, the last
@@ -317,7 +359,7 @@ def _compile_stepper(exponents):
     holds the stage values for dense_piece(r, h, R, kR0, kD0, ks), which
     adds the three _EXTRA stages and returns the step's piece (see
     _Trajectory).  Each sum adds its terms in the row's order, so every float
-    is a row loop's, with _rhs per stage, but for the sign of an all-zero sum.
+    is a row loop's, with _rhs per stage, but for the sign of a zero.
     """
     last = len(_STAGES)
     ks = ", ".join([f"R{last}"] + [f"{k}{i}" for k in ("kR", "kD") for i in range(1, last + 1)])
@@ -325,12 +367,12 @@ def _compile_stepper(exponents):
     rows = ", ".join(f"(h * ({_row_sum(row, 'kR')}), h * ({_row_sum(row, 'kD')}))" for row in _D)
     functions = {
         "stages(r, h, R, kR0, kD0)": [
-            *_stage_lines(_STAGES, 1, exponents),
+            *_stage_lines(_STAGES, 1, exponents, k_zero, n_one),
             f"return R{last}, kR{last}, kD{last}, {errors}, ({ks})",
         ],
         "dense_piece(r, h, R, kR0, kD0, ks)": [
             f"{ks} = ks",
-            *_stage_lines(_EXTRA, last + 1, exponents),
+            *_stage_lines(_EXTRA, last + 1, exponents, k_zero, n_one),
             f"jump_R, jump_D = R{last} - R, kR{last} - kR0",
             "return [(R, kR0), (jump_R, jump_D), (h * kR0 - jump_R, h * kD0 - jump_D),"
             f" (2.0 * jump_R - h * (kR{last} + kR0), 2.0 * jump_D - h * (kD{last} + kD0)),"
@@ -342,21 +384,23 @@ def _compile_stepper(exponents):
         "\n        ".join([f"    def {signature}:", *body]) + "\n"
         for signature, body in functions.items()) + "    return stages, dense_piece\n"
     namespace = {}
-    exec(compile(source, f"<radial DOP853 stages, exponents {exponents}>", "exec"), namespace)
+    name = f"<radial DOP853 stages, exponents {exponents}, k = 0 {k_zero}, n = 1 {n_one}>"
+    exec(compile(source, name, "exec"), namespace)
     return namespace["bind"]
 
 
-_STEPPERS = {}  # the factories of _compile_stepper by exponent tuple, filled on first use
+# the factories of _compile_stepper by (exponent tuple, k == 0, n == 1), filled on first use
+_STEPPERS = {}
 
 
 def _stepper(spec, omega, n, k):
     """(stages, dense_piece) of _compile_stepper for this equation: the
-    factory of spec's exponent tuple, compiled on its first use, bound to
-    _constants(spec, omega, n, k)."""
-    exponents = tuple(exponent for _, exponent in spec.terms)
-    if exponents not in _STEPPERS:
-        _STEPPERS[exponents] = _compile_stepper(exponents)
-    return _STEPPERS[exponents](*_constants(spec, omega, n, k))
+    factory of spec's exponent tuple, k == 0 and n == 1, compiled on its
+    first use, bound to _constants(spec, omega, n, k)."""
+    key = (tuple(exponent for _, exponent in spec.terms), k == 0, n == 1)
+    if key not in _STEPPERS:
+        _STEPPERS[key] = _compile_stepper(*key)
+    return _STEPPERS[key](*_constants(spec, omega, n, k))
 
 
 class _Trajectory:
@@ -366,11 +410,14 @@ class _Trajectory:
     and the seven rows F of DOP853's 7th-order interpolant.  A radius takes
     the step whose interval holds it, a step end the step that ends there,
     and points outside [t_min, t_max] the nearest step, as scipy's
-    OdeSolution picks them; the Horner order is scipy's, to the bit.
+    OdeSolution picks them; the Horner order is scipy's, to the bit.  A
+    shot's trajectory also keeps, as series, the origin series it started
+    from at t_min (see _origin_series), which holds before t_min.
     """
 
-    def __init__(self, ts, pieces):
+    def __init__(self, ts, pieces, series=None):
         self.ts = np.asarray(ts, dtype=float)
+        self.series = series
         self.t_min, self.t_max = self.ts[0], self.ts[-1]
         self._h = np.diff(self.ts)
         self._rows = np.transpose(np.asarray(pieces, dtype=float), (1, 2, 0))
@@ -401,30 +448,32 @@ def _shoot(spec, omega, n, k, s, rtol=1e-12, dense=False):
     calls; safety 0.9, factor in [0.2, 10], exponent -1/8, atol = 1e-14 |s|),
     in one loop with the classification.  Conditions are checked per step
     (steps resolve 1/delta many times over), not located as events.
-    Shots start from the origin series R ~ s r^k + c r^{k+2} at
-    r0 = 1e-6/delta for k = 0 and 1e-3/delta for k >= 1, past the radii where
-    the k^2/r^2 term would keep the steps short; against a 1e-6/delta start, the
-    series' missing r^{k+4} terms move the cubic and cubic-quintic k >= 1
-    roots by under 1e-12 relative.  The miss is the growing-mode amplitude
-    |r^{n-1} (R' D - R D')| at the terminating step, the Wronskian of the shot
-    against the unit-prefactor decaying solution (D, D') = _tail(r, 1, ...),
-    signed + for Undershot and - for Overshot (a zero miss keeps its sign
-    bit).  For the linearized equation r^{n-1} W(R, D) does not depend on r
+    The shot starts from _origin_series, computed once per shot, at its r0:
+    the largest radius up to SERIES_REACH / delta where the series' last two
+    terms stay below SERIES_TOL |s| r^k, so the steps never crawl out of the
+    origin, where the (n-1)/r and k^2/r^2 terms would hold them to about r
+    (the cubic n = 3 at omega = 0.825: datum 8.5 starts at 0.043 / delta,
+    datum 40 at 0.009 / delta, small data at 0.3 / delta).  The miss is the
+    growing-mode amplitude |r^{n-1} (R' D - R D')| at the terminating step,
+    the Wronskian of the shot against the unit-prefactor decaying solution
+    (D, D') = _tail(r, 1, ...), signed + for Undershot and - for Overshot (a
+    zero miss keeps its sign bit).  For the linearized equation r^{n-1} W(R, D) does not depend on r
     (Abel), so the decaying part of the shot drops out and the miss is the
     growing mode's coefficient times a constant: linear in s - s* near the
     root whatever radius the shot ends at, which keeps Brent's secant steps
     close to Newton's.  For n = 1 it is |R' + delta R| e^{-delta r}.  The
-    trajectory is the _Trajectory of the steps before the terminating one, so
-    it never reaches past the event that ended the shot (a shot ending on its
-    first step keeps that step); a miss shot records no steps.
+    trajectory is the _Trajectory of the steps before the terminating one,
+    with the shot's origin series, so it never reaches past the event that
+    ended the shot (a shot ending on its first step keeps that step); a miss
+    shot records no steps.
     """
     if not (math.isfinite(s) and 1e-14 * abs(s) > 0.0):  # so atol does not underflow to 0
         raise ValueError(f"shot datum must be finite and nonzero, with 1e-14 |s| > 0, got {s}")
     delta = math.sqrt(spec.mass_sq - omega**2)
     guard = DIVERGENCE_FACTOR * spec.amplitude_cap
-    r = r0 = (1e-6 if k == 0 else 1e-3) / delta
+    r0, series = _origin_series(spec, omega, n, k, s)
+    r, (R, dR) = r0, series(r0, 1)
     r_end, atol = SHOT_RANGE / delta, 1e-14 * abs(s)
-    R, dR = _series_start(spec, omega, n, k, float(s), r0)
     stages, dense_piece = _stepper(spec, omega, n, k)
     hypot, nextafter, sqrt, inf = math.hypot, math.nextafter, math.sqrt, math.inf
     root2 = sqrt(2.0)
@@ -487,7 +536,7 @@ def _shoot(spec, omega, n, k, s, rtol=1e-12, dense=False):
         return miss if undershot else -miss
     if len(pieces) > 1:
         del ts[-1], pieces[-1]
-    return _Trajectory(ts, pieces)
+    return _Trajectory(ts, pieces, series)
 
 
 def _count_sign_changes(values) -> int:
@@ -546,12 +595,11 @@ def _assemble_profile(spec, omega, n, k, s, h_r) -> RadialProfile:
     if m < 16:
         raise StepFailure(f"trajectory too short to assemble (r_end={r_end:.3g})")
     grid = np.arange(m + 1) * h_r
-    # past the trajectory the points clamp to its end; before the shot's start
-    # the origin series holds, and r = 0 takes its jet
+    # past the trajectory the points clamp to its end; before the shot's
+    # start, r = 0 included, the origin series holds
     vals, ders = sol(np.clip(grid, sol.t_min, sol.t_max))
-    inner = slice(1, int(np.searchsorted(grid, sol.t_min)))
-    vals[inner], ders[inner] = _series_start(spec, omega, n, k, s, grid[inner])
-    vals[0], ders[0], _ = _origin_jet(spec, omega, n, k, s)
+    inner = slice(0, int(np.searchsorted(grid, sol.t_min)))
+    vals[inner], ders[inner] = sol.series(grid[inner], 1)
 
     absv = np.abs(vals)
     max_R = float(np.max(absv))
@@ -762,7 +810,8 @@ class WaveInterpolant:
         self._inv_h = 1.0 / h
         R, dR = p.values, p.derivative
         dd = np.empty_like(R)
-        dd[0] = _origin_jet(wave.spec, wave.omega, n, k, p.shoot_param)[2]
+        _, series = _origin_series(wave.spec, wave.omega, n, k, p.shoot_param)
+        dd[0] = series(0.0)[2]
         dd[1:] = _rhs(wave.spec, wave.omega, n, k)(p.r_grid[1:], R[1:], dR[1:])
         # per cell j, the power-series coefficients in t = r/h - j of the
         # quintic (rows 0-5) and the cubic (rows 6-9), from the node data in

@@ -11,7 +11,7 @@ import scipy.integrate
 import scipy.optimize
 from scipy.integrate import DOP853, DenseOutput, OdeSolution
 
-from solwave import find_ground_state, radial
+from solwave import find_excited_state, find_ground_state, radial
 from solwave.numerics import brentq, simpson
 from solwave.potential import PotentialSpec
 
@@ -144,23 +144,26 @@ def test_stepper_matches_the_loop_form(wave_1d, wave_2d, wave_3d, wave_k1, wave_
     # and every accepted step's dense piece up to where _shoot's dense shot
     # stops.  The cubic waves sit at their converged data; CQ's two even
     # terms and ODD's abs path too, ODD just above its root, so that the
-    # shot overshoots and R turns negative
-    cases = [(w.spec, w.omega, w.n, w.k, w.profile.shoot_param)
-             for w in (wave_1d, wave_2d, wave_3d, wave_k1, wave_k2)]
-    cases += [(CQ, 0.7, 3, 0, find_ground_state(CQ, 0.7, 3).profile.shoot_param),
-              (ODD, 0.8, 2, 0, 1.001 * find_ground_state(ODD, 0.8, 2).profile.shoot_param)]
-    for spec, omega, n, k, s in cases:
+    # shot overshoots and R turns negative.  Per case the last entry is the
+    # rtol it runs at in place of 1e-6: the n = 1, n = 2 and ODD dense shots
+    # keep 16 steps or fewer at 1e-6, so they run tighter there
+    cases = [(w.spec, w.omega, w.n, w.k, w.profile.shoot_param, loose)
+             for w, loose in ((wave_1d, 1e-8), (wave_2d, 1e-8), (wave_3d, 1e-6),
+                              (wave_k1, 1e-6), (wave_k2, 1e-6))]
+    cases += [(CQ, 0.7, 3, 0, find_ground_state(CQ, 0.7, 3).profile.shoot_param, 1e-6),
+              (ODD, 0.8, 2, 0, 1.001 * find_ground_state(ODD, 0.8, 2).profile.shoot_param, 1e-9)]
+    for spec, omega, n, k, s, loose in cases:
+        rtol_case = min(rtol, loose)
         delta = math.sqrt(spec.mass_sq - omega**2)
-        r0 = (1e-6 if k == 0 else 1e-3) / delta
-        steps, tries = _loop_dop853(radial._rhs(spec, omega, n, k), r0,
-                                    *radial._series_start(spec, omega, n, k, s, r0),
-                                    radial.SHOT_RANGE / delta, rtol, 1e-14 * abs(s))
+        r0, series = radial._origin_series(spec, omega, n, k, s)
+        steps, tries = _loop_dop853(radial._rhs(spec, omega, n, k), r0, *series(r0, 1),
+                                    radial.SHOT_RANGE / delta, rtol_case, 1e-14 * abs(s))
         assert len(tries) > len(steps)  # some step was rejected
         assert spec is not ODD or min(end[0] for _, end in tries) < 0.0
         stages, _ = radial._stepper(spec, omega, n, k)
         got = [stages(*start)[:7] for start, _ in tries]
         assert np.array_equal(_bits(got), _bits([end for _, end in tries]))
-        sol = radial._shoot(spec, omega, n, k, s, rtol=rtol, dense=True)
+        sol = radial._shoot(spec, omega, n, k, s, rtol=rtol_case, dense=True)
         kept = steps[: sol.ts.size - 1]
         assert len(kept) > 16
         assert np.array_equal(_bits([sol.ts]), _bits([[r0] + [r for r, *_ in kept]]))
@@ -178,7 +181,7 @@ def test_stepper_binds_constants_per_solve(wave_1d, wave_2d, monkeypatch):
                                    0.8, wave.n).profile.shoot_param for c in (1.0, 2.0)]
         assert roots[0] == wave.profile.shoot_param
         assert roots[1] == pytest.approx(roots[0] / math.sqrt(2.0), rel=1e-12, abs=0)
-    assert list(radial._STEPPERS) == [(4,)]
+    assert list(radial._STEPPERS) == [((4,), True, True), ((4,), True, False)]
 
 
 def _outcome(solve):
@@ -273,3 +276,44 @@ def test_simpson_matches_scipy(size):
 def test_simpson_needs_three_samples():
     with pytest.raises(ValueError):
         simpson([1.0, 2.0], 0.1)
+
+
+def _two_term_start(spec, omega, n, k, s, r):
+    """(R, R') of s r^k + c r^{k+2}, c from the equation's r^k coefficient."""
+    lin = spec.mass_sq - omega**2
+    if k == 0:
+        c = (lin * s - sum(coupling * abs(s) ** (e - 2) * s for coupling, e in spec.terms)) / (2 * n)
+    else:
+        c = lin * s / (4.0 * (k + 1))
+    return s * r**k + c * r ** (k + 2), k * s * r ** (k - 1) + (k + 2) * c * r ** (k + 1)
+
+
+@pytest.mark.parametrize("case", ["n1", "n2", "n3", "k1", "k2", "cq", "odd"])
+def test_origin_series_is_exact_at_the_start(wave_1d, wave_2d, wave_3d, wave_k1, wave_k2, case):
+    # (R, R') of the shot's start, from the origin series at its r0, against
+    # a loop-form rtol-1e-13 integration from 1e-6/delta, where two terms of
+    # the series are exact: small data start at the reach 0.3/delta, large
+    # ones nearer the origin.  ODD's k = 1 series is in powers of r, not r^2
+    waves = {"n1": wave_1d, "n2": wave_2d, "n3": wave_3d, "k1": wave_k1, "k2": wave_k2}
+    if case in waves:
+        w = waves[case]
+        spec, omega, n, k, s_star = w.spec, w.omega, w.n, w.k, w.profile.shoot_param
+    elif case == "cq":
+        spec, omega, n, k = CQ, 0.7, 3, 0
+        s_star = find_ground_state(CQ, 0.7, 3).profile.shoot_param
+    else:
+        spec, omega, n, k = ODD, 0.8, 2, 1
+        s_star = find_excited_state(ODD, 0.8, 1).profile.shoot_param
+    cap = spec.amplitude_cap
+    delta = math.sqrt(spec.mass_sq - omega**2)
+    for s in (1e-6 * cap, s_star, cap, 40.0):
+        r0, series = radial._origin_series(spec, omega, n, k, s)
+        r_in = 1e-6 / delta
+        steps, _ = _loop_dop853(radial._rhs(spec, omega, n, k), r_in,
+                                *_two_term_start(spec, omega, n, k, s, r_in),
+                                r0, 1e-13, 1e-30 * s)
+        reference = radial._Trajectory([r_in] + [r for r, *_ in steps],
+                                       [piece for *_, piece in steps])(np.array([r0]))[:, 0]
+        # the reference's own error reaches 2.1e-13 (R' of CQ at datum 40)
+        np.testing.assert_allclose(series(r0)[:2], reference, rtol=1e-12, atol=0.0,
+                                   err_msg=f"datum {s}, r0 = {r0 * delta:.3g} / delta")

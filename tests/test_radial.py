@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -157,6 +158,28 @@ class TestStepper:
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
         assert done.stdout == "{}\n"
+
+    def test_ladder_stage_count(self, cubic, monkeypatch):
+        # the benchmark ladder's five solves at omega = 0.825, costed in
+        # stepper calls rather than time: 4422 from the origin series at its
+        # r0; a start at 1e-6/delta (k = 0) or 1e-3/delta (k >= 1) took 7329
+        stepper, calls = radial._stepper, []
+
+        def counting(*args):
+            stages, dense_piece = stepper(*args)
+
+            def counted(*step):
+                calls.append(None)
+                return stages(*step)
+
+            return counted, dense_piece
+
+        monkeypatch.setattr(radial, "_stepper", counting)
+        for n in (1, 2, 3):
+            find_ground_state(cubic, 0.825, n)
+        for k in (1, 2):
+            find_excited_state(cubic, 0.825, k)
+        assert len(calls) <= 5000
 
     @pytest.mark.parametrize("factor", [0.5, 1 - 1e-3, 1 + 1e-3])
     def test_first_integral_along_dense_shot(self, cubic, factor):
@@ -474,17 +497,32 @@ class TestCertification:
 
     @pytest.mark.parametrize("fixture", ["wave_k1", "wave_k2"])
     def test_resample_finer_than_the_shot_start(self, request, fixture):
-        # k >= 1 shots start at 1e-3/delta; a finer grid takes the origin
-        # series s r^k + c r^{k+2} before that radius and the trajectory
-        # after it, and both agree with the series up to its r^{k+4} terms
+        # a fine grid takes the origin series before the shot's start r0 and
+        # the trajectory after it.  Near r = 0 the series is s r^k + c r^{k+2}
+        # up to its r^{k+4} terms; on both sides of r0, up to 2 r0, the
+        # profile is an rtol-1e-13 integration from 1e-6/delta started there
         wave = request.getfixturevalue(fixture)
-        s, k = wave.profile.shoot_param, wave.k
+        spec, omega, n, s, k = wave.spec, wave.omega, wave.n, wave.profile.shoot_param, wave.k
         p = resample_wave(wave, 0.25e-3 / wave.delta).profile
         r = p.r_grid[1:12]
-        c = (wave.spec.mass_sq - wave.omega**2) * s / (4.0 * (k + 1))
+        c = (spec.mass_sq - omega**2) * s / (4.0 * (k + 1))
         np.testing.assert_allclose(p.values[1:12], s * r**k + c * r ** (k + 2), rtol=1e-9)
         np.testing.assert_allclose(p.derivative[1:12],
                                    k * s * r ** (k - 1) + (k + 2) * c * r ** (k + 1), rtol=1e-9)
+
+        r0, _ = radial._origin_series(spec, omega, n, k, s)
+        stop = int(np.searchsorted(p.r_grid, 2.0 * r0))
+        r = p.r_grid[1:stop]
+        assert r[0] < r0 < r[-1]
+        r_in = 1e-6 / wave.delta
+        start = [s * r_in**k + c * r_in ** (k + 2),
+                 k * s * r_in ** (k - 1) + (k + 2) * c * r_in ** (k + 1)]
+        f = radial._rhs(spec, omega, n, k)
+        reference = scipy.integrate.solve_ivp(lambda x, y: [y[1], f(x, y[0], y[1])],
+                                              (r_in, r[-1]), start, method="DOP853",
+                                              t_eval=r, rtol=1e-13, atol=1e-30 * s).y
+        np.testing.assert_allclose(p.values[1:stop], reference[0], rtol=1e-10)
+        np.testing.assert_allclose(p.derivative[1:stop], reference[1], rtol=1e-10)
 
     @pytest.mark.parametrize("fixture", ["wave_1d", "wave_2d", "wave_3d", "wave_k1"])
     def test_resample_coarse_widens_the_fit_windows(self, request, fixture):
@@ -497,7 +535,7 @@ class TestCertification:
         assert coarse.profile.prefactor == pytest.approx(wave.profile.prefactor, rel=1e-4)
 
     def test_resample_refuses_a_trajectory_under_16_points(self, wave_1d):
-        with pytest.raises(StepFailure, match=r"too short to assemble \(r_end=29.9\)"):
+        with pytest.raises(StepFailure, match=r"too short to assemble \(r_end=32.2\)"):
             resample_wave(wave_1d, 5.0)
 
     @pytest.mark.parametrize("h_r", [0.0, -0.01, math.nan, math.inf])
