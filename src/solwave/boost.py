@@ -20,6 +20,18 @@ those axes, and sample_boosted samples any other mirrored axis in full.  An
 axis-0 boost of a radial wave, the only kind the command line makes, so
 stores, steps and sums 1/2^(n-1) of the grid.
 
+A grid may also reverse axis 0 (GridSpec.reversal).  At t = 0 a boost
+along axis 0 (v_j = 0 for every j >= 1, v = 0 included) has y_0 odd and
+every other y_j even in x_0, so it is its own time-reversed mirror image:
+
+    psi(-x_0, x_perp) = (-1)^k conj psi(x_0, x_perp),
+    psi_dot(-x_0, x_perp) = -(-1)^k conj psi_dot(x_0, x_perp),
+
+and a reversed grid stores only its cells x_0 > 0.  boost_scan, which only
+measures t = 0 samples, samples every velocity along axis 0 on the reversed
+copy of its grid, so a scan of a radial wave stores and sums 1/2^n of the
+grid.  Nothing steps a reversed sample: the relation holds at t = 0 only.
+
 Sampling writes psi and psi_dot one row block of solwave.stencil at a time,
 and they are the only full-size arrays it allocates.  Within a block the
 phase is the constant e^{-i omega gamma t} times the outer product of one 1D
@@ -27,32 +39,37 @@ factor e^{i omega gamma v_j x_j} per axis, the vortex factor e^{i k phi} of
 a k >= 1 wave is ((y_0 + i y_1)/r)^k, and R, R' come from one
 radial.WaveInterpolant call on the block's r.  At t = 0, y(-x) = -y(x): R
 and R' are even, the psi_dot terms in y/r odd and e^{i k phi} picks up
-(-1)^k, so each block of axis 0's first half also writes its mirror (every
-axis that is not mirrored reversed), and the radial part runs on half the
-stored cells.  On every axis j >= 1 with v_j = 0 the blocks walk the upper
-half x_j > 0, and an axis stored in full (a vortex's, or a grid's given in
-full) gets the rest by reflection.  R, R' and the (v.y)/r term are even under
-it; on axis 1 of a vortex, e^{i k phi} and the k (v_1 y_0 - v_0 y_1)/r^2
-term are conjugated.  An axis-0 boost thus runs the radial part on 1/2^n of
-the full grid at t = 0 and on 1/2^(n-1) at any other t, mirrored or not.
-The boundary-decay check compares |psi| on the boundary faces, the mirror
-planes excepted, with the largest |R|.
+(-1)^k, so each block of a full axis 0's first half also writes its mirror
+(every axis that is not mirrored reversed), and the radial part runs on
+half the stored cells; a reversed grid stores only one of the two halves,
+and the blocks walk it alone.  On every axis j >= 1 with v_j = 0 the blocks
+walk the upper half x_j > 0, and an axis stored in full (a vortex's, or a
+grid's given in full) gets the rest by reflection.  R, R' and the (v.y)/r
+term are even under it; on axis 1 of a vortex, e^{i k phi} and the
+k (v_1 y_0 - v_0 y_1)/r^2 term are conjugated.  An axis-0 boost thus runs
+the radial part on 1/2^n of the full grid at t = 0 and on 1/2^(n-1) at any
+other t, mirrored, reversed or not.  The boundary-decay check compares
+|psi| on the boundary faces, the mirror planes excepted, with the largest
+|R|.
 
 Energy, momentum and the center of energy are then measured by plain grid
 sums of the Hamiltonian density and of -Re(psi_dot conj(grad psi)) with
 2nd-order centered differences under periodic wrap (immaterial given the
 exponential decay, which the grid-sizing rule keeps below 1e-8 of the peak
-at the boundary), or with the mirrored ends of a mirrored axis.  The
-differences are solwave.stencil's unscaled neighbour differences, with the
-1/(2h) folded into the sums.  Each sum walks the field in the stencil's row
-blocks and takes every Re sum a conj(b) (|psi_dot|^2, |D_j psi|^2,
-psi_dot conj(D_j psi)) as one einsum over the float views, with no squared
-temporary and no BLAS dot, whose last bits follow its thread count.  The
+at the boundary), or with the mirrored ends of a mirrored or reversed
+axis.  The differences are solwave.stencil's unscaled neighbour
+differences, with the 1/(2h) folded into the sums.  Each sum walks the
+field in the stencil's row blocks and takes every Re sum a conj(b)
+(|psi_dot|^2, |D_j psi|^2, psi_dot conj(D_j psi)) as one einsum over the
+float views, with no squared temporary and no BLAS dot, whose last bits
+follow its thread count.  The
 density is written once, in one reduction that yields its total (E) or its
 marginal along each axis (the center of energy, which dots each marginal
-with that axis's coordinates).  On a mirrored grid E and P_0 are the stored
-cells' sums times 2^(mirrored axes), and P_j and the center's component j
-of a mirrored axis j are 0.0: their integrands are odd in x_j.
+with that axis's coordinates).  On a halved grid E and P_0 are the stored
+cells' sums times 2^(halved axes), and P_j and the center's component j
+of a mirrored axis j are 0.0: their integrands are odd in x_j.  On a
+reversed grid so is every P_j, j >= 1, and the center's component 0: their
+integrands are odd in x_0.
 """
 
 from __future__ import annotations
@@ -104,17 +121,22 @@ class ZeroField(RuntimeError):
 class GridSpec:
     """Cell-centered uniform Cartesian grid covering [-L_j, L_j) per axis.
 
-    A mirrored axis j stores only the cells of [0, L_j), the upper half of
-    a field that is even in x_j; points keeps the full, even count N_j and
-    shape gives the stored counts.  Axis 0 is never mirrored.  Raises
-    ValueError unless every extent L_j is finite and positive, every point
-    count N_j is a positive, even integer and mirrored has one bool per
-    axis, False on axis 0."""
+    A mirrored axis j >= 1 stores only the cells of [0, L_j), the upper
+    half of a field that is even in x_j.  A reversed grid (reversal +1 or
+    -1) stores only the cells x_0 > 0 of axis 0, the upper half of a field
+    with psi(-x_0, x_perp) = reversal conj psi(x_0, x_perp): a t = 0 sample
+    of a boost along axis 0, its own time-reversed mirror image (see
+    sample_boosted).  points keeps the full, even count N_j and shape gives
+    the stored counts.  Raises ValueError unless every extent L_j is finite
+    and positive, every point count N_j is a positive, even integer,
+    mirrored has one bool per axis, False on axis 0, and reversal is 0, +1
+    or -1."""
 
     n: int
     extent: tuple[float, ...]
     points: tuple[int, ...]
     mirrored: tuple[bool, ...] | None = None  # None: no axis mirrored
+    reversal: int = 0  # 0: axis 0 stored in full
 
     def __post_init__(self):
         if self.n not in (1, 2, 3):
@@ -132,7 +154,10 @@ class GridSpec:
             raise ValueError(f"mirrored must be one bool per axis, got {self.mirrored}")
         if mirrored[0]:
             raise ValueError("axis 0 may not be mirrored")
+        if not (isinstance(self.reversal, (int, np.integer)) and self.reversal in (-1, 0, 1)):
+            raise ValueError(f"reversal must be 0, +1 or -1, got {self.reversal!r}")
         object.__setattr__(self, "mirrored", tuple(map(bool, mirrored)))
+        object.__setattr__(self, "reversal", int(self.reversal))
 
     # the grid is frozen, so its derived values are computed once: a leapfrog
     # step reads them on every call
@@ -141,21 +166,27 @@ class GridSpec:
         return tuple(2.0 * L / N for L, N in zip(self.extent, self.points))
 
     @functools.cached_property
+    def halved(self) -> tuple[bool, ...]:
+        """Per axis, whether only the half x_j > 0 is stored: a mirrored
+        axis, and axis 0 of a reversed grid."""
+        return (bool(self.reversal), *self.mirrored[1:])
+
+    @functools.cached_property
     def shape(self) -> tuple[int, ...]:
-        """The stored cell counts: N_j / 2 on a mirrored axis, N_j elsewhere."""
-        return tuple(N // 2 if m else N for N, m in zip(self.points, self.mirrored))
+        """The stored cell counts: N_j / 2 on a halved axis, N_j elsewhere."""
+        return tuple(N // 2 if m else N for N, m in zip(self.points, self.halved))
 
     @functools.cached_property
     def reflections(self) -> int:
-        """2^(mirrored axes): the full grid's cells per stored cell."""
-        return 2 ** sum(self.mirrored)
+        """2^(halved axes): the full grid's cells per stored cell."""
+        return 2 ** sum(self.halved)
 
     def axes(self) -> list[np.ndarray]:
         """Stored cell-center coordinates per axis, (i - (N - 1)/2) h: one
         rounding per cell, so cell N - 1 - i sits exactly at minus cell i,
-        and a mirrored axis keeps the upper half, i >= N/2, of those bits."""
+        and a halved axis keeps the upper half, i >= N/2, of those bits."""
         return [((np.arange(N) - (N - 1) / 2) * h)[N // 2 if m else 0:]
-                for N, h, m in zip(self.points, self.spacing, self.mirrored)]
+                for N, h, m in zip(self.points, self.spacing, self.halved)]
 
     @functools.cached_property
     def cell_volume(self) -> float:
@@ -226,11 +257,11 @@ def grid_for(wave: SolitaryWave, v, t_max: float, h: float) -> GridSpec:
     return GridSpec(n=wave.n, extent=tuple(extents), points=tuple(points), mirrored=mirrored)
 
 
-def _boundary_max(field: np.ndarray, mirrored) -> float:
+def _boundary_max(field: np.ndarray, halved) -> float:
     """max |field| over the grid's boundary faces; the inner face of a
-    mirrored axis is the mirror plane, not a boundary, and is skipped."""
+    halved axis is the mirror plane, not a boundary, and is skipped."""
     worst = 0.0
-    for axis, m in enumerate(mirrored):
+    for axis, m in enumerate(halved):
         for end in ((-1,) if m else (0, -1)):
             face = (slice(None),) * axis + (end,)
             worst = max(worst, float(np.max(np.abs(field[face]))))
@@ -238,8 +269,9 @@ def _boundary_max(field: np.ndarray, mirrored) -> float:
 
 
 def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> FieldSample:
-    """Evaluate (psi_v, psi_dot_v) at time t on the grid, one row block at a
-    time; psi and psi_dot are the only full-size arrays allocated.
+    """Evaluate (psi_v, psi_dot_v) at time t on the grid's stored cells, one
+    row block at a time; psi and psi_dot are the only full-size arrays
+    allocated.
 
     With a(y) = R(r) e^{i k phi}, the chain rule gives psi = R * u and
     psi_dot = -gamma (dR (v.y)/r + i k R (v_1 y_0 - v_0 y_1)/r^2 + i omega R) * u,
@@ -252,14 +284,21 @@ def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> Fie
     mirrors stays a sector, storing that half, when k = 0; every other axis
     is stored in full (on the grid given, or its copy with those flags
     cleared), and an even one gets the half's reflection onto the cells
-    N_j - 1 - i_j.  At t = 0 each block of axis 0's first half also fills
-    its mirror, the cells N_j - 1 - i_j on every axis that is not mirrored,
-    with the y/r terms negated and e^{i k phi} times (-1)^k.  GridSpec.axes
-    mirrors exactly, so the reflected cells get the very bits that direct
-    evaluation gives them.
+    N_j - 1 - i_j.  At t = 0 each block of a full axis 0's first half also
+    fills its mirror, the cells N_j - 1 - i_j on every axis that is not
+    mirrored, with the y/r terms negated and e^{i k phi} times (-1)^k.
+    GridSpec.axes mirrors exactly, so the reflected cells get the very bits
+    that direct evaluation gives them.
+
+    At t = 0 with v_j = 0 for every j >= 1, y_0 is odd in x_0 and every
+    other y_j even, so psi(-x_0, x_perp) = (-1)^k conj psi(x_0, x_perp) and
+    psi_dot the same with -(-1)^k.  A reversed grid then keeps the half
+    x_0 > 0 alone, the blocks walk it, and the sample's grid carries
+    reversal = (-1)^k.  At any other t or v a reversed grid's axis 0 is
+    sampled in full.
 
     Raises GridTooSmall when the boundary cells carry more than 1e-8 of the
-    peak amplitude, max |R| (the mirror plane of a mirrored axis is not a
+    peak amplitude, max |R| (the mirror plane of a halved axis is not a
     boundary), and ValueError when t is not finite.
     """
     if not math.isfinite(t):
@@ -272,7 +311,10 @@ def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> Fie
     # the field is even there only for k = 0, else the axis is stored in full
     even = [j for j in range(1, grid.n) if not v[j]]
     mirrored = tuple(m and not k and j in even for j, m in enumerate(grid.mirrored))
-    grid = grid if mirrored == grid.mirrored else replace(grid, mirrored=mirrored)
+    # the time-reversed image holds at t = 0 with v_perp = 0 only
+    reversal = (-1) ** k if grid.reversal and t == 0 and not v[1:].any() else 0
+    if (mirrored, reversal) != (grid.mirrored, grid.reversal):
+        grid = replace(grid, mirrored=mirrored, reversal=reversal)
     cols = tuple(slice(-(N // 2), None) if j in even else slice(None)
                  for j, N in enumerate(grid.points[1:], 1))
     mesh = np.meshgrid(*(x[c] for x, c in zip(grid.axes(), (slice(None), *cols))),
@@ -286,11 +328,12 @@ def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> Fie
     psi = np.empty(grid.shape, dtype=complex)
     psi_dot = np.empty(grid.shape, dtype=complex)
     # (psi, psi_dot, phase factors, sign of y-odd terms, conjugated?), one per
-    # reflection image of the walked cells; at t = 0 the blocks walk axis 0's
-    # first half and also fill the arrays flipped on every axis that is not
-    # mirrored, (-1)^k in their factors
+    # reflection image of the walked cells; at t = 0 the blocks walk a full
+    # axis 0's first half and also fill the arrays flipped on every axis that
+    # is not mirrored, (-1)^k in their factors
     targets = [(psi, psi_dot, factors, 1.0, False)]
-    if t == 0:
+    inverted = t == 0 and not reversal
+    if inverted:
         flips = tuple(j for j in range(grid.n) if not grid.mirrored[j])
         mirror = [np.flip(f, flips) for f in factors]
         mirror[0] = mirror[0] * (-1.0) ** k
@@ -302,7 +345,7 @@ def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> Fie
             targets += [(np.flip(f, j), np.flip(fd, j), fs, sign, conj or (j == 1 and k > 0))
                         for f, fd, fs, sign, conj in targets]
     peak = 0.0
-    for rows in row_blocks(psi[:grid.points[0] // (2 if t == 0 else 1)]):
+    for rows in row_blocks(psi[:grid.points[0] // 2] if inverted else psi):
         x = [mesh[0][rows], *mesh[1:]]
         x_dot_e = sum(xj * ej for xj, ej in zip(x, e) if ej)
         y = [xj + (gamma - 1.0) * x_dot_e * ej - gamma * vj * t if ej else xj
@@ -339,7 +382,7 @@ def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> Fie
 
         peak = max(peak, float(np.max(np.abs(R))))
 
-    boundary = _boundary_max(psi, grid.mirrored)
+    boundary = _boundary_max(psi, grid.halved)
     if peak > 0 and boundary >= BOUNDARY_DECAY * peak:
         raise GridTooSmall(
             f"boundary amplitude {boundary:.3e} exceeds {BOUNDARY_DECAY:g} of "
@@ -387,7 +430,8 @@ def _energy_sums(sample: FieldSample, spec: PotentialSpec, axes) -> list[np.ndar
         for part, axis in zip(parts, axes):
             part += 0.5 * _re_dot(psi_dot[rows], psi_dot[rows], axis)
         for j, w in enumerate(weights):
-            neighbour_difference(psi, j, rows, out=diff, mirrored=grid.mirrored[j])
+            neighbour_difference(psi, j, rows, out=diff, mirrored=grid.mirrored[j],
+                                 reversal=grid.reversal if j == 0 else 0)
             for part, axis in zip(parts, axes):
                 part += w * _re_dot(diff, diff, axis)
         potential = evaluate_potential(spec, psi[rows])
@@ -407,18 +451,21 @@ def measure_momentum(sample: FieldSample) -> np.ndarray:
     """-Re int psi_dot conj(grad psi) dx, per component.  Each component
     sums Re(psi_dot conj(D_j psi)) over the unscaled neighbour difference,
     one einsum per row block, and takes the 1/(2 h_j) once, on the sum.  On
-    a mirrored axis the integrand is odd, so that component is 0.0 and not
-    summed.  The minus is taken as 0.0 - x, so an exact zero reads +0.0."""
+    a mirrored axis j the integrand of P_j is odd in x_j, and on a reversed
+    grid that of every P_j, j >= 1, is odd in x_0, so those components are
+    0.0 and not summed.  The minus is taken as 0.0 - x, so an exact zero
+    reads +0.0."""
     psi, psi_dot = sample.psi, sample.psi_dot
     grid = sample.grid
-    axes = [j for j in range(grid.n) if not grid.mirrored[j]]
+    axes = [j for j in range(grid.n) if not (grid.mirrored[j] or grid.reversal and j)]
     blocks = row_blocks(psi)
     d = np.empty(psi[blocks[0]].shape, dtype=complex)
     sums = np.zeros(grid.n)
     for rows in blocks:
         diff = d[:rows.stop - rows.start]
         for axis in axes:
-            neighbour_difference(psi, axis, rows, out=diff)
+            # a reversed grid sums axis 0 alone
+            neighbour_difference(psi, axis, rows, out=diff, reversal=grid.reversal)
             sums[axis] += _re_dot(psi_dot[rows], diff)
     scale = [0.5 / h for h in grid.spacing]
     return 0.0 - sums * scale * (grid.cell_volume * grid.reflections)
@@ -426,13 +473,13 @@ def measure_momentum(sample: FieldSample) -> np.ndarray:
 
 def center_of_energy(sample: FieldSample, spec: PotentialSpec) -> np.ndarray:
     """Energy-density-weighted mean position: one walk of _energy_sums gives
-    the density's marginal along every axis that is not mirrored, and the
+    the density's marginal along every axis that is not halved, and the
     center's component j is the axis-j marginal against the axis-j
-    coordinates over the total.  On a mirrored axis the density is even, so
+    coordinates over the total.  On a halved axis the density is even, so
     that component is 0.0."""
     grid = sample.grid
-    axes = [j for j in range(grid.n) if not grid.mirrored[j]]
-    marginals = _energy_sums(sample, spec, axes)
+    axes = [j for j in range(grid.n) if not grid.halved[j]]
+    marginals = _energy_sums(sample, spec, axes or [None])
     volume = grid.cell_volume * grid.reflections
     total = float(np.sum(marginals[0])) * volume  # every marginal sums to it
     if total < 1e-20:
@@ -460,14 +507,17 @@ def boost_scan(wave: SolitaryWave, spec: PotentialSpec, velocities,
     particle-like prediction gamma E_0 (1, v) from the wave's report.
 
     Rows are sorted by |v|.  rel_err_p is normalized by |P_pred| when nonzero,
-    else by E_pred (the v = 0 row).  Each velocity is sampled on the grid
-    as given; sample_boosted decides which of its mirrored axes stay sectors.
+    else by E_pred (the v = 0 row).  A velocity along axis 0 (v = 0
+    included) is sampled on the grid's reversed copy, which stores and sums
+    only the half x_0 > 0 of the t = 0 sample; any other on the grid as
+    given.  sample_boosted decides which mirrored axes stay sectors.
     """
     boosts = sorted((lorentz_boost(v, wave.n) for v in velocities), key=lambda b: b[1])
 
     def one(v):
+        scan_grid = grid if v[1:].any() else replace(grid, reversal=(-1) ** wave.k)
         try:
-            sample = sample_boosted(wave, v, grid, t=0.0)
+            sample = sample_boosted(wave, v, scan_grid, t=0.0)
         except GridTooSmall as exc:
             raise GridTooSmall(f"at v={v.tolist()}: {exc}") from exc
         e_m = measure_energy(sample, spec)
@@ -516,8 +566,13 @@ def save_sample(sample: FieldSample, path) -> None:
     payload = psi, then psi_dot, each as complex128 (re/im float64 pairs) in C order.
     A mirrored axis j is written as -N_j, and the payload holds the stored
     cells, grid.shape; a full grid's file is unchanged by this marker.
+    The layout has no mark for a reversed grid, so its sample raises
+    ValueError: sample axis 0 in full to save it.
     """
     g = sample.grid
+    if g.reversal:
+        raise ValueError("save_sample stores axis 0 in full; this sample's grid is "
+                         "reversed and holds only its half x_0 > 0")
 
     def write(fh):
         fh.write(struct.pack("<q", g.n))

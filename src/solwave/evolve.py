@@ -96,6 +96,11 @@ class EvolutionState:
 
 def _check_step(grid, spec: PotentialSpec, dt: float) -> None:
     """Reject a time step the leapfrog scheme cannot advance on grid."""
+    if grid.reversal:
+        # psi(-x_0) = +-conj psi(x_0) holds at t = 0 only, so the stored half
+        # no longer knows its outside neighbours after one step
+        raise ValueError("cannot step a reversed grid's sample, which stores only "
+                         "x_0 > 0 of a t = 0 field; sample axis 0 in full")
     if not dt > 0:  # NaN too
         raise ValueError(f"need dt > 0, got {dt}")
     linear = dt * dt * (sum(1.0 / (h * h) for h in grid.spacing) + spec.mass_sq / 4.0)
@@ -139,8 +144,9 @@ def step(state: EvolutionState, spec: PotentialSpec, dt: float) -> EvolutionStat
     by its next step at the same dt (copy it to keep it), and a steady-state
     step allocates only block scratch.  After NonFinite the state is invalid.
 
-    Raises ValueError unless dt > 0, CflViolation (see there), and NonFinite
-    (failing time attached) when the update leaves the finite range.
+    Raises ValueError unless dt > 0 and the sample's grid is not reversed
+    (GridSpec.reversal), CflViolation (see there), and NonFinite (failing
+    time attached) when the update leaves the finite range.
     """
     grid = state.sample.grid
     _check_step(grid, spec, dt)
@@ -210,9 +216,10 @@ def evolve(initial: FieldSample, spec: PotentialSpec, t_final: float, dt: float,
     sample layout to snapshot_dir every snapshot_stride steps (plus the
     initial state), and the returned state's snapshots lists the file names.
     t_final < 0, dt <= 0, a t_final that is not a whole multiple of dt (see
-    step_count), a stride that is not an integer >= 1 or a snapshot_stride
-    without a snapshot_dir raises ValueError, and a dt beyond the CFL bound
-    raises CflViolation, before anything is recorded or written."""
+    step_count), a stride that is not an integer >= 1, a snapshot_stride
+    without a snapshot_dir or a reversed initial grid raises ValueError,
+    and a dt beyond the CFL bound raises CflViolation, before anything is
+    recorded or written."""
     if not t_final >= 0:
         raise ValueError(f"need t_final >= 0, got {t_final}")
     for name, stride in (("diag_stride", diag_stride), ("snapshot_stride", snapshot_stride)):

@@ -197,6 +197,16 @@ def expected_amplitude(spec: PotentialSpec, omega: float) -> float | None:
     return zeros[0] if zeros else None
 
 
+def _horner(coeffs: list[float], x: float) -> float:
+    """The polynomial (highest degree first) at x by Horner's rule on plain
+    floats, in np.polyval's order of operations: the same float, without
+    its array overhead on the scalar calls of a root polish."""
+    p = 0.0
+    for c in coeffs:
+        p = p * x + c
+    return p
+
+
 def _sign_change_zeros(coeffs: np.ndarray) -> list[float]:
     """Ascending positive zeros at which the polynomial (highest degree first)
     changes sign.
@@ -212,10 +222,10 @@ def _sign_change_zeros(coeffs: np.ndarray) -> list[float]:
     degree = c.size - 1
     if degree < 1:
         return []
-    reverse = c[::-1]
+    forward, reverse = c.tolist(), c[::-1].tolist()
 
     def sign_poly(a):  # p(a) / max(1, a)^degree
-        return float(np.polyval(c, a) if a <= 1.0 else np.polyval(reverse, 1.0 / a))
+        return _horner(forward, a) if a <= 1.0 else _horner(reverse, 1.0 / a)
 
     with np.errstate(over="ignore"):
         bound = 2.0 * max(abs(c[k] / c[0]) ** (1.0 / k) for k in range(1, degree + 1))

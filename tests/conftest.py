@@ -52,14 +52,21 @@ def wave_k2(cubic):
 
 
 def full_grid(grid):
-    """The grid with no axis mirrored: the same cells, all of them stored."""
-    return dataclasses.replace(grid, mirrored=None)
+    """The grid with no axis halved: the same cells, all of them stored."""
+    return dataclasses.replace(grid, mirrored=None, reversal=0)
 
 
-def unfold(grid, field):
+def unfold(grid, field, time_odd=False):
     """The full grid's array of a field stored on grid: each mirrored axis
-    gets its lower half back as the reflection of the stored upper half."""
+    gets its lower half back as the reflection of the stored upper half,
+    and axis 0 of a reversed grid as reversal conj of that reflection,
+    negated for a field odd in t (psi_dot)."""
     for axis, mirrored in enumerate(grid.mirrored):
         if mirrored:
             field = np.concatenate([np.flip(field, axis), field], axis=axis)
+    if grid.reversal:
+        image = np.conj(np.flip(field, 0))
+        if (grid.reversal < 0) != time_odd:
+            image = -image
+        field = np.concatenate([image, field])
     return field

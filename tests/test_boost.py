@@ -12,19 +12,24 @@ from solwave.boost import (BOUNDARY_DECAY, FieldSample, GridSpec, GridTooSmall,
                            boost_scan, center_of_energy, grid_for, load_sample,
                            measure_energy, measure_momentum, sample_boosted,
                            save_sample, scan_to_csv)
-from solwave.evolve import evolve
+from solwave.evolve import EvolutionState, evolve, step
 from solwave.functionals import (SuperluminalVelocity, compute_functionals,
                                  lorentz_boost, predict_energy_momentum)
 from solwave.potential import evaluate_potential
 from solwave.radial import WaveInterpolant, find_ground_state
 from solwave.stencil import row_blocks
 
-from conftest import AMP, KAPPA, ORACLE, full_grid, unfold
+from conftest import AMP, CQ, KAPPA, ORACLE, full_grid, unfold
 
 
 @pytest.fixture(scope="module")
 def grid_1d(wave_1d):
     return grid_for(wave_1d, [0.0], 0.0, 0.02)
+
+
+@pytest.fixture(scope="module")
+def wave_cq3():
+    return find_ground_state(CQ, 0.7, 3)
 
 
 @pytest.fixture(scope="module")
@@ -243,15 +248,21 @@ class TestBlockedSampler:
     # CASES' t = 0 row is its own twin
     @pytest.mark.parametrize("name,v,t,h", [case for case in CASES if case[2]])
     def test_mirrored_half_matches_full_array_formula(self, request, name, v, t, h):
-        # at t = 0 each row block of axis 0's first half also fills its
-        # mirror, with the y-odd psi_dot terms negated and (-1)^k on e^{ik phi}
+        # at t = 0 each row block of a full axis 0's first half also fills
+        # its mirror, with the y-odd psi_dot terms negated and (-1)^k on
+        # e^{ik phi}; a reversed grid stores the half x_0 > 0 alone when
+        # v_j = 0 for j >= 1, whose time-reversed image, (-1)^k conj of it
+        # (psi_dot: -(-1)^k), is axis 0's first half
         wave = request.getfixturevalue(name)
         grid = grid_for(wave, v, t, h)
-        sample = sample_boosted(wave, v, grid, t=0.0)
         psi, psi_dot = reference_sample(wave, v, grid, 0.0)
-        assert np.max(np.abs(unfold(grid, sample.psi) - psi)) <= 1e-13 * np.max(np.abs(psi))
-        assert (np.max(np.abs(unfold(grid, sample.psi_dot) - psi_dot))
-                <= 1e-13 * np.max(np.abs(psi_dot)))
+        for g in (grid, dataclasses.replace(grid, reversal=1)):
+            sample = sample_boosted(wave, v, g, t=0.0)
+            assert sample.grid.reversal == (g.reversal and (0 if any(v[1:]) else (-1) ** wave.k))
+            assert (np.max(np.abs(unfold(sample.grid, sample.psi) - psi))
+                    <= 1e-13 * np.max(np.abs(psi)))
+            assert (np.max(np.abs(unfold(sample.grid, sample.psi_dot, time_odd=True) - psi_dot))
+                    <= 1e-13 * np.max(np.abs(psi_dot)))
 
     @pytest.mark.parametrize("name,v,t,share", [
         ("wave_2d", [0.6, 0.0], 0.0, 1 / 4),
@@ -263,20 +274,22 @@ class TestBlockedSampler:
     def test_radial_part_runs_once_per_reflection_image(self, request, monkeypatch,
                                                         name, v, t, share):
         # the interpolant sees one cell of each set of reflection images: the
-        # t = 0 inversion halves axis 0, and every axis j >= 1 with v_j = 0 is
-        # halved at any t
+        # t = 0 inversion halves a full axis 0, a reversed grid stores one
+        # half and walks it, and every axis j >= 1 with v_j = 0 is halved at
+        # any t
         wave = request.getfixturevalue(name)
         grid = grid_for(wave, v, t, 1.2 if wave.n == 3 else 0.25)
-        cells = []
         call = WaveInterpolant.__call__
+        for g in (grid, dataclasses.replace(grid, reversal=1)):
+            cells = []
 
-        def counting(self, r):
-            cells.append(np.size(r))
-            return call(self, r)
+            def counting(self, r):
+                cells.append(np.size(r))
+                return call(self, r)
 
-        monkeypatch.setattr(WaveInterpolant, "__call__", counting)
-        sample_boosted(wave, v, grid, t=t)
-        assert sum(cells) == share * np.prod(grid.points)
+            monkeypatch.setattr(WaveInterpolant, "__call__", counting)
+            sample_boosted(wave, v, g, t=t)
+            assert sum(cells) == share * np.prod(grid.points)
 
     @staticmethod
     def _peak_bytes(wave, v, grid):
@@ -541,6 +554,117 @@ class TestSector:
             sample_boosted(wave_2d, v, crop(c + 1), t=t)
 
 
+class TestTimeReversal:
+    """At t = 0 a boost along axis 0 (v_j = 0 for j >= 1) is its own
+    time-reversed mirror image: psi(-x_0, x_perp) = (-1)^k conj psi(x_0,
+    x_perp) and psi_dot(-x_0, x_perp) = -(-1)^k conj psi_dot(x_0, x_perp).
+    A reversed grid stores only the half x_0 > 0, and boost_scan samples
+    and sums that half."""
+
+    WAVES = [("wave_1d", 0.05), ("wave_2d", 0.2), ("wave_k1", 0.2), ("wave_k2", 0.2),
+             ("wave_cq3", 0.8)]
+
+    @staticmethod
+    def _image(field, sign):
+        """sign conj of field reflected in x_0, with exact negation."""
+        image = np.conj(np.flip(field, 0))
+        return -image if sign < 0 else image
+
+    @pytest.mark.parametrize("name,h", WAVES)
+    @pytest.mark.parametrize("speed", [0.0, 0.3, 0.6, 0.9])
+    def test_full_sample_is_its_time_reversed_image(self, request, name, h, speed):
+        # bit for bit, on a grid that stores axis 0 in full
+        wave = request.getfixturevalue(name)
+        v = [speed] + [0.0] * (wave.n - 1)
+        grid = grid_for(wave, v, 0.0, h)
+        assert grid.reversal == 0
+        sample = sample_boosted(wave, v, grid, t=0.0)
+        half, sign = grid.points[0] // 2, (-1) ** wave.k
+        assert np.array_equal(sample.psi[:half], self._image(sample.psi[half:], sign))
+        assert np.array_equal(sample.psi_dot[:half], self._image(sample.psi_dot[half:], -sign))
+
+    @pytest.mark.parametrize("name,h", WAVES)
+    def test_reversed_grid_stores_the_upper_half(self, request, name, h):
+        wave = request.getfixturevalue(name)
+        spec = wave.spec
+        v = [0.6] + [0.0] * (wave.n - 1)
+        grid = grid_for(wave, v, 0.0, h)
+        full = sample_boosted(wave, v, grid, t=0.0)
+        half = sample_boosted(wave, v, dataclasses.replace(grid, reversal=1), t=0.0)
+        assert half.grid == dataclasses.replace(grid, reversal=(-1) ** wave.k)
+        assert half.grid.shape == (grid.points[0] // 2, *grid.shape[1:])
+        assert half.grid.reflections == 2 * grid.reflections
+        np.testing.assert_array_equal(half.grid.axes()[0], grid.axes()[0][grid.points[0] // 2:])
+        upper = grid.points[0] // 2
+        assert np.array_equal(half.psi, full.psi[upper:])
+        assert np.array_equal(half.psi_dot, full.psi_dot[upper:])
+        e, e_full = measure_energy(half, spec), measure_energy(full, spec)
+        assert abs(e - e_full) <= 1e-14 * e_full
+        p, p_full = measure_momentum(half), measure_momentum(full)
+        assert abs(p[0] - p_full[0]) <= 1e-14 * abs(p_full[0])
+        # P_j, j >= 1, is odd under the reversal: an exact +0.0
+        for pj in p[1:]:
+            assert pj == 0.0 and math.copysign(1.0, pj) == 1.0
+        # so is the centre's axis-0 component; the others are the full grid's
+        center, center_full = center_of_energy(half, spec), center_of_energy(full, spec)
+        assert center[0] == 0.0 and math.copysign(1.0, center[0]) == 1.0
+        np.testing.assert_allclose(center[1:], center_full[1:], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("v,t", [([0.3, 0.4], 0.0), ([0.0, 0.5], 0.0), ([0.6, 0.0], 0.5)])
+    def test_reversal_kept_only_at_t0_along_axis_0(self, wave_k1, v, t):
+        grid = full_grid(grid_for(wave_k1, v, t, 0.25))
+        sample = sample_boosted(wave_k1, v, dataclasses.replace(grid, reversal=-1), t=t)
+        assert sample.grid == grid
+        full = sample_boosted(wave_k1, v, grid, t=t)
+        assert np.array_equal(sample.psi, full.psi)
+        assert np.array_equal(sample.psi_dot, full.psi_dot)
+
+    def test_sampler_writes_the_waves_sign(self, wave_2d, wave_k1):
+        # the sign is (-1)^k, whatever sign the grid asked with
+        for wave, asked, sign in ((wave_2d, -1, 1), (wave_k1, 1, -1)):
+            grid = dataclasses.replace(grid_for(wave, [0.3, 0.0], 0.0, 0.25), reversal=asked)
+            assert sample_boosted(wave, [0.3, 0.0], grid).grid.reversal == sign
+
+    @pytest.mark.parametrize("name", ["wave_2d", "wave_k1"])
+    def test_scan_samples_half_the_grid(self, request, monkeypatch, name):
+        # scan-2d's scan, coarse: every sample stores half the cells of the
+        # grid the scan was given
+        wave = request.getfixturevalue(name)
+        grid = grid_for(wave, [0.0, 0.0], 0.0, 0.2)
+        sizes = []
+
+        def sample(wave, v, grid, t):
+            s = sample_boosted(wave, v, grid, t)
+            sizes.append(s.psi.size)
+            return s
+
+        monkeypatch.setattr(solwave.boost, "sample_boosted", sample)
+        boost_scan(wave, wave.spec, [[0.3, 0.0], [0.6, 0.0]], grid, compute_functionals(wave))
+        assert sizes == [math.prod(grid.shape) // 2] * 2
+
+    def test_step_refuses_a_reversed_sample(self, wave_1d, cubic):
+        grid = dataclasses.replace(grid_for(wave_1d, [0.3], 0.0, 0.1), reversal=1)
+        sample = sample_boosted(wave_1d, [0.3], grid)
+        assert sample.grid.reversal == 1
+        with pytest.raises(ValueError, match="reversed"):
+            step(EvolutionState(sample), cubic, 0.05)
+        with pytest.raises(ValueError, match="reversed"):
+            evolve(sample, cubic, 0.1, 0.05)
+
+    def test_save_refuses_a_reversed_sample(self, wave_2d, tmp_path):
+        grid = dataclasses.replace(grid_for(wave_2d, [0.3, 0.0], 0.0, 0.25), reversal=1)
+        sample = sample_boosted(wave_2d, [0.3, 0.0], grid)
+        path = tmp_path / "half.bin"
+        with pytest.raises(ValueError, match="reversed"):
+            save_sample(sample, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("reversal", [2, -2, 0.5, math.nan, "1", None])
+    def test_reversal_validation(self, reversal):
+        with pytest.raises(ValueError, match="reversal must be 0, \\+1 or -1"):
+            GridSpec(n=2, extent=(4.0, 2.0), points=(8, 4), reversal=reversal)
+
+
 class TestBoostScan:
     def test_1d_scan(self, wave_1d, cubic, grid_1d):
         rep = compute_functionals(wave_1d)
@@ -579,7 +703,8 @@ class TestBoostScan:
     def test_velocity_off_a_mirrored_axis_is_sampled_in_full(self, monkeypatch, wave_2d,
                                                              cubic):
         # grid_for's flags follow its sizing v = 0; the scan hands the very
-        # grid to the sampler, which samples v_1 != 0 with axis 1 in full
+        # grid to the sampler for v_1 != 0, which it samples with axis 1 in
+        # full, and its reversed copy for a boost along axis 0
         rep = compute_functionals(wave_2d)
         g = grid_for(wave_2d, [0.0, 0.0], 0.0, 0.2)
         assert g.mirrored == (False, True)
@@ -591,7 +716,7 @@ class TestBoostScan:
             return sample_boosted(wave, v, grid, t)
         monkeypatch.setattr(solwave.boost, "sample_boosted", sample)
         rows = boost_scan(wave_2d, cubic, velocities, g, report=rep)
-        assert grids[0] is g and grids[1] is g
+        assert grids[0] is g and grids[1] == dataclasses.replace(g, reversal=1)
         full = boost_scan(wave_2d, cubic, velocities, full_grid(g), report=rep)
         assert rows[0].e_measured == full[0].e_measured
         assert np.array_equal(rows[0].p_measured, full[0].p_measured)

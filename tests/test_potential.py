@@ -6,6 +6,8 @@ from solwave.potential import (PotentialSpec, check_conditions, evaluate_force,
                                evaluate_potential, expected_amplitude, force_slope)
 from solwave.radial import find_ground_state
 
+from conftest import CQ
+
 
 def test_potential_values(cubic):
     assert evaluate_potential(cubic, 0.0) == 0.0
@@ -204,6 +206,23 @@ def test_expected_amplitude_beside_tiny_couplings(terms, omega, root):
     rep = check_conditions(PotentialSpec(mass_sq=1.0, terms=terms, amplitude_cap=cap), omega, 1)
     assert rep.s2_holds
     assert root <= rep.s2_witness <= root + 1.001 * cap / 1e4
+
+
+def test_conditions_match_the_polyval_form(monkeypatch, cubic):
+    # the root polish evaluates its polynomial by _horner, np.polyval's order
+    # of operations on plain floats: putting np.polyval back changes no
+    # report and no amplitude, to the last bit
+    tiny = PotentialSpec(mass_sq=1.0, terms=((1.0, 3), (-2.7e-115, 6)), amplitude_cap=10.0)
+    cases = [(spec, omega, n) for spec in (cubic, CQ, tiny)
+             for omega in (0.0, 0.3, 0.7, 0.825, 0.95) for n in (1, 2, 3)]
+
+    def reports():
+        return ([repr(check_conditions(*case)) for case in cases]
+                + [repr(expected_amplitude(spec, omega)) for spec, omega, _ in cases])
+
+    fast = reports()
+    monkeypatch.setattr(potential, "_horner", lambda coeffs, x: float(np.polyval(coeffs, x)))
+    assert reports() == fast
 
 
 def test_ground_state_beside_subnormal_coupling():

@@ -10,7 +10,8 @@ The grids have unequal spacings and a row count that is not a multiple of
 the block rows, so every case crosses both wrap rows and a ragged last
 block.  Each output starts as NaN, so a row a stencil leaves unwritten fails.
 A mirrored axis is checked against np.pad's "symmetric" mode, which repeats
-each end cell as its outside neighbour.
+each end cell as its outside neighbour, and a reversed axis against that
+padding with each padded cell replaced by reversal conj(cell).
 """
 
 import numpy as np
@@ -124,3 +125,28 @@ def test_mirrored_axis_matches_symmetric_padding(shape, axis, stencil, op):
     # the periodic stencil reads the far end instead, so it differs at the ends
     periodic = blocked(psi, lambda rows, out: stencil(psi, axis, rows, out=out))
     assert not np.array_equal(periodic, want)
+
+
+@pytest.mark.parametrize("shape,axis", MIRROR_CASES)
+@pytest.mark.parametrize("reversal", [1, -1])
+def test_reversed_axis_reads_the_conjugate_image(shape, axis, reversal):
+    # a reversed axis holds the upper half of a field with
+    # psi(-x) = reversal conj psi(x): each end cell's outside neighbour is
+    # reversal conj(cell), the symmetric padding's cell conjugated and signed
+    rng = np.random.default_rng(11)
+    psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    pad = [(1, 1) if j == axis else (0, 0) for j in range(psi.ndim)]
+    padded = np.pad(psi, pad, mode="symmetric")
+    n = shape[axis]
+    for end in (0, n + 1):
+        face = (slice(None),) * axis + (end,)
+        padded[face] = reversal * np.conj(padded[face])
+    want = np.take(padded, range(2, n + 2), axis) - np.take(padded, range(n), axis)
+    for rows in (slice(0, 7), slice(5, 16), slice(13, shape[0])):
+        out = neighbour_difference(psi, axis, rows, out=np.full_like(psi[rows], np.nan),
+                                   reversal=reversal)
+        np.testing.assert_array_equal(out, want[rows])
+    # the even mirror reads the cell itself, so it differs at the ends
+    mirrored = blocked(psi, lambda rows, out: neighbour_difference(psi, axis, rows, out=out,
+                                                                   mirrored=True))
+    assert not np.array_equal(mirrored, want)
