@@ -14,7 +14,11 @@ import json
 import os
 import secrets
 
+import numpy as np
+
 __all__ = ["atomic_write", "write_csv", "write_json"]
+
+CSV_CHUNK_ROWS = 512  # rows per %-operation of write_csv
 
 
 def atomic_write(path, write, binary: bool = False) -> None:
@@ -35,16 +39,29 @@ def atomic_write(path, write, binary: bool = False) -> None:
 def write_csv(path, header, records) -> None:
     """The header row, then one row per record of len(header) floats.
 
-    Each float is written "%.17g" (17 significant digits, enough to read back
-    the same float), fields are separated by "," and every row, the header's
-    too, ends in "\r\n": the bytes csv.writer's default dialect gives, with
-    the float rows formatted in one %-operation each.
+    records is an iterable of rows or a 2D array.  Each float is written
+    "%.17g" (17 significant digits, enough to read back the same float),
+    fields are separated by "," and every row, the header's too, ends in
+    "\r\n": the bytes csv.writer's default dialect gives.  The records are
+    taken as one float64 table, and each chunk of CSV_CHUNK_ROWS rows is
+    formatted in one %-operation on its tolist() floats, so the formatted
+    text never holds more than one chunk.  Raises ValueError when a record
+    is not len(header) numbers.
     """
+    table = np.asarray(records if isinstance(records, np.ndarray) else list(records),
+                       dtype=float)
+    if table.size == 0:
+        table = table.reshape(0, len(header))
+    if table.ndim != 2 or table.shape[1] != len(header):
+        raise ValueError(f"expected records of {len(header)} numbers, "
+                         f"got a table of shape {table.shape}")
     row = ",".join(["%.17g"] * len(header)) + "\r\n"
 
     def write(fh):
         csv.writer(fh).writerow(header)
-        fh.writelines(row % tuple(record) for record in records)
+        for i in range(0, len(table), CSV_CHUNK_ROWS):
+            chunk = table[i:i + CSV_CHUNK_ROWS]
+            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
     atomic_write(path, write)
 

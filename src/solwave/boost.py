@@ -36,19 +36,20 @@ Sampling writes psi and psi_dot one row block of solwave.stencil at a time,
 and they are the only full-size arrays it allocates.  Within a block the
 phase is the constant e^{-i omega gamma t} times the outer product of one 1D
 factor e^{i omega gamma v_j x_j} per axis, the vortex factor e^{i k phi} of
-a k >= 1 wave is ((y_0 + i y_1)/r)^k, and R, R' come from one
-radial.WaveInterpolant call on the block's r.  At t = 0, y(-x) = -y(x): R
-and R' are even, the psi_dot terms in y/r odd and e^{i k phi} picks up
-(-1)^k, so each block of a full axis 0's first half also writes its mirror
-(every axis that is not mirrored reversed), and the radial part runs on
-half the stored cells; a reversed grid stores only one of the two halves,
-and the blocks walk it alone.  On every axis j >= 1 with v_j = 0 the blocks
-walk the upper half x_j > 0, and an axis stored in full (a vortex's, or a
-grid's given in full) gets the rest by reflection.  R, R' and the (v.y)/r
-term are even under it; on axis 1 of a vortex, e^{i k phi} and the
-k (v_1 y_0 - v_0 y_1)/r^2 term are conjugated.  An axis-0 boost thus runs
-the radial part on 1/2^n of the full grid at t = 0 and on 1/2^(n-1) at any
-other t, mirrored, reversed or not.  The boundary-decay check compares
+a k >= 1 wave is ((y_0 + i y_1)/r)^k, and R, R' come from one call of the
+wave's own radial.WaveInterpolant (SolitaryWave.interpolant, built once per
+wave) on the block's r.  At t = 0, y(-x) = -y(x): R and R' are even, the
+psi_dot terms in y/r odd and e^{i k phi} picks up (-1)^k, so each block of
+a full axis 0's first half also writes its mirror (every axis that is not
+mirrored reversed), and the radial part runs on half the stored cells; a
+reversed grid stores only one of the two halves, and the blocks walk it
+alone.  On every axis j >= 1 with v_j = 0 the blocks walk the upper half
+x_j > 0, and an axis stored in full (a vortex's, or a grid's given in full)
+gets the rest by reflection.  R, R' and the (v.y)/r term are even under
+it; on axis 1 of a vortex, e^{i k phi} and the k (v_1 y_0 - v_0 y_1)/r^2
+term are conjugated.  An axis-0 boost thus runs the radial part on 1/2^n of
+the full grid at t = 0 and on 1/2^(n-1) at any other t, mirrored, reversed
+or not.  The boundary-decay check compares
 |psi| on the boundary faces, the mirror planes excepted, with the largest
 |R|.
 
@@ -85,7 +86,7 @@ import numpy as np
 from .artifacts import atomic_write, write_csv, write_json
 from .functionals import FunctionalReport, lorentz_boost, predict_energy_momentum
 from .potential import PotentialSpec, evaluate_potential
-from .radial import SolitaryWave, WaveInterpolant
+from .radial import SolitaryWave
 from .stencil import neighbour_difference, row_blocks
 
 __all__ = [
@@ -323,7 +324,7 @@ def sample_boosted(wave: SolitaryWave, v, grid: GridSpec, t: float = 0.0) -> Fie
     # the constant folds into axis 0's factor; a factor with v_j = 0 is 1
     factors = [np.exp(1j * omega * gamma * vj * m) for vj, m in zip(v, mesh)]
     factors[0] *= np.exp(-1j * omega * gamma * t)
-    interp = WaveInterpolant(wave)
+    interp = wave.interpolant
 
     psi = np.empty(grid.shape, dtype=complex)
     psi_dot = np.empty(grid.shape, dtype=complex)

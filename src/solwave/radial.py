@@ -36,11 +36,13 @@ point, and the profile is continued with the analytic linear-regime tail
 the large-r asymptotic of the linearized equation (a1, a2 derived from n and
 k; both vanish for n = 1 and n = 3 ground states, where the leading form is
 exact).  WaveInterpolant evaluates R and R' by Hermite interpolation of R, R'
-and R'' (from the equation) on the grid, and by the tail model beyond it.
+and R'' (from the equation) on the grid, and by the tail model beyond it;
+SolitaryWave.interpolant builds that table once per wave.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -144,6 +146,13 @@ class SolitaryWave:
     @property
     def delta(self) -> float:
         return math.sqrt(self.spec.mass_sq - self.omega**2)
+
+    @functools.cached_property
+    def interpolant(self) -> WaveInterpolant:
+        """The wave's WaveInterpolant, built on first use and kept: the wave
+        is frozen, so its table never changes (dataclasses.replace gives a
+        new wave and a new table)."""
+        return WaveInterpolant(self)
 
 
 def _tail(r, prefactor, delta, n, k):
@@ -847,7 +856,7 @@ class WaveInterpolant:
 def save_wave(wave: SolitaryWave, csv_path, sidecar_path) -> None:
     """CSV with columns r, R, dR plus a JSON sidecar of scalar metadata."""
     p = wave.profile
-    write_csv(csv_path, ["r", "R", "dR"], zip(p.r_grid, p.values, p.derivative))
+    write_csv(csv_path, ["r", "R", "dR"], np.stack([p.r_grid, p.values, p.derivative], axis=1))
     write_json(sidecar_path, {
         "n": int(wave.n), "k": int(wave.k), "omega": wave.omega,
         "prefactor": p.prefactor, "match_radius": p.match_radius, "shoot_param": p.shoot_param,

@@ -16,7 +16,7 @@ from solwave.evolve import EvolutionState, evolve, step
 from solwave.functionals import (SuperluminalVelocity, compute_functionals,
                                  lorentz_boost, predict_energy_momentum)
 from solwave.potential import evaluate_potential
-from solwave.radial import WaveInterpolant, find_ground_state
+from solwave.radial import SolitaryWave, WaveInterpolant, find_ground_state
 from solwave.stencil import row_blocks
 
 from conftest import AMP, CQ, KAPPA, ORACLE, full_grid, unfold
@@ -342,6 +342,38 @@ class TestBlockedSampler:
         sample_boosted(wave_2d, v, crop(c), t=t)
         with pytest.raises(GridTooSmall):
             sample_boosted(wave_2d, v, crop(c + 1), t=t)
+
+
+class TestCachedInterpolant:
+    """sample_boosted reads the wave's one table, SolitaryWave.interpolant;
+    a WaveInterpolant built afresh for each sample gives the same bits."""
+
+    @pytest.mark.parametrize("name, v, t, h", [
+        ("wave_1d", [0.6], 1.3, 0.003),
+        ("wave_2d", [0.3, -0.4], 0.7, 0.25),
+        ("wave_3d", [0.5, 0.0, 0.0], 0.0, 1.2),
+        ("wave_k1", [0.6, 0.0], 0.0, 0.25),
+        ("wave_k2", [-0.3, 0.4], 0.7, 0.25),
+    ])
+    def test_sample_equals_a_fresh_table(self, request, monkeypatch, name, v, t, h):
+        wave = request.getfixturevalue(name)
+        grid = grid_for(wave, v, t, h)
+        cached = sample_boosted(wave, v, grid, t=t)
+        assert wave.interpolant is wave.interpolant
+        # a property outranks the cached value in the instance dict
+        monkeypatch.setattr(SolitaryWave, "interpolant", property(WaveInterpolant))
+        assert wave.interpolant is not wave.interpolant
+        fresh = sample_boosted(wave, v, grid, t=t)
+        assert np.array_equal(cached.psi, fresh.psi)
+        assert np.array_equal(cached.psi_dot, fresh.psi_dot)
+
+    def test_replaced_wave_gets_its_own_table(self, wave_1d):
+        table = wave_1d.interpolant
+        copy = dataclasses.replace(wave_1d)
+        assert copy.interpolant is not table
+        r = np.linspace(0.0, 2.0 * table.r_end, 1001)
+        for got, want in zip(copy.interpolant(r), table(r)):
+            assert np.array_equal(got, want)
 
 
 class TestMeasurement:

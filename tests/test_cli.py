@@ -9,6 +9,7 @@ import pytest
 
 import solwave.cli
 from solwave.cli import main, normalize_config
+from solwave.radial import WaveInterpolant
 
 from conftest import CQ
 
@@ -429,6 +430,21 @@ def test_demo_computes_functionals_once(tmp_path, monkeypatch):
     monkeypatch.setattr(solwave.cli, "compute_functionals", counting)
     assert main(["demo", "--set", f"output_dir={tmp_path / 'demo'}"]) == 0
     assert len(calls) == 1
+
+
+def test_demo_builds_one_interpolant(tmp_path, monkeypatch):
+    # the scan's four samples and the flight's first one read the solved
+    # wave's one table
+    waves = []
+    build = WaveInterpolant.__init__
+
+    def counting(self, wave):
+        waves.append(wave)
+        build(self, wave)
+
+    monkeypatch.setattr(WaveInterpolant, "__init__", counting)
+    assert main(["demo", "--set", f"output_dir={tmp_path / 'demo'}"]) == 0
+    assert len(waves) == 1
 
 
 def test_demo_stops_at_first_failing_stage(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,9 @@ from solwave.radial import find_ground_state
 from solwave.stencil import row_blocks
 
 from conftest import CQ, full_grid, unfold
+
+# by module path: the package re-exports a function named evolve
+evolve_module = importlib.import_module("solwave.evolve")
 
 
 def _zero_sample(grid):
@@ -127,16 +131,32 @@ class TestStep:
         assert err.value.time is not None
 
 
+def _roll_accel(spec, psi, spacing):
+    """Lap_h psi + f(psi) on the whole periodic grid, written with np.roll
+    shifts and the force from |psi|: the unblocked scheme's acceleration."""
+    lap = np.zeros_like(psi)
+    for axis, h in enumerate(spacing):
+        lap += (np.roll(psi, 1, axis=axis) + np.roll(psi, -1, axis=axis)
+                - 2.0 * psi) / (h * h)
+    return lap + psi * force_slope(spec, np.abs(psi))
+
+
+def _bootstrap(spec, psi, psi_dot, dt, spacing):
+    """(psi^1, psi^2) of the unblocked scheme from (psi^0, psi_dot^0)."""
+    cur = psi + dt * psi_dot + 0.5 * dt * dt * _roll_accel(spec, psi, spacing)
+    return cur, 2.0 * cur - psi + dt * dt * _roll_accel(spec, cur, spacing)
+
+
+def _rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
 class TestBlockedStep:
     def test_matches_roll_reference(self, cubic, wave_2d):
         # the unblocked scheme, written with whole-field np.roll shifts and
         # the force from |psi|: 20 steps of the boosted n = 2 wave agree
         def accel(psi, spacing):
-            lap = np.zeros_like(psi)
-            for axis, h in enumerate(spacing):
-                lap += (np.roll(psi, 1, axis=axis) + np.roll(psi, -1, axis=axis)
-                        - 2.0 * psi) / (h * h)
-            return lap + psi * force_slope(cubic, np.abs(psi))
+            return _roll_accel(cubic, psi, spacing)
 
         dt, n_steps = 0.04, 20
         g = grid_for(wave_2d, [0.6, 0.0], dt * n_steps, 0.2)
@@ -172,6 +192,88 @@ class TestBlockedStep:
         with pytest.raises(NonFinite) as err:
             step(state, cubic, 0.02)
         assert err.value.time == pytest.approx(0.04)
+
+
+class TestStepPotential:
+    """The kernel's on-site part (2 - 2 sum_j c_j) psi + dt^2 f(psi) is the
+    force of the step potential W, negated when W's mass_sq is
+    A = 2 - 2 sum_j c_j - dt^2 m^2 >= 0 and taken as is when it is -A; the
+    run's plan holding W is rebuilt when the grid, spec or dt changes."""
+
+    @staticmethod
+    def _gaussian(grid, amplitude, width):
+        mesh = np.meshgrid(*grid.axes(), indexing="ij", sparse=True)
+        psi = amplitude * np.exp(-sum(x**2 for x in mesh) / width**2 + 0.3j * mesh[0])
+        return FieldSample(grid=grid, time=0.0, psi=psi, psi_dot=0.2j * psi)
+
+    def test_negative_step_mass_matches_roll_reference(self, cubic):
+        # the 3D step of test_mass_term_bounds_the_step, h = 1.9 and dt = 0.95:
+        # A = 2 - 6 (0.95/1.9)^2 - 0.95^2 = -0.4025, so W's mass_sq is -A
+        g = GridSpec(n=3, extent=(12.0 * 1.9,) * 3, points=(24,) * 3)
+        dt, n_steps = CFL_NUMBER * g.spacing[0], 10
+        s0 = self._gaussian(g, 0.5, 6.0)
+        prev = s0.psi
+        cur, ahead = _bootstrap(cubic, s0.psi, s0.psi_dot, dt, g.spacing)
+        for _ in range(n_steps - 1):
+            prev, cur = cur, ahead
+            ahead = 2.0 * cur - prev + dt * dt * _roll_accel(cubic, cur, g.spacing)
+
+        state = EvolutionState(s0)
+        for _ in range(n_steps):
+            step(state, cubic, dt)
+        assert state._plan.onsite.mass_sq == pytest.approx(0.4025, rel=1e-12)
+        assert not state._plan.negate
+        assert _rel_err(state.sample.psi, cur) < 1e-13
+        assert _rel_err(state.sample.psi_dot, (ahead - prev) / (2.0 * dt)) < 1e-13
+
+    def test_spec_change_rebuilds_the_step_potential(self, cubic):
+        # at the same dt the ring goes on from the level ahead, which the
+        # first spec computed; the next level is the second spec's
+        g = GridSpec(n=1, extent=(10.0,), points=(200,))
+        dt = 0.02
+        s0 = self._gaussian(g, 1.0, 2.0)
+        state = step(EvolutionState(s0), cubic, dt)
+        first = state._plan
+        step(state, CQ, dt)
+        assert state._plan is not first
+        assert state._plan.onsite.terms == tuple((-dt * dt * c, e) for c, e in CQ.terms)
+        psi1, psi2 = _bootstrap(cubic, s0.psi, s0.psi_dot, dt, g.spacing)
+        psi3 = 2.0 * psi2 - psi1 + dt * dt * _roll_accel(CQ, psi2, g.spacing)
+        assert state.sample.time == pytest.approx(2 * dt)
+        assert _rel_err(state.sample.psi, psi2) < 1e-13
+        assert _rel_err(state.sample.psi_dot, (psi3 - psi1) / (2.0 * dt)) < 1e-13
+
+    def test_dt_change_restarts_with_the_bootstrap(self, cubic):
+        # a step at a new dt builds a new plan and takes the Taylor bootstrap
+        # from the state's own sample (psi^1, psi_dot^1)
+        g = GridSpec(n=2, extent=(8.0, 6.0), points=(64, 48))
+        dt1, dt2 = 0.05, 0.03
+        s0 = self._gaussian(g, 1.0, 2.0)
+        state = step(EvolutionState(s0), cubic, dt1)
+        psi1, psi2 = _bootstrap(cubic, s0.psi, s0.psi_dot, dt1, g.spacing)
+        dot1 = (psi2 - s0.psi) / (2.0 * dt1)
+        step(state, cubic, dt2)
+        assert state._plan.coeffs == tuple(dt2 * dt2 / (h * h) for h in g.spacing)
+        want, ahead = _bootstrap(cubic, psi1, dot1, dt2, g.spacing)
+        assert state.sample.time == pytest.approx(dt1 + dt2)
+        assert _rel_err(state.sample.psi, want) < 1e-13
+        assert _rel_err(state.sample.psi_dot, (ahead - psi1) / (2.0 * dt2)) < 1e-13
+
+    def test_plan_is_built_once_per_run(self, cubic, wave_1d, monkeypatch):
+        # evolve checks its arguments, and the first step builds the plan;
+        # the other nine steps reuse it
+        calls = []
+        check = evolve_module._check_step
+
+        def counting(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(evolve_module, "_check_step", counting)
+        g = grid_for(wave_1d, [0.5], 0.5, 0.1)
+        state = evolve(sample_boosted(wave_1d, [0.5], g), cubic, 0.5, 0.05, diag_stride=5)
+        assert state.sample.time == pytest.approx(0.5)
+        assert 1 <= len(calls) <= 2
 
 
 class TestSectorFlight:
